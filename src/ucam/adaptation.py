@@ -14,7 +14,7 @@ import numpy as np
 
 from . import serial
 from . import tensor as tc
-from .data import batch_pad, utterance_planes
+from .data import batch_pad, pad_to_longest, utterance_planes
 from .errors import ConfigError, StructureError
 from .masking import SequenceMask
 from .model import ModelParams, model_forward
@@ -43,26 +43,22 @@ class LinTransform:
                                            dtype=np.float32)).all())
 
 
-def lin_batch(utts, lin: LinTransform):
+def lin_batch(utts, lin: LinTransform, planes=None):
     """Differentiable padded batch [B, 3, F, T_max] through the LIN.
 
     The delta regression is linear in the frames, so transforming the
     precomputed planes equals transforming the statics before the deltas;
-    this keeps the graph a single matmul per plane.
+    this keeps the graph a single matmul per plane. ``planes`` are the
+    utterances' ``utterance_planes``, computed here when not given.
     """
-    planes = []
-    lengths = []
-    for u in utts:
-        d = utterance_planes(u)
-        rows = [tc.matmul(lin.w, tc.tensor(d[i])) for i in range(3)]
-        planes.append(tc.stack(rows))
-        lengths.append(u.length)
-    t_max = max(lengths)
-    batch = tc.stack([tc.pad_last(p, t_max) for p in planes])
-    labels = np.zeros((len(utts), t_max), dtype=np.int64)
-    for i, u in enumerate(utts):
-        labels[i, :u.length] = u.labels
-    return batch, labels, SequenceMask.from_lengths(np.array(lengths))
+    if planes is None:
+        planes = [utterance_planes(u) for u in utts]
+    mask = SequenceMask.from_lengths(np.array([u.length for u in utts]))
+    batch = tc.stack([
+        tc.pad_last(tc.stack([tc.matmul(lin.w, tc.tensor(d[i]))
+                              for i in range(3)]), mask.max_len)
+        for d in planes])
+    return batch, pad_to_longest([u.labels for u in utts]), mask
 
 
 def pseudo_label(params: ModelParams, utts, lin: LinTransform,
@@ -82,6 +78,9 @@ def pseudo_label(params: ModelParams, utts, lin: LinTransform,
 def frame_error(params: ModelParams, utts, lin: LinTransform,
                 batch_size: int = 4) -> float:
     """Fraction of valid frames whose argmax differs from the true label."""
+    if not utts:
+        raise ConfigError("frame_error needs at least one utterance, got "
+                          "none")
     wrong = 0
     total = 0
     with tc.no_grad():
@@ -128,6 +127,10 @@ def adapt_speaker(params: ModelParams, utts, heldout=None,
                                            batch_size),
               "iterations": []}
 
+    # the LIN commutes with the deltas, so one set of planes serves every
+    # epoch of every iteration
+    planes = [utterance_planes(u) for u in utts]
+    prior = [(t, t.requires_grad) for _, t in params.named_parameters()]
     params.set_requires_grad(False)
     try:
         for it in range(1, iterations + 1):
@@ -141,12 +144,9 @@ def adapt_speaker(params: ModelParams, utts, heldout=None,
                               ep).permutation(len(utts))
                 for start in range(0, len(utts), batch_size):
                     idx = order[start:start + batch_size]
-                    group = [utts[i] for i in idx]
-                    x, _, mask = lin_batch(group, lin)
-                    labels = np.zeros((len(group), x.shape[-1]),
-                                      dtype=np.int64)
-                    for j, i in enumerate(idx):
-                        labels[j, :utts[i].length] = targets[i]
+                    x, _, mask = lin_batch([utts[i] for i in idx], lin,
+                                           [planes[i] for i in idx])
+                    labels = pad_to_longest([targets[i] for i in idx])
                     out = model_forward(x, mask, params)
                     loss = masked_cross_entropy(out, labels, mask)
                     tc.backward(loss)
@@ -155,7 +155,8 @@ def adapt_speaker(params: ModelParams, utts, heldout=None,
             entry["error"] = frame_error(params, heldout, lin, batch_size)
             report["iterations"].append(entry)
     finally:
-        params.set_requires_grad(True)
+        for t, flag in prior:
+            t.requires_grad = flag
     return lin, report
 
 

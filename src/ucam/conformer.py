@@ -237,13 +237,17 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
     for j in range(kk):
         out += wd[:, j][None, :, None] * xp[:, :, j:j + t]
 
+    need_x, need_w = tc.needs_grad(x), tc.needs_grad(w)
+
     def bwd(g):
-        dw = np.empty_like(wd)
-        dxp = np.zeros_like(xp)
+        dw = np.empty_like(wd) if need_w else None
+        dxp = np.zeros_like(xp) if need_x else None
         for j in range(kk):
-            dw[:, j] = (g * xp[:, :, j:j + t]).sum(axis=(0, 2))
-            dxp[:, :, j:j + t] += g * wd[:, j][None, :, None]
-        return dxp[:, :, pl:pl + t], dw
+            if need_w:
+                dw[:, j] = (g * xp[:, :, j:j + t]).sum(axis=(0, 2))
+            if need_x:
+                dxp[:, :, j:j + t] += g * wd[:, j][None, :, None]
+        return (dxp[:, :, pl:pl + t] if need_x else None), dw
 
     return tc.from_op(out, (x, w), bwd, "depthwise_conv1d")
 

@@ -182,6 +182,16 @@ class Batch:
         return SequenceMask.from_lengths(self.lengths)
 
 
+def pad_to_longest(arrays) -> np.ndarray:
+    """Stack [..., T_i] arrays into [B, ..., T_max], zero beyond each T_i."""
+    t_max = max(a.shape[-1] for a in arrays)
+    out = np.zeros((len(arrays),) + arrays[0].shape[:-1] + (t_max,),
+                   dtype=arrays[0].dtype)
+    for i, a in enumerate(arrays):
+        out[i, ..., :a.shape[-1]] = a
+    return out
+
+
 def batch_pad(utts, batch_size: int = 4,
               lin: np.ndarray | None = None):
     """Group consecutive utterances into zero-padded batches.
@@ -194,13 +204,8 @@ def batch_pad(utts, batch_size: int = 4,
     for start in range(0, len(utts), batch_size):
         group = utts[start:start + batch_size]
         lengths = np.array([u.length for u in group], dtype=np.int64)
-        t_max = int(lengths.max())
-        f = group[0].feats.shape[0]
-        feats = np.zeros((len(group), 3, f, t_max), dtype=np.float32)
-        labels = np.zeros((len(group), t_max), dtype=np.int64)
-        for i, u in enumerate(group):
-            feats[i, :, :, :u.length] = utterance_planes(u, lin)
-            labels[i, :u.length] = u.labels
+        feats = pad_to_longest([utterance_planes(u, lin) for u in group])
+        labels = pad_to_longest([u.labels for u in group])
         yield Batch(feats=feats, labels=labels, lengths=lengths,
                     utt_ids=[u.utt_id for u in group],
                     speakers=[u.speaker for u in group])

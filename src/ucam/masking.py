@@ -159,10 +159,15 @@ def utterance_layernorm(x: Tensor, mask: SequenceMask, p: NormParams,
     gamma, beta = p.gamma, p.beta
     y = (xhat * gamma.data + beta.data) * m3
 
+    need_x, need_gamma, need_beta = (tc.needs_grad(x), tc.needs_grad(gamma),
+                                     tc.needs_grad(beta))
+
     def bwd(g):
         gm = g * m3
-        dgamma = (gm * xhat).sum(axis=(0, 1))
-        dbeta = gm.sum(axis=(0, 1))
+        dgamma = (gm * xhat).sum(axis=(0, 1)) if need_gamma else None
+        dbeta = gm.sum(axis=(0, 1)) if need_beta else None
+        if not need_x:
+            return None, dgamma, dbeta
         ghat = gm * gamma.data
         if scope == "frame":
             mean_g = ghat.mean(axis=group_axes, keepdims=True)
@@ -206,11 +211,16 @@ def utterance_batchnorm(x: Tensor, mask: SequenceMask, p: NormParams) -> Tensor:
     cshape = (1, p.dim) + (1,) * (x.ndim - 2)
     y = (xhat * gamma.data.reshape(cshape) + beta.data.reshape(cshape)) * m
 
+    need_x, need_gamma, need_beta = (tc.needs_grad(x), tc.needs_grad(gamma),
+                                     tc.needs_grad(beta))
+
     def bwd(g):
         gm = g * m
         sum_axes = (0,) + spatial
-        dgamma = (gm * xhat).sum(axis=sum_axes)
-        dbeta = gm.sum(axis=sum_axes)
+        dgamma = (gm * xhat).sum(axis=sum_axes) if need_gamma else None
+        dbeta = gm.sum(axis=sum_axes) if need_beta else None
+        if not need_x:
+            return None, dgamma, dbeta
         ghat = gm * gamma.data.reshape(cshape)
         mean_g = ghat.sum(axis=spatial, keepdims=True) / counts
         mean_gx = (ghat * xhat).sum(axis=spatial, keepdims=True) / counts

@@ -19,6 +19,14 @@ Ground rules (they keep masking bugs visible):
 
 New differentiable primitives can be defined outside this module with
 :func:`from_op`; the normalization and attention ops do exactly that.
+
+Backward closures follow one rule: compute a parent's gradient only when
+``needs_grad(parent)`` held at forward time; return None otherwise. Frozen
+weights and constant inputs then cost no backward work, so speaker
+adaptation, which trains only an input transform, skips every weight
+gradient of the model it runs through. :func:`backward` still drops any
+gradient a parent does not need, so an op whose gradient costs nothing,
+such as one passing the output gradient through, may skip the test.
 """
 
 from __future__ import annotations
@@ -138,20 +146,31 @@ def finite_checks():
         _CHECK_FINITE = prev
 
 
+def needs_grad(t: Tensor) -> bool:
+    """Whether a backward pass through an op built now delivers a gradient to ``t``.
+
+    True while graph recording is on and ``t`` is a trainable leaf or the
+    output of a recorded op.
+    """
+    return _GRAD_ENABLED and (t.requires_grad or t._parents is not None)
+
+
 def from_op(data: np.ndarray, parents: Sequence[Tensor],
             backward: Callable[[np.ndarray], Sequence[np.ndarray | None]],
             op: str) -> Tensor:
     """Build a graph node for a custom differentiable op.
 
     ``backward`` receives the output gradient and must return one gradient
-    (or None) per parent, each matching the parent's shape. When no parent
-    needs a gradient the node collapses to a constant, so eval-mode code
-    pays nothing for graph bookkeeping.
+    (or None) per parent, each matching the parent's shape. Compute a
+    parent's gradient only when ``needs_grad(parent)`` held at forward time;
+    return None otherwise. When no parent needs a gradient the node
+    collapses to a constant, so eval-mode code pays nothing for graph
+    bookkeeping.
     """
     if _CHECK_FINITE and not np.isfinite(data).all():
         raise NumericError(f"non-finite values produced by op '{op}'")
-    track = _GRAD_ENABLED and any(p.requires_grad or p._parents is not None
-                                  for p in parents)
+    # the leading test keeps no-grad forwards free of per-parent calls
+    track = _GRAD_ENABLED and any(needs_grad(p) for p in parents)
     out = Tensor(data)
     if track:
         out.requires_grad = True
@@ -178,8 +197,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape == b.shape:
         return from_op(a.data + b.data, (a, b), lambda g: (g, g), "add")
     if b.ndim == 1 and a.ndim >= 2 and a.shape[-1] == b.shape[0]:
+        need_a, need_b = needs_grad(a), needs_grad(b)
+
         def bwd(g):
-            return g, g.reshape(-1, b.shape[0]).sum(axis=0)
+            return (g if need_a else None,
+                    g.reshape(-1, b.shape[0]).sum(axis=0) if need_b else None)
         return from_op(a.data + b.data, (a, b), bwd, "add_bias")
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
@@ -257,19 +279,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions disagree for shapes "
                          f"{a.shape} and {b.shape}")
 
+    need_a, need_b = needs_grad(a), needs_grad(b)
     if b.ndim == 2:
         k, n = b.shape
 
         def bwd(g):
-            da = g @ b.data.swapaxes(-1, -2)
-            db = a.data.reshape(-1, k).T @ g.reshape(-1, n)
+            da = g @ b.data.swapaxes(-1, -2) if need_a else None
+            db = (a.data.reshape(-1, k).T @ g.reshape(-1, n) if need_b
+                  else None)
             return da, db
         return from_op(a.data @ b.data, (a, b), bwd, "matmul")
 
     if a.ndim == b.ndim and a.shape[:-2] == b.shape[:-2]:
         def bwd(g):
-            da = g @ b.data.swapaxes(-1, -2)
-            db = a.data.swapaxes(-1, -2) @ g
+            da = g @ b.data.swapaxes(-1, -2) if need_a else None
+            db = a.data.swapaxes(-1, -2) @ g if need_b else None
             return da, db
         return from_op(a.data @ b.data, (a, b), bwd, "matmul")
 

@@ -175,6 +175,8 @@ def masked_cross_entropy(log_probs: tc.Tensor, labels: np.ndarray,
 def evaluate(params: ModelParams, utts, batch_size: int = 4,
              lin: np.ndarray | None = None) -> tuple[float, float]:
     """Corpus-level (mean NLL, frame accuracy) in eval mode."""
+    if not utts:
+        raise ConfigError("evaluate needs at least one utterance, got none")
     total_nll = 0.0
     total_correct = 0
     total_frames = 0

@@ -60,12 +60,19 @@ def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
     cols = col.reshape(bsz, c * kf * kt, out_f * t)
     w2 = w.data.reshape(o, -1)
     out = np.matmul(w2, cols).reshape(bsz, o, out_f, t)
+    need_x = tc.needs_grad(x)
+    # only dW reads the im2col buffer; keep it alive only when dW is needed
+    saved_cols = cols if tc.needs_grad(w) else None
+    xp_shape = xp.shape
 
     def bwd(g):
         g2 = g.reshape(bsz, o, -1)
-        dw = np.einsum("bon,bkn->ok", g2, cols).reshape(w.shape)
-        dcol = np.matmul(w2.T, g2).reshape(col.shape)
-        dxp = np.zeros_like(xp)
+        dw = (np.einsum("bon,bkn->ok", g2, saved_cols).reshape(w.shape)
+              if saved_cols is not None else None)
+        if not need_x:
+            return None, dw
+        dcol = np.matmul(w2.T, g2).reshape(bsz, c, kf, kt, out_f, t)
+        dxp = np.zeros(xp_shape, dtype=x.data.dtype)
         for i in range(kf):
             for j in range(kt):
                 dxp[:, :, i:i + stride_f * out_f:stride_f,

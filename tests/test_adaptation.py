@@ -103,6 +103,46 @@ def test_adapt_leaves_model_bit_identical():
     assert all(t.requires_grad for _, t in params.named_parameters())
 
 
+def test_adapt_restores_frozen_parameters():
+    c = speaker_corpus(seed=5, n_utts=8)
+    params = tiny_model()
+    named = params.named_parameters()
+    named[0][1].requires_grad = False
+    ad.adapt_speaker(params, c.utts, iterations=1, epochs=1, seed=0)
+    assert not named[0][1].requires_grad
+    assert all(t.requires_grad for _, t in named[1:])
+
+
+def test_empty_heldout_is_a_config_error():
+    c = speaker_corpus(seed=5, n_utts=4)
+    params = tiny_model()
+    with pytest.raises(ConfigError, match="frame_error.*none"):
+        ad.frame_error(params, [], ad.LinTransform(8))
+    with pytest.raises(ConfigError, match="frame_error.*none"):
+        ad.adapt_speaker(params, c.utts, heldout=[], iterations=1)
+
+
+def test_plane_cache_leaves_adaptation_unchanged(monkeypatch):
+    c = speaker_corpus(seed=7, n_utts=8)
+    params = tiny_model()
+    calls = []
+    planes = dp.utterance_planes
+    monkeypatch.setattr(ad, "utterance_planes",
+                        lambda u: calls.append(u.utt_id) or planes(u))
+    lin1, rep1 = ad.adapt_speaker(params, c.utts, iterations=2, epochs=2,
+                                  seed=3)
+    # one plane computation per adaptation utterance, not per epoch
+    assert sorted(calls) == sorted(u.utt_id for i, u in enumerate(c.utts)
+                                   if i % 4 != 3)
+    lin_batch = ad.lin_batch
+    monkeypatch.setattr(ad, "lin_batch",
+                        lambda utts, lin, planes=None: lin_batch(utts, lin))
+    lin2, rep2 = ad.adapt_speaker(params, c.utts, iterations=2, epochs=2,
+                                  seed=3)
+    assert lin1.w.data.tobytes() == lin2.w.data.tobytes()
+    assert rep1 == rep2
+
+
 def test_adapt_report_structure():
     c = speaker_corpus(seed=6, n_utts=9)
     params = tiny_model()
@@ -195,6 +235,21 @@ def test_gradient_flows_to_w_only():
     assert w.grad is not None and np.any(w.grad != 0)
     assert all(t.grad is None for _, t in params.named_parameters())
     params.set_requires_grad(True)
+
+
+def test_frozen_model_leaves_lin_gradient_bitwise_unchanged():
+    c = speaker_corpus(seed=12, n_utts=3)
+    params = tiny_model()
+    w0 = np.eye(8) + 0.01 * np.random.default_rng(0).standard_normal((8, 8))
+    grads = []
+    for frozen in (False, True):
+        params.set_requires_grad(not frozen)
+        tc.zero_grad(params.named_parameters())
+        w = tc.parameter(w0, dtype=np.float32)
+        tc.backward(lin_path_loss(c, params, w))
+        grads.append(w.grad.tobytes())
+    params.set_requires_grad(True)
+    assert grads[0] == grads[1]
 
 
 def test_w_gradient_check_float64():

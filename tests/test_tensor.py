@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ucam import conformer as cf
 from ucam import tensor as tc
+from ucam import wrcnn as wr
 from ucam.errors import ConfigError, DataError, GraphError, NumericError, ShapeError
+from ucam.masking import (NormParams, SequenceMask, utterance_batchnorm,
+                          utterance_layernorm)
 
 
 def rand(rng, *shape):
@@ -320,6 +324,78 @@ class TestGradCheck:
             tc.grad_check(lambda ps: tc.sum_all(
                 tc.mul(ps["x"], tc.tensor(np.array([np.inf]), dtype=np.float64))),
                 {"x": x})
+
+
+# ---------------------------------------------------------------------------
+# needs-grad contract: an op computes no gradient for an operand that does
+# not need one, and every other operand's gradient is unchanged
+
+
+def _needs_grad_cases():
+    """(operand arrays, op) on micro_config shapes, float64, lengths 6 and 4."""
+    rng = np.random.default_rng(51)
+    mask = SequenceMask.from_lengths(np.array([6, 4]))
+    return {
+        "conv2d": ({"x": rand(rng, 2, 2, 8, 6), "w": rand(rng, 4, 2, 3, 3)},
+                   lambda p: wr.conv2d(p["x"], p["w"], stride_f=2)),
+        "matmul_linear": ({"x": rand(rng, 2, 6, 8), "w": rand(rng, 8, 32)},
+                          lambda p: tc.matmul(p["x"], p["w"])),
+        "matmul_stacked": ({"q": rand(rng, 2, 2, 6, 4),
+                            "k": rand(rng, 2, 2, 4, 6)},
+                           lambda p: tc.matmul(p["q"], p["k"])),
+        "add_bias": ({"x": rand(rng, 2, 6, 8), "b": rand(rng, 8)},
+                     lambda p: tc.add(p["x"], p["b"])),
+        "depthwise_conv1d": ({"x": rand(rng, 2, 8, 6), "w": rand(rng, 8, 3)},
+                             lambda p: cf.depthwise_conv1d(p["x"], p["w"])),
+        "utterance_layernorm": (
+            {"x": rand(rng, 2, 6, 8), "gamma": 1.0 + rand(rng, 8),
+             "beta": rand(rng, 8)},
+            lambda p: utterance_layernorm(
+                p["x"], mask, NormParams(p["gamma"], p["beta"]))),
+        "utterance_batchnorm": (
+            {"x": rand(rng, 2, 4, 2, 6), "gamma": 1.0 + rand(rng, 4),
+             "beta": rand(rng, 4)},
+            lambda p: utterance_batchnorm(
+                p["x"], mask, NormParams(p["gamma"], p["beta"]))),
+    }
+
+
+def _run_needs_grad_case(arrays, op, frozen=None):
+    """Closure outputs and backward grads with operand ``frozen`` constant."""
+    ops = {n: tc.tensor(a.copy(), requires_grad=n != frozen)
+           for n, a in arrays.items()}
+    out = op(ops)
+    g = np.random.default_rng(52).standard_normal(out.shape)
+    closure = dict(zip(ops, out._backward_fn(g)))
+    tc.backward(tc.sum_all(tc.mul_const(out, g)))
+    return closure, {n: t.grad for n, t in ops.items()}
+
+
+NEEDS_GRAD_CASES = [(case, operand)
+                    for case, (arrays, _) in _needs_grad_cases().items()
+                    for operand in arrays]
+
+
+@pytest.mark.parametrize("case,frozen", NEEDS_GRAD_CASES)
+def test_frozen_operand_gets_no_gradient_work(case, frozen):
+    arrays, op = _needs_grad_cases()[case]
+    live_closure, live = _run_needs_grad_case(arrays, op)
+    closure, grads = _run_needs_grad_case(arrays, op, frozen)
+    assert closure[frozen] is None
+    assert grads[frozen] is None
+    for name in arrays:
+        if name != frozen:
+            assert closure[name].tobytes() == live_closure[name].tobytes()
+            assert grads[name].tobytes() == live[name].tobytes()
+
+
+def test_needs_grad():
+    w = tc.parameter(np.ones(2))
+    c = tc.tensor(np.ones(2))
+    assert tc.needs_grad(w) and not tc.needs_grad(c)
+    assert tc.needs_grad(tc.add(c, w)) and not tc.needs_grad(tc.add(c, c))
+    with tc.no_grad():
+        assert not tc.needs_grad(w)
 
 
 @settings(max_examples=25, deadline=None)

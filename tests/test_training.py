@@ -321,6 +321,11 @@ def tiny_params(seed=0):
     return ModelParams.create(micro_config(), rng=keyed(seed, "init"))
 
 
+def test_evaluate_empty_is_a_config_error():
+    with pytest.raises(ConfigError, match="evaluate.*none"):
+        tr.evaluate(tiny_params(), [])
+
+
 def test_evaluate_deterministic_and_batch_size_invariant():
     c = tiny_corpus()
     params = tiny_params()
