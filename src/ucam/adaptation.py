@@ -19,7 +19,7 @@ from .errors import ConfigError, StructureError
 from .masking import SequenceMask
 from .model import ModelParams, model_forward
 from .rng import keyed
-from .training import AdamState, masked_cross_entropy
+from .training import AdamState, masked_cross_entropy, posteriors
 
 
 class LinTransform:
@@ -65,13 +65,11 @@ def pseudo_label(params: ModelParams, utts, lin: LinTransform,
                  batch_size: int = 4) -> list:
     """Frame-level argmax decisions under the current LIN, one [T] per utt."""
     out = []
-    with tc.no_grad():
-        for batch in batch_pad(utts, batch_size=batch_size,
-                               lin=lin.matrix()):
-            post = model_forward(tc.tensor(batch.feats), batch.mask, params)
-            pred = post.data.argmax(-1)
-            for i, n in enumerate(batch.lengths):
-                out.append(pred[i, :n].astype(np.int64))
+    for batch, post in posteriors(
+            params, batch_pad(utts, batch_size=batch_size, lin=lin.matrix())):
+        pred = post.data.argmax(-1)
+        for i, n in enumerate(batch.lengths):
+            out.append(pred[i, :n].astype(np.int64))
     return out
 
 
@@ -83,14 +81,12 @@ def frame_error(params: ModelParams, utts, lin: LinTransform,
                           "none")
     wrong = 0
     total = 0
-    with tc.no_grad():
-        for batch in batch_pad(utts, batch_size=batch_size,
-                               lin=lin.matrix()):
-            post = model_forward(tc.tensor(batch.feats), batch.mask, params)
-            pred = post.data.argmax(-1)
-            ind = batch.mask.indicator(np.bool_)
-            wrong += int((pred[ind] != batch.labels[ind]).sum())
-            total += int(ind.sum())
+    for batch, post in posteriors(
+            params, batch_pad(utts, batch_size=batch_size, lin=lin.matrix())):
+        pred = post.data.argmax(-1)
+        ind = batch.mask.indicator(np.bool_)
+        wrong += int((pred[ind] != batch.labels[ind]).sum())
+        total += int(ind.sum())
     return wrong / total
 
 

@@ -193,9 +193,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.config is not None:
-        load_run_config(args.config)  # validated, then unused: the checks
-        # carry their own miniature configs
     results = gc.run_gradcheck(seed=args.seed, mutate=args.mutate)
     worst = 0.0
     for name, err in results.items():
@@ -287,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gradcheck",
                        help="finite-difference audit of every module")
-    g.add_argument("--config", default=None)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--mutate", action="store_true",
                    help=argparse.SUPPRESS)  # test hook: sign-flipped op

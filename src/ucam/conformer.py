@@ -30,12 +30,6 @@ def glorot(rng: np.random.Generator, rows: int, cols: int,
                         dtype=dtype)
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Apply ``w`` (stored [out, in]) to the last axis of ``x``."""
-    y = tc.matmul(x, tc.transpose(w, (1, 0)))
-    return tc.add(y, b) if b is not None else y
-
-
 # ---------------------------------------------------------------------------
 # feed-forward module
 
@@ -85,9 +79,9 @@ def ffn_forward(x: Tensor, p: FFNParams, mask: SequenceMask,
                 rng: np.random.Generator | None = None) -> Tensor:
     """x + half of the dropped-out feed-forward branch."""
     h = utterance_layernorm(x, mask, p.norm)
-    h = apply_mask(_linear(h, p.w1, p.b1), mask)
+    h = apply_mask(tc.linear(h, p.w1, p.b1), mask)
     h = tc.dropout(tc.swish(h), dropout_p, rng)
-    h = apply_mask(_linear(h, p.w2, p.b2), mask)
+    h = apply_mask(tc.linear(h, p.w2, p.b2), mask)
     h = tc.dropout(h, dropout_p, rng)
     return tc.add(x, tc.scale(h, 0.5))
 
@@ -192,7 +186,7 @@ def mhsa_forward(x: Tensor, p: MHSAParams, mask: SequenceMask,
     xn = utterance_layernorm(x, mask, p.norm)
 
     def project(w):
-        y = _linear(xn, w)
+        y = tc.linear(xn, w)
         return tc.transpose(tc.reshape(y, (b, t, n_heads, dh)), (0, 2, 1, 3))
 
     q = project(p.wq)
@@ -204,7 +198,7 @@ def mhsa_forward(x: Tensor, p: MHSAParams, mask: SequenceMask,
     attn = tc.dropout(attn, dropout_p, rng)
     ctx = tc.matmul(attn, v)  # [B, H, T, dh]
     ctx = tc.reshape(tc.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
-    out = tc.dropout(_linear(ctx, p.wo), dropout_p, rng)
+    out = tc.dropout(tc.linear(ctx, p.wo), dropout_p, rng)
     return tc.add(x, out)
 
 
@@ -318,13 +312,13 @@ def conv_module_forward(x: Tensor, p: ConvModuleParams, mask: SequenceMask,
     keeps the depthwise window from ever reading nonzero padding.
     """
     h = utterance_layernorm(x, mask, p.norm)
-    h = apply_mask(_linear(h, p.pw1_w, p.pw1_b), mask)
+    h = apply_mask(tc.linear(h, p.pw1_w, p.pw1_b), mask)
     h = tc.glu(h, axis=-1)
     h = tc.transpose(h, (0, 2, 1))  # [B, d, T] for the time convolution
     h = apply_mask(depthwise_conv1d(h, p.dw_w), mask, time_axis=-1)
     h = tc.swish(utterance_batchnorm(h, mask, p.bn))
     h = tc.transpose(h, (0, 2, 1))
-    h = apply_mask(_linear(h, p.pw2_w, p.pw2_b), mask)
+    h = apply_mask(tc.linear(h, p.pw2_w, p.pw2_b), mask)
     h = tc.dropout(h, dropout_p, rng)
     return tc.add(x, h)
 

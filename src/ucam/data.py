@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, DataError, FileFormatError,
-                     TruncatedFileError)
+from .errors import ConfigError, DataError, FileFormatError
 from .masking import SequenceMask
 from .rng import keyed
+from .serial import read_exact
 
 FEATURE_MAGIC = b"UCFD"
 FEATURE_VERSION = 1
@@ -211,24 +211,8 @@ def batch_pad(utts, batch_size: int = 4,
                     speakers=[u.speaker for u in group])
 
 
-def unbatch(batch: Batch):
-    """Trim padding back off; inverse of batch_pad up to plane expansion."""
-    out = []
-    for i, n in enumerate(batch.lengths):
-        out.append((batch.feats[i, :, :, :n].copy(),
-                    batch.labels[i, :n].copy()))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # feature file format
-
-
-def _read_exact(f, n: int, what: str) -> bytes:
-    b = f.read(n)
-    if len(b) != n:
-        raise TruncatedFileError(f"feature file ends inside {what}")
-    return b
 
 
 def write_features(path, corpus: Corpus) -> None:
@@ -248,12 +232,12 @@ def write_features(path, corpus: Corpus) -> None:
 
 def read_features(path) -> Corpus:
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
+        magic = read_exact(f, 4, "magic")
         if magic != FEATURE_MAGIC:
             raise FileFormatError(
                 f"bad magic {magic!r}; expected {FEATURE_MAGIC!r}")
         version, feat_dim, n_classes, count = struct.unpack(
-            "<IIII", _read_exact(f, 16, "header"))
+            "<IIII", read_exact(f, 16, "header"))
         if version != FEATURE_VERSION:
             raise FileFormatError(f"unsupported feature-file version "
                                   f"{version}")
@@ -261,15 +245,15 @@ def read_features(path) -> Corpus:
         for _ in range(count):
             names = []
             for what in ("utterance id", "speaker id"):
-                (n,) = struct.unpack("<I", _read_exact(f, 4, what))
-                names.append(_read_exact(f, n, what).decode())
-            (t,) = struct.unpack("<I", _read_exact(f, 4, "frame count"))
-            raw = _read_exact(f, 4 * feat_dim * t, "features")
+                (n,) = struct.unpack("<I", read_exact(f, 4, what))
+                names.append(read_exact(f, n, what).decode())
+            (t,) = struct.unpack("<I", read_exact(f, 4, "frame count"))
+            raw = read_exact(f, 4 * feat_dim * t, "features")
             feats = np.frombuffer(raw, dtype="<f4").reshape(feat_dim, t)
             if not np.isfinite(feats).all():
                 raise DataError(
                     f"utterance '{names[0]}': non-finite features in file")
-            raw = _read_exact(f, 4 * t, "labels")
+            raw = read_exact(f, 4 * t, "labels")
             labels = np.frombuffer(raw, dtype="<u4").astype(np.int64)
             if labels.size and labels.max() >= n_classes:
                 raise DataError(

@@ -123,62 +123,58 @@ class NormParams:
         return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
 
 
-def utterance_layernorm(x: Tensor, mask: SequenceMask, p: NormParams,
-                        scope: str = "frame") -> Tensor:
+def _masked_norm(x: Tensor, m: np.ndarray, p: NormParams, axes: tuple,
+                 counts, cshape: tuple, op: str) -> Tensor:
+    """Normalize ``x`` over ``axes`` with statistics of its valid entries.
+
+    ``m`` is the 0/1 valid-frame indicator broadcast against ``x``,
+    ``counts`` the number of valid entries in each statistic group, and
+    gamma/beta broadcast as ``cshape``. The output is zero where ``m`` is
+    0, and gamma/beta gradients accumulate from valid entries only.
+    """
+    xd = x.data * m  # padding junk, however large, never meets a statistic
+    mu = xd.sum(axis=axes, keepdims=True) / counts
+    var = (((xd - mu) ** 2) * m).sum(axis=axes, keepdims=True) / counts
+    inv = 1.0 / np.sqrt(var + np.asarray(p.eps, dtype=xd.dtype))
+    xhat = (xd - mu) * inv
+    gamma, beta = p.gamma.data.reshape(cshape), p.beta.data.reshape(cshape)
+    y = (xhat * gamma + beta) * m
+    # every axis but the channel axis; all of them when there is one channel
+    param_axes = tuple(a for a, n in enumerate(cshape) if n == 1)
+    need_x, need_gamma, need_beta = (tc.needs_grad(x), tc.needs_grad(p.gamma),
+                                     tc.needs_grad(p.beta))
+
+    def bwd(g):
+        gm = g * m
+        dgamma = ((gm * xhat).sum(axis=param_axes).reshape(p.dim)
+                  if need_gamma else None)
+        dbeta = gm.sum(axis=param_axes).reshape(p.dim) if need_beta else None
+        if not need_x:
+            return None, dgamma, dbeta
+        ghat = gm * gamma
+        mean_g = ghat.sum(axis=axes, keepdims=True) / counts
+        mean_gx = (ghat * xhat).sum(axis=axes, keepdims=True) / counts
+        dx = inv * (ghat - mean_g - xhat * mean_gx) * m
+        return dx, dgamma, dbeta
+
+    return tc.from_op(y, (x, p.gamma, p.beta), bwd, op)
+
+
+def utterance_layernorm(x: Tensor, mask: SequenceMask, p: NormParams) -> Tensor:
     """LayerNorm over [B, T, D] that never reads or writes padded frames.
 
-    ``scope="frame"`` normalizes each frame over its D features (the usual
-    LayerNorm axis); ``scope="utterance"`` pools statistics over all valid
-    frames and features of the utterance. Either way the output is zero at
-    padded frames and gamma/beta gradients accumulate from valid frames only.
+    Each valid frame is normalized over its D features; the output is zero
+    at padded frames and gamma/beta gradients accumulate from valid frames
+    only.
     """
     if x.ndim != 3:
         raise ShapeError(f"utterance_layernorm expects [B, T, D], got {x.shape}")
     if x.shape[-1] != p.dim:
         raise ShapeError(f"feature dim {x.shape[-1]} does not match "
                          f"gamma/beta dim {p.dim}")
-    if scope not in ("frame", "utterance"):
-        raise ConfigError(f"unknown layernorm scope '{scope}'")
-    m3 = _expand_indicator(x, mask, time_axis=1)  # [B, T, 1]
-    xd = x.data
-    dt = xd.dtype
-
-    if scope == "frame":
-        mu = xd.mean(axis=-1, keepdims=True)
-        var = ((xd - mu) ** 2).mean(axis=-1, keepdims=True)
-        group_axes = (-1,)
-        denom = xd.shape[-1]
-    else:
-        denom = (mask.lengths * xd.shape[-1]).reshape(-1, 1, 1).astype(dt)
-        mu = (xd * m3).sum(axis=(1, 2), keepdims=True) / denom
-        var = (((xd - mu) ** 2) * m3).sum(axis=(1, 2), keepdims=True) / denom
-        group_axes = (1, 2)
-
-    inv = 1.0 / np.sqrt(var + np.asarray(p.eps, dtype=dt))
-    xhat = (xd - mu) * inv
-    gamma, beta = p.gamma, p.beta
-    y = (xhat * gamma.data + beta.data) * m3
-
-    need_x, need_gamma, need_beta = (tc.needs_grad(x), tc.needs_grad(gamma),
-                                     tc.needs_grad(beta))
-
-    def bwd(g):
-        gm = g * m3
-        dgamma = (gm * xhat).sum(axis=(0, 1)) if need_gamma else None
-        dbeta = gm.sum(axis=(0, 1)) if need_beta else None
-        if not need_x:
-            return None, dgamma, dbeta
-        ghat = gm * gamma.data
-        if scope == "frame":
-            mean_g = ghat.mean(axis=group_axes, keepdims=True)
-            mean_gx = (ghat * xhat).mean(axis=group_axes, keepdims=True)
-        else:
-            mean_g = ghat.sum(axis=group_axes, keepdims=True) / denom
-            mean_gx = (ghat * xhat).sum(axis=group_axes, keepdims=True) / denom
-        dx = inv * (ghat - mean_g - xhat * mean_gx) * m3
-        return dx, dgamma, dbeta
-
-    return tc.from_op(y, (x, gamma, beta), bwd, "utterance_layernorm")
+    m = _expand_indicator(x, mask, time_axis=1)  # [B, T, 1]
+    return _masked_norm(x, m, p, (2,), p.dim, (1, 1, p.dim),
+                        "utterance_layernorm")
 
 
 def utterance_batchnorm(x: Tensor, mask: SequenceMask, p: NormParams) -> Tensor:
@@ -196,38 +192,13 @@ def utterance_batchnorm(x: Tensor, mask: SequenceMask, p: NormParams) -> Tensor:
         raise ShapeError(f"channel dim {x.shape[1]} does not match "
                          f"gamma/beta dim {p.dim}")
     m = _expand_indicator(x, mask, time_axis=-1)  # [B,1,T] or [B,1,1,T]
-    xd = x.data
-    dt = xd.dtype
     spatial = tuple(range(2, x.ndim))  # (2,) or (2, 3)
-    n_spatial = int(np.prod([xd.shape[a] for a in spatial[:-1]], initial=1))
-    counts = (mask.lengths.astype(dt) * n_spatial).reshape(
+    n_spatial = int(np.prod(x.shape[2:-1], initial=1))
+    counts = (mask.lengths.astype(x.data.dtype) * n_spatial).reshape(
         -1, *([1] * (x.ndim - 1)))
-
-    mu = (xd * m).sum(axis=spatial, keepdims=True) / counts
-    var = (((xd - mu) ** 2) * m).sum(axis=spatial, keepdims=True) / counts
-    inv = 1.0 / np.sqrt(var + np.asarray(p.eps, dtype=dt))
-    xhat = (xd - mu) * inv
-    gamma, beta = p.gamma, p.beta
     cshape = (1, p.dim) + (1,) * (x.ndim - 2)
-    y = (xhat * gamma.data.reshape(cshape) + beta.data.reshape(cshape)) * m
-
-    need_x, need_gamma, need_beta = (tc.needs_grad(x), tc.needs_grad(gamma),
-                                     tc.needs_grad(beta))
-
-    def bwd(g):
-        gm = g * m
-        sum_axes = (0,) + spatial
-        dgamma = (gm * xhat).sum(axis=sum_axes) if need_gamma else None
-        dbeta = gm.sum(axis=sum_axes) if need_beta else None
-        if not need_x:
-            return None, dgamma, dbeta
-        ghat = gm * gamma.data.reshape(cshape)
-        mean_g = ghat.sum(axis=spatial, keepdims=True) / counts
-        mean_gx = (ghat * xhat).sum(axis=spatial, keepdims=True) / counts
-        dx = inv * (ghat - mean_g - xhat * mean_gx) * m
-        return dx, dgamma, dbeta
-
-    return tc.from_op(y, (x, gamma, beta), bwd, "utterance_batchnorm")
+    return _masked_norm(x, m, p, spatial, counts, cshape,
+                        "utterance_batchnorm")
 
 
 def masked_softmax(scores: Tensor, mask: SequenceMask) -> Tensor:
@@ -240,14 +211,9 @@ def masked_softmax(scores: Tensor, mask: SequenceMask) -> Tensor:
     if scores.ndim != 4 or scores.shape[-1] != scores.shape[-2]:
         raise ShapeError(f"masked_softmax expects square [B, H, T, T] scores, "
                          f"got {scores.shape}")
-    b, _, t, _ = scores.shape
-    if b != mask.batch or t != mask.max_len:
-        raise ShapeError(f"mask for B={mask.batch}, T={mask.max_len} does not "
-                         f"match scores shape {scores.shape}")
     dt = scores.data.dtype
-    m = mask.indicator(dt)
-    mk = m[:, None, None, :]  # over keys
-    mq = m[:, None, :, None]  # over queries
+    mk = _expand_indicator(scores, mask, time_axis=-1)  # over keys
+    mq = mk.swapaxes(-1, -2)  # over queries
 
     # Push masked keys far below the valid scores before the max-shift, then
     # zero them exactly after exponentiation.

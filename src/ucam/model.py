@@ -189,17 +189,15 @@ def model_forward(x: Tensor, mask: SequenceMask, p: ModelParams,
     cfg = p.cfg
     dp = cfg.dropout if train else 0.0
     h = wrcnn_forward(x, p.wrcnn, mask)
-    h = apply_mask(tc.add(tc.matmul(h, tc.transpose(p.w_proj, (1, 0))),
-                          p.b_proj), mask)
+    h = apply_mask(tc.linear(h, p.w_proj, p.b_proj), mask)
     if cfg.pe_placement == "encoder_input":
         h = add_position(h, mask)
     for blk in p.blocks:
         h = conformer_block_forward(h, blk, mask, dp, rng,
                                     add_pe=cfg.pe_placement == "per_block")
-    h = apply_mask(tc.add(tc.matmul(h, tc.transpose(p.w_h1, (1, 0))),
-                          p.b_h1), mask)
+    h = apply_mask(tc.linear(h, p.w_h1, p.b_h1), mask)
     h = tc.dropout(tc.relu(h), dp, rng)
-    h = tc.add(tc.matmul(h, tc.transpose(p.w_h2, (1, 0))), p.b_h2)
+    h = tc.linear(h, p.w_h2, p.b_h2)
     return tc.log_softmax(h)
 
 

@@ -23,7 +23,7 @@ MAGIC = b"UCAM"
 VERSION = 1
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
+def read_exact(f, n: int, what: str) -> bytes:
     b = f.read(n)
     if len(b) != n:
         raise TruncatedFileError(f"file ends inside {what}")
@@ -51,17 +51,17 @@ def write_container(path, header: dict,
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
+        magic = read_exact(f, 4, "magic")
         if magic != MAGIC:
             raise FileFormatError(
                 f"bad magic {magic!r}; expected {MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "format version"))
+        (version,) = struct.unpack("<I", read_exact(f, 4, "format version"))
         if version != VERSION:
             raise FileFormatError(
                 f"unsupported format version {version}; this build reads "
                 f"version {VERSION}")
-        (hlen,) = struct.unpack("<I", _read_exact(f, 4, "header length"))
-        raw = _read_exact(f, hlen, "header")
+        (hlen,) = struct.unpack("<I", read_exact(f, 4, "header length"))
+        raw = read_exact(f, hlen, "header")
         try:
             header = json.loads(raw.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -75,14 +75,14 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             if len(lead) != 4:
                 raise TruncatedFileError("file ends inside a tensor record")
             (nlen,) = struct.unpack("<I", lead)
-            name = _read_exact(f, nlen, "tensor name").decode()
+            name = read_exact(f, nlen, "tensor name").decode()
             (rank,) = struct.unpack(
-                "<I", _read_exact(f, 4, f"rank of tensor '{name}'"))
+                "<I", read_exact(f, 4, f"rank of tensor '{name}'"))
             dims = struct.unpack(
                 f"<{rank}I",
-                _read_exact(f, 4 * rank, f"dims of tensor '{name}'"))
+                read_exact(f, 4 * rank, f"dims of tensor '{name}'"))
             count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            raw = _read_exact(f, 4 * count, f"data of tensor '{name}'")
+            raw = read_exact(f, 4 * count, f"data of tensor '{name}'")
             tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(
                 dims).astype(np.float32)
         return header, tensors

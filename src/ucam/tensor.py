@@ -87,26 +87,6 @@ class Tensor:
         tag = f", op={self._op}" if self._op else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{tag})"
 
-    # Convenience operators; the module-level functions are the real API.
-    def __neg__(self):
-        return neg(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
     """Wrap array-like data in a constant (or leaf) tensor."""
@@ -206,17 +186,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype("sub", a, b)
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
-    return from_op(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
-
-
-def neg(a: Tensor) -> Tensor:
-    return from_op(-a.data, (a,), lambda g: (-g,), "neg")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; shapes must match exactly."""
     _check_same_dtype("mul", a, b)
@@ -231,11 +200,8 @@ def scale(a: Tensor, c: float) -> Tensor:
     return from_op(a.data * c, (a,), lambda g: (g * c,), "scale")
 
 
-def mul_const(a: Tensor, arr: np.ndarray, op: str = "mul_const") -> Tensor:
-    """Elementwise product with a fixed array (no gradient into ``arr``).
-
-    ``arr`` may broadcast up to ``a``'s shape but must never enlarge it.
-    """
+def _check_const(op: str, a: Tensor, arr: np.ndarray) -> None:
+    """``arr`` may broadcast up to ``a``'s shape but never enlarge it."""
     try:
         bshape = np.broadcast_shapes(a.shape, arr.shape)
     except ValueError:
@@ -245,23 +211,17 @@ def mul_const(a: Tensor, arr: np.ndarray, op: str = "mul_const") -> Tensor:
     if np.asarray(arr).dtype != a.data.dtype:
         raise ShapeError(f"{op}: mixed dtypes {a.data.dtype} and "
                          f"{np.asarray(arr).dtype}")
+
+
+def mul_const(a: Tensor, arr: np.ndarray, op: str = "mul_const") -> Tensor:
+    """Elementwise product with a fixed array (no gradient into ``arr``)."""
+    _check_const(op, a, arr)
     return from_op(a.data * arr, (a,), lambda g: (g * arr,), op)
 
 
 def add_const(a: Tensor, arr: np.ndarray, op: str = "add_const") -> Tensor:
-    """Elementwise sum with a fixed array (no gradient into ``arr``).
-
-    Same broadcast rule as ``mul_const``: ``arr`` must not enlarge ``a``.
-    """
-    try:
-        bshape = np.broadcast_shapes(a.shape, arr.shape)
-    except ValueError:
-        bshape = None
-    if bshape != a.shape:
-        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {arr.shape}")
-    if np.asarray(arr).dtype != a.data.dtype:
-        raise ShapeError(f"{op}: mixed dtypes {a.data.dtype} and "
-                         f"{np.asarray(arr).dtype}")
+    """Elementwise sum with a fixed array (no gradient into ``arr``)."""
+    _check_const(op, a, arr)
     return from_op(a.data + arr, (a,), lambda g: (g,), op)
 
 
@@ -299,6 +259,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape} "
                      "(leading dimensions must match exactly)")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Apply ``w`` (stored [out, in]) to the last axis of ``x``, plus ``b``."""
+    y = matmul(x, transpose(w, (1, 0)))
+    return add(y, b) if b is not None else y
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -353,18 +319,9 @@ def pad_last(a: Tensor, target: int) -> Tensor:
 
 
 def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
-    # Branch on sign so exp never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid_raw(a.data)
-    return from_op(s, (a,), lambda g: (g * s * (1.0 - s),), "sigmoid")
+    # exp of a non-positive argument never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def swish(a: Tensor) -> Tensor:
@@ -410,18 +367,6 @@ def glu(a: Tensor, axis: int = -1) -> Tensor:
         du = g * v * s * (1.0 - s)
         return (np.concatenate([dv, du], axis=axis),)
     return from_op(out, (a,), bwd, "glu")
-
-
-ACTIVATIONS = {"swish": swish, "sigmoid": sigmoid, "relu": relu,
-               "elu": elu, "glu": glu}
-
-
-def activation(kind: str, a: Tensor) -> Tensor:
-    try:
-        fn = ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown activation '{kind}'") from None
-    return fn(a)
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:

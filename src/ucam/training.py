@@ -8,6 +8,7 @@ the uninterrupted run would have taken from step k+1 on.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -120,27 +121,17 @@ class EMAState:
         for n, p in self.named:
             self.shadow[n] = d * self.shadow[n] + (1.0 - d) * p.data
 
+    @contextlib.contextmanager
     def swapped(self):
-        """Context manager: run with shadow weights, then restore."""
-        return _EMASwap(self)
-
-
-class _EMASwap:
-    def __init__(self, ema: EMAState):
-        self.ema = ema
-        self.saved = None
-
-    def __enter__(self):
-        self.saved = {n: p.data for n, p in self.ema.named}
-        for n, p in self.ema.named:
-            p.data = self.ema.shadow[n].astype(p.data.dtype)
-        return self.ema
-
-    def __exit__(self, *exc):
-        for n, p in self.ema.named:
-            p.data = self.saved[n]
-        self.saved = None
-        return False
+        """Run the block with the shadow weights, then restore the live ones."""
+        saved = [p.data for _, p in self.named]
+        for n, p in self.named:
+            p.data = self.shadow[n].astype(p.data.dtype)
+        try:
+            yield self
+        finally:
+            for (_, p), data in zip(self.named, saved):
+                p.data = data
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +163,18 @@ def masked_cross_entropy(log_probs: tc.Tensor, labels: np.ndarray,
     return tc.scale(tc.sum_all(picked), -1.0 / mask.valid_frames())
 
 
+def posteriors(params: ModelParams, batches):
+    """Yield (batch, log-posteriors) for each padded batch, in eval mode.
+
+    Only the forward runs without graph recording, so a consumer that
+    raises between batches leaves recording as it found it.
+    """
+    for batch in batches:
+        with tc.no_grad():
+            out = model_forward(tc.tensor(batch.feats), batch.mask, params)
+        yield batch, out
+
+
 def evaluate(params: ModelParams, utts, batch_size: int = 4,
              lin: np.ndarray | None = None) -> tuple[float, float]:
     """Corpus-level (mean NLL, frame accuracy) in eval mode."""
@@ -180,17 +183,16 @@ def evaluate(params: ModelParams, utts, batch_size: int = 4,
     total_nll = 0.0
     total_correct = 0
     total_frames = 0
-    with tc.no_grad():
-        for batch in batch_pad(utts, batch_size=batch_size, lin=lin):
-            mask = batch.mask
-            out = model_forward(tc.tensor(batch.feats), mask, params)
-            loss = masked_cross_entropy(out, batch.labels, mask)
-            n = mask.valid_frames()
-            total_nll += loss.item() * n
-            pred = out.data.argmax(-1)
-            ind = mask.indicator(np.bool_)
-            total_correct += int((pred[ind] == batch.labels[ind]).sum())
-            total_frames += n
+    for batch, out in posteriors(
+            params, batch_pad(utts, batch_size=batch_size, lin=lin)):
+        mask = batch.mask
+        loss = masked_cross_entropy(out, batch.labels, mask)
+        n = mask.valid_frames()
+        total_nll += loss.item() * n
+        pred = out.data.argmax(-1)
+        ind = mask.indicator(np.bool_)
+        total_correct += int((pred[ind] == batch.labels[ind]).sum())
+        total_frames += n
     return total_nll / total_frames, total_correct / total_frames
 
 
@@ -266,12 +268,24 @@ def _train_step(params, batch: Batch, adam: AdamState, lr: float,
 
 
 class _TrainLog:
-    """CSV trace: step, lr, train_loss and, on eval rows, dev columns."""
+    """CSV trace: step, lr, train_loss and, on eval rows, dev columns.
 
-    def __init__(self, path, append: bool):
-        mode = "a" if append and os.path.exists(path) else "w"
-        self.f = open(path, mode)
-        if mode == "w":
+    Resuming at ``last_step`` keeps the header and the complete rows up to
+    that step, so rows a crashed run wrote past its checkpoint go.
+    """
+
+    def __init__(self, path, last_step: int | None = None):
+        keep = 0
+        if last_step is not None and os.path.exists(path):
+            with open(path, "rb") as f:
+                for i, line in enumerate(f):
+                    if not line.endswith(b"\n") or (
+                            i and int(line.split(b",", 1)[0]) > last_step):
+                        break
+                    keep += len(line)
+            os.truncate(path, keep)
+        self.f = open(path, "a" if keep else "w")
+        if not keep:
             self.f.write("step,lr,train_loss,dev_loss,dev_frame_acc\n")
 
     def row(self, step, lr, train_loss, dev=None):
@@ -317,7 +331,7 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
                         extra=dict(adam.state_tensors()), meta=meta)
 
     log = _TrainLog(os.path.join(out_dir, "train_log.csv"),
-                    append=resume_from is not None)
+                    last_step=start - 1 if resume_from is not None else None)
     cache: dict = {}
     history = []
     try:
@@ -329,12 +343,14 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
             if step % cfg.eval_every == 0 or step == cfg.steps:
                 dev = evaluate(params, dev_utts,
                                batch_size=cfg.batch_size)
+            # the row goes first: a checkpoint never runs ahead of the log
+            log.row(step, lr, value, dev)
+            history.append((step, lr, value, dev))
+            if dev is not None:
                 if dev[0] < best_dev:
                     best_dev = dev[0]
                     save("best.ckpt", step)
                 save("last.ckpt", step)
-            log.row(step, lr, value, dev)
-            history.append((step, lr, value, dev))
 
         report = {"steps": cfg.steps, "best_dev": best_dev,
                   "final_train_loss": history[-1][2] if history else None,

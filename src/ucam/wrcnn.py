@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tc
+from .conformer import glorot
 from .errors import ConfigError, ShapeError
 from .masking import NormParams, SequenceMask, apply_mask, utterance_batchnorm
 from .tensor import Tensor
@@ -213,16 +214,12 @@ class WRCNNParams:
             blocks.append(ResidualBlockParams.create(
                 in_c, out_c, s, cfg.kernel, rng, dtype))
             in_c = out_c
-        limit = np.sqrt(6.0 / (cfg.flat_dim + cfg.out_dim))
         return cls(cfg=cfg,
                    stem=he_conv(rng, cfg.base_channels, cfg.in_channels,
                                 cfg.kernel, cfg.kernel, dtype),
                    blocks=blocks,
                    bn=NormParams.create(chans[-1], dtype=dtype),
-                   w_out=tc.parameter(
-                       rng.uniform(-limit, limit,
-                                   size=(cfg.out_dim, cfg.flat_dim)),
-                       dtype=dtype),
+                   w_out=glorot(rng, cfg.out_dim, cfg.flat_dim, dtype),
                    b_out=tc.parameter(np.zeros(cfg.out_dim), dtype=dtype))
 
     def named_parameters(self, prefix: str):
@@ -253,6 +250,5 @@ def wrcnn_forward(x: Tensor, p: WRCNNParams, mask: SequenceMask) -> Tensor:
     h = utterance_batchnorm(h, mask, p.bn)
     h = tc.transpose(h, (0, 3, 1, 2))  # [B, T, C, F']
     h = tc.reshape(h, (b, t, cfg.flat_dim))
-    h = apply_mask(tc.add(tc.matmul(h, tc.transpose(p.w_out, (1, 0))),
-                          p.b_out), mask)
+    h = apply_mask(tc.linear(h, p.w_out, p.b_out), mask)
     return tc.elu(h)

@@ -139,16 +139,12 @@ def test_gate_02_padding_invariance():
 # 3. normalization oracles
 
 
-def _layernorm_loop(x, lengths, gamma, beta, eps, scope):
+def _layernorm_loop(x, lengths, gamma, beta, eps):
     y = np.zeros_like(x)
     for b, n in enumerate(lengths):
         seg = x[b, :n]
-        if scope == "frame":
-            mu = seg.mean(axis=-1, keepdims=True)
-            var = seg.var(axis=-1, keepdims=True)
-        else:
-            mu = seg.mean()
-            var = seg.var()
+        mu = seg.mean(axis=-1, keepdims=True)
+        var = seg.var(axis=-1, keepdims=True)
         y[b, :n] = (seg - mu) / np.sqrt(var + eps) * gamma + beta
     return y
 
@@ -182,9 +178,8 @@ def test_gate_03_normalization_oracles():
         p.beta.data = beta.copy()
 
         x = rng.standard_normal((b, t, d))
-        scope = "frame" if i % 2 == 0 else "utterance"
-        got = utterance_layernorm(tc.tensor(x), mask, p, scope=scope).data
-        want = _layernorm_loop(x, lengths, gamma, beta, p.eps, scope)
+        got = utterance_layernorm(tc.tensor(x), mask, p).data
+        want = _layernorm_loop(x, lengths, gamma, beta, p.eps)
         worst = max(worst, np.abs(got - want).max())
 
         if i % 2 == 0:

@@ -87,6 +87,8 @@ def test_pseudo_label_consistent_with_frame_error():
         total += u.length
     assert ad.frame_error(params, c.utts, lin) == pytest.approx(
         wrong / total, abs=1e-12)
+    _, acc = tr.evaluate(params, c.utts, lin=lin.matrix())
+    assert acc == pytest.approx(1.0 - wrong / total, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,13 @@ def test_gradcheck_mutation_detected(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_gradcheck_takes_no_config(tmp_path):
+    # the checks carry their own miniature configs
+    cfg = tmp_path / "run.json"
+    cfg.write_text("{}")
+    assert run(["gradcheck", "--config", str(cfg)]) == 2
+
+
 # ---------------------------------------------------------------------------
 # adapt
 

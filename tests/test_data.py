@@ -246,7 +246,8 @@ def test_batch_pad_round_trip():
                         feat_dim=3, t_range=(4, 9))
     flat = []
     for b in dp.batch_pad(c.utts, batch_size=2):
-        flat.extend(dp.unbatch(b))
+        flat += [(b.feats[i, ..., :n], b.labels[i, :n])
+                 for i, n in enumerate(b.lengths)]
     assert len(flat) == 5
     for u, (planes, labels) in zip(c.utts, flat):
         np.testing.assert_array_equal(planes, dp.utterance_planes(u))

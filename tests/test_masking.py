@@ -29,16 +29,12 @@ def write_garbage(x, mask, time_axis, rng, scale=100.0):
 # reference loops: slice each utterance to its true length, normalize alone
 
 
-def layernorm_loop(x, lengths, gamma, beta, eps, scope="frame"):
+def layernorm_loop(x, lengths, gamma, beta, eps):
     y = np.zeros_like(x)
     for b, L in enumerate(lengths):
         seg = x[b, :L]
-        if scope == "frame":
-            mu = seg.mean(axis=-1, keepdims=True)
-            var = seg.var(axis=-1, keepdims=True)
-        else:
-            mu = seg.mean()
-            var = seg.var()
+        mu = seg.mean(axis=-1, keepdims=True)
+        var = seg.var(axis=-1, keepdims=True)
         y[b, :L] = (seg - mu) / np.sqrt(var + eps) * gamma + beta
     return y
 
@@ -144,18 +140,15 @@ class TestUtteranceLayerNorm:
         want = np.broadcast_to(ind[:, :, None] * 2.5, out.shape)
         np.testing.assert_allclose(out.data, want, atol=1e-7)
 
-    @pytest.mark.parametrize("scope", ["frame", "utterance"])
-    def test_matches_sliced_loop(self, scope):
+    def test_matches_sliced_loop(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 5, 6)).astype(np.float32)
         lengths = [3, 5]
         p = NormParams.create(6)
         p.gamma.data[:] = rng.standard_normal(6)
         p.beta.data[:] = rng.standard_normal(6)
-        got = utterance_layernorm(tc.tensor(x), mask_of(lengths), p,
-                                  scope=scope).data
-        want = layernorm_loop(x, lengths, p.gamma.data, p.beta.data, p.eps,
-                              scope)
+        got = utterance_layernorm(tc.tensor(x), mask_of(lengths), p).data
+        want = layernorm_loop(x, lengths, p.gamma.data, p.beta.data, p.eps)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_valid_frames_standardized(self):
@@ -178,8 +171,7 @@ class TestUtteranceLayerNorm:
         valid = m.indicator(bool)
         np.testing.assert_allclose(got[valid], clean[valid], atol=1e-6)
 
-    @pytest.mark.parametrize("scope", ["frame", "utterance"])
-    def test_gradients(self, scope):
+    def test_gradients(self):
         rng = np.random.default_rng(7)
         x = tc.parameter(rng.standard_normal((2, 4, 5)), dtype=np.float64)
         p = NormParams.create(5, dtype=np.float64)
@@ -188,7 +180,7 @@ class TestUtteranceLayerNorm:
 
         def f(ps):
             return tc.sum_all(tc.mul(
-                utterance_layernorm(ps["x"], m, p, scope=scope), r))
+                utterance_layernorm(ps["x"], m, p), r))
         err = tc.grad_check(f, {"x": x, "gamma": p.gamma, "beta": p.beta},
                             samples_per_tensor=50)
         assert err < 1e-5
@@ -220,13 +212,13 @@ class TestUtteranceLayerNorm:
         np.testing.assert_array_equal(g1[0], g2[0])
         np.testing.assert_array_equal(g1[1], g2[1])
 
-    def test_shape_and_scope_validation(self):
+    def test_shape_validation(self):
         x = tc.tensor(np.ones((2, 3, 4)))
         with pytest.raises(ShapeError):
             utterance_layernorm(x, mask_of([3, 3]), NormParams.create(5))
-        with pytest.raises(ConfigError):
-            utterance_layernorm(x, mask_of([3, 3]), NormParams.create(4),
-                                scope="global")
+        with pytest.raises(ShapeError):
+            utterance_layernorm(tc.tensor(np.ones((2, 3))), mask_of([3, 3]),
+                                NormParams.create(3))
 
 
 class TestUtteranceBatchNorm:
@@ -366,6 +358,30 @@ class TestMaskedSoftmax:
             masked_softmax(tc.tensor(np.ones((1, 2, 3, 4))), mask_of([2]))
 
 
+@pytest.mark.parametrize("norm, shape, time_axis", [
+    (utterance_layernorm, (2, 6, 5), 1),
+    (utterance_batchnorm, (2, 5, 6), -1)], ids=["layernorm", "batchnorm"])
+def test_padding_junk_beyond_float_range_changes_nothing(norm, shape,
+                                                         time_axis):
+    # junk whose square overflows float32 must never reach a statistic
+    rng = np.random.default_rng(12)
+    m = mask_of([2, 4], max_len=6)
+    x = rng.standard_normal(shape).astype(np.float32)
+
+    def run(arr):
+        p = NormParams.create(5)
+        xt = tc.parameter(arr)
+        out = norm(xt, m, p)
+        tc.backward(tc.sum_all(tc.mul(out, out)))
+        return out.data, xt.grad, p.gamma.grad, p.beta.grad
+
+    with np.errstate(over="raise", invalid="raise"):
+        clean = run(x)
+        dirty = run(write_garbage(x, m, time_axis, rng, scale=1e20))
+    for a, b in zip(clean, dirty):
+        np.testing.assert_array_equal(a, b)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(2, 8))
 def test_property_padding_independence(seed, batch, max_len):
@@ -381,8 +397,7 @@ def test_property_padding_independence(seed, batch, max_len):
     valid = m.indicator(bool)
 
     for op in (lambda t: apply_mask(t, m),
-               lambda t: utterance_layernorm(t, m, p),
-               lambda t: utterance_layernorm(t, m, p, scope="utterance")):
+               lambda t: utterance_layernorm(t, m, p)):
         a = op(tc.tensor(x)).data
         b = op(tc.tensor(xg)).data
         np.testing.assert_allclose(b[valid], a[valid], atol=1e-6)

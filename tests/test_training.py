@@ -326,6 +326,19 @@ def test_evaluate_empty_is_a_config_error():
         tr.evaluate(tiny_params(), [])
 
 
+def test_evaluate_error_mid_corpus_leaves_recording_on():
+    c = tiny_corpus()
+    c.utts[4].labels[0] = 99  # out of range, in the second batch
+    params = tiny_params()
+    try:
+        tr.evaluate(params, c.utts, batch_size=3)
+    except DataError:
+        # the exception, and the frames it holds, are still alive here
+        assert tc.needs_grad(params.w_h2)
+    else:
+        pytest.fail("evaluate accepted an out-of-range label")
+
+
 def test_evaluate_deterministic_and_batch_size_invariant():
     c = tiny_corpus()
     params = tiny_params()
@@ -369,6 +382,61 @@ def test_fit_resume_reproduces_uninterrupted_run(tmp_path):
     full_log = (tmp_path / "full" / "train_log.csv").read_text()
     part_log = (tmp_path / "part" / "train_log.csv").read_text()
     assert full_log.splitlines()[4:] == part_log.splitlines()[4:]
+
+
+class _Crash(Exception):
+    pass
+
+
+def _crash_at(monkeypatch, step=None, last_save=None):
+    """Raise in training step ``step``, or right after last.ckpt of step
+    ``last_save`` is written."""
+    train_step, save = tr._train_step, tr.save_checkpoint
+
+    def crashing_step(*args):
+        if args[5] == step:
+            raise _Crash
+        return train_step(*args)
+
+    def crashing_save(params, path, step=0, **kw):
+        save(params, path, step=step, **kw)
+        if os.path.basename(path) == "last.ckpt" and step == last_save:
+            raise _Crash
+
+    monkeypatch.setattr(tr, "_train_step", crashing_step)
+    monkeypatch.setattr(tr, "save_checkpoint", crashing_save)
+
+
+@pytest.mark.parametrize("crashes", [
+    [{"step": 5}], [{"last_save": 6}], [{"step": 5}, {"last_save": 6}]],
+    ids=["step5", "last_save6", "step5_then_last_save6"])
+def test_fit_resume_after_crash_matches_uninterrupted_run(
+        tmp_path, monkeypatch, crashes):
+    fit_once(tmp_path / "full", steps=8)
+    run = tmp_path / "run"
+    resume = None
+    for crash in crashes:
+        _crash_at(monkeypatch, **crash)
+        with pytest.raises(_Crash):
+            fit_once(run, steps=8, resume_from=resume)
+        monkeypatch.undo()
+        resume = run / "last.ckpt"
+    fit_once(run, steps=8, resume_from=resume)
+    for name in ("train_log.csv", "best.ckpt", "last.ckpt"):
+        assert (run / name).read_bytes() \
+            == (tmp_path / "full" / name).read_bytes(), name
+
+
+def test_fit_resume_keeps_only_complete_rows_up_to_checkpoint(tmp_path):
+    fit_once(tmp_path / "full", steps=6)
+    fit_once(tmp_path / "run", steps=3)
+    log = tmp_path / "run" / "train_log.csv"
+    with open(log, "a") as f:
+        f.write("4,0.1,2.5\n5,0.1,2.")  # rows past the checkpoint, one cut
+    fit_once(tmp_path / "run", steps=6,
+             resume_from=tmp_path / "run" / "last.ckpt")
+    assert log.read_bytes() \
+        == (tmp_path / "full" / "train_log.csv").read_bytes()
 
 
 def test_fit_resume_rejects_config_mismatch(tmp_path):
