@@ -47,6 +47,9 @@ DATA_DEFAULTS = {
     "utt_offset": 0,
     "dev_every": 4,  # every n-th utterance goes to the dev split
 }
+# the DATA_DEFAULTS keys `ucam synth` takes as flags
+SYNTH_FLAGS = ("seed", "speakers", "classes", "utts", "feat_dim", "t_min",
+               "t_max", "warp_strength", "speaker_offset", "utt_offset")
 
 
 def _train_defaults() -> dict:
@@ -130,12 +133,9 @@ def _check_compat(cfg_model: dict, corpus: dpipe.Corpus) -> None:
 
 def cmd_synth(args) -> int:
     d = dict(DATA_DEFAULTS)
-    for key in ("seed", "speakers", "classes", "utts", "feat_dim",
-                "t_min", "t_max", "warp_strength", "speaker_offset",
-                "utt_offset"):
-        v = getattr(args, key)
-        if v is not None:
-            d[key] = v
+    for key in SYNTH_FLAGS:
+        if getattr(args, key) is not None:
+            d[key] = getattr(args, key)
     corpus = dpipe.synth_corpus(
         seed=d["seed"], n_speakers=d["speakers"], n_classes=d["classes"],
         n_utts=d["utts"], feat_dim=d["feat_dim"],
@@ -243,20 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("synth", help="write a synthetic feature file")
-    s.add_argument("--seed", type=int, default=None)
     s.add_argument("--out", required=True)
-    s.add_argument("--speakers", type=int, default=None)
-    s.add_argument("--classes", type=int, default=None)
-    s.add_argument("--utts", type=int, default=None)
-    s.add_argument("--feat-dim", dest="feat_dim", type=int, default=None)
-    s.add_argument("--t-min", dest="t_min", type=int, default=None)
-    s.add_argument("--t-max", dest="t_max", type=int, default=None)
-    s.add_argument("--warp-strength", dest="warp_strength", type=float,
-                   default=None)
-    s.add_argument("--speaker-offset", dest="speaker_offset", type=int,
-                   default=None)
-    s.add_argument("--utt-offset", dest="utt_offset", type=int,
-                   default=None)
+    for key in SYNTH_FLAGS:
+        s.add_argument("--" + key.replace("_", "-"), dest=key,
+                       type=type(DATA_DEFAULTS[key]), default=None)
     s.set_defaults(fn=cmd_synth)
 
     t = sub.add_parser("train", help="train a model on a feature file")

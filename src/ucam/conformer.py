@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as tc
 from .errors import ConfigError, ShapeError
@@ -210,7 +211,7 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
     """Per-channel 1-D convolution over time for [B, C, T] input.
 
     ``w`` is [C, K]. Zero padding of (K-1)//2 left and the remainder right
-    preserves T for any K; for even K the split is left-heavy.
+    preserves T for any K; for even K the extra padded frame is on the right.
     """
     if x.ndim != 3 or w.ndim != 2:
         raise ShapeError(f"depthwise conv expects [B, C, T] and [C, K], "
@@ -234,14 +235,15 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
     need_x, need_w = tc.needs_grad(x), tc.needs_grad(w)
 
     def bwd(g):
-        dw = np.empty_like(wd) if need_w else None
-        dxp = np.zeros_like(xp) if need_x else None
+        # the [B, C, T, K] window view of xp holds every tap's input
+        dw = (np.einsum("bct,bctk->ck", g, sliding_window_view(xp, kk, -1))
+              if need_w else None)
+        if not need_x:
+            return None, dw
+        dxp = np.zeros_like(xp)
         for j in range(kk):
-            if need_w:
-                dw[:, j] = (g * xp[:, :, j:j + t]).sum(axis=(0, 2))
-            if need_x:
-                dxp[:, :, j:j + t] += g * wd[:, j][None, :, None]
-        return (dxp[:, :, pl:pl + t] if need_x else None), dw
+            dxp[:, :, j:j + t] += g * wd[:, j][None, :, None]
+        return dxp[:, :, pl:pl + t], dw
 
     return tc.from_op(out, (x, w), bwd, "depthwise_conv1d")
 

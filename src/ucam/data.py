@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, DataError, FileFormatError
 from .masking import SequenceMask
 from .rng import keyed
-from .serial import read_exact
+from .serial import atomic_write, read_exact
 
 FEATURE_MAGIC = b"UCFD"
 FEATURE_VERSION = 1
@@ -216,7 +216,7 @@ def batch_pad(utts, batch_size: int = 4,
 
 
 def write_features(path, corpus: Corpus) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(FEATURE_MAGIC)
         f.write(struct.pack("<IIII", FEATURE_VERSION, corpus.feat_dim,
                             corpus.n_classes, len(corpus.utts)))

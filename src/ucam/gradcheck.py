@@ -203,11 +203,5 @@ def run_gradcheck(seed: int = 0, modules=None, mutate: bool = False) -> dict:
     """Max relative FD error per module. ``mutate`` flips one op's gradient
     sign inside the tensor_ops check; the suite must then report a failure.
     """
-    out = {}
-    for name in (modules or CHECKS):
-        fn = CHECKS[name]
-        if name == "tensor_ops":
-            out[name] = fn(seed, mutate=mutate)
-        else:
-            out[name] = fn(seed)
-    return out
+    return {name: CHECKS[name](seed, mutate=mutate) if name == "tensor_ops"
+            else CHECKS[name](seed) for name in (modules or CHECKS)}

@@ -169,13 +169,9 @@ class ModelParams:
             t.requires_grad = flag
 
 
-def count_params(params) -> int:
+def count_params(params: ModelParams) -> int:
     """Exact learnable scalar count (4 bytes each in 32-bit storage)."""
-    try:
-        named = params.named_parameters()
-    except TypeError:
-        named = params.named_parameters("p")
-    return int(sum(t.size for _, t in named))
+    return int(sum(t.size for _, t in params.named_parameters()))
 
 
 def model_forward(x: Tensor, mask: SequenceMask, p: ModelParams,

@@ -6,12 +6,15 @@ Layout, all little-endian:
   one u32 per dimension | raw float32 data.
 
 Every read is exact-length; a file that ends inside any field raises a
-truncation error distinct from a malformed-header error.
+truncation error distinct from a malformed-header error. Every write goes
+through ``atomic_write``, so an interrupted write leaves the old file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from typing import Iterable
 
@@ -30,9 +33,26 @@ def read_exact(f, n: int, what: str) -> bytes:
     return b
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """Write ``path`` through a temp file beside it, fsynced and renamed over
+    ``path`` when the block succeeds; if the block raises, the temp file is
+    removed and the old file at ``path`` stays as it was."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only when the block or a write failed
+            os.remove(tmp)
+
+
 def write_container(path, header: dict,
                     tensors: Iterable[tuple[str, np.ndarray]]) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         blob = json.dumps(header, sort_keys=True).encode()

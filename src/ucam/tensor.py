@@ -475,14 +475,9 @@ def backward(loss: Tensor) -> None:
             continue
         parent_grads = node._backward_fn(g)
         for p, pg in zip(node._parents, parent_grads):
-            if pg is None:
+            if pg is None or not (p.requires_grad or p._parents is not None):
                 continue
-            if not (p.requires_grad or p._parents is not None):
-                continue
-            if id(p) in grads:
-                grads[id(p)] = grads[id(p)] + pg
-            else:
-                grads[id(p)] = pg
+            grads[id(p)] = grads[id(p)] + pg if id(p) in grads else pg
 
     loss._done = True
     # Release interior references so large intermediates can be collected.

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as tc
 from .conformer import glorot
@@ -53,12 +54,9 @@ def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
     pt0, pt1 = (kt - 1) // 2, kt - 1 - (kt - 1) // 2
     xp = np.pad(x.data, ((0, 0), (0, 0), (pf0, pf1), (pt0, pt1)))
 
-    col = np.empty((bsz, c, kf, kt, out_f, t), dtype=x.data.dtype)
-    for i in range(kf):
-        for j in range(kt):
-            col[:, :, i, j] = xp[:, :, i:i + stride_f * out_f:stride_f,
-                                 j:j + t]
-    cols = col.reshape(bsz, c * kf * kt, out_f * t)
+    # [B, C, out_f, T, kf, kt] window view; one copy makes the im2col columns
+    win = sliding_window_view(xp, (kf, kt), axis=(2, 3))[:, :, ::stride_f]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(bsz, c * kf * kt, -1)
     w2 = w.data.reshape(o, -1)
     out = np.matmul(w2, cols).reshape(bsz, o, out_f, t)
     need_x = tc.needs_grad(x)
@@ -68,7 +66,10 @@ def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
 
     def bwd(g):
         g2 = g.reshape(bsz, o, -1)
-        dw = (np.einsum("bon,bkn->ok", g2, saved_cols).reshape(w.shape)
+        # one BLAS matmul per utterance (einsum would run a plain C loop),
+        # summed in float64 and rounded once: dW ignores the batch order
+        dw = (np.matmul(g2, saved_cols.transpose(0, 2, 1))
+              .sum(axis=0, dtype=np.float64).astype(g.dtype).reshape(w.shape)
               if saved_cols is not None else None)
         if not need_x:
             return None, dw

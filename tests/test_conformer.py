@@ -268,6 +268,27 @@ class TestDepthwiseConv:
             {"x": x, "w": w}, samples_per_tensor=30)
         assert err < 1e-5
 
+    @pytest.mark.parametrize("k", [3, 4, 15, 16])
+    def test_float32_weight_gradient_matches_float64_loop(self, k):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((3, 5, 11)).astype(np.float32)
+        g = rng.standard_normal((3, 5, 11)).astype(np.float32)
+        w = tc.parameter(rng.standard_normal((5, k)), dtype=np.float32)
+        out = depthwise_conv1d(tc.tensor(x), w)
+        tc.backward(tc.sum_all(tc.mul_const(out, g)))
+        # out[b, c, t] = sum_j w[c, j] * x[b, c, t + j - (k-1)//2], zero
+        # outside [0, T)
+        want = np.zeros((5, k))
+        for j in range(k):
+            for t in range(11):
+                s = t + j - (k - 1) // 2
+                if 0 <= s < 11:
+                    want[:, j] += (g[:, :, t].astype(np.float64)
+                                   * x[:, :, s]).sum(axis=0)
+        assert w.grad.dtype == np.float32
+        np.testing.assert_allclose(w.grad, want, rtol=1e-5,
+                                   atol=1e-5 * np.abs(want).max())
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             depthwise_conv1d(tc.tensor(np.zeros((1, 3, 4), dtype=np.float32)),

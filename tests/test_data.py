@@ -319,6 +319,31 @@ def test_feature_file_round_trip(tmp_path):
         np.testing.assert_array_equal(a.labels, b.labels)
 
 
+class _Interrupt(Exception):
+    pass
+
+
+class _BreaksAfterOne(list):
+    """Utterance list whose iteration stops with an error after one item."""
+
+    def __iter__(self):
+        yield self[0]
+        raise _Interrupt
+
+
+def test_interrupted_feature_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "c.ucfd"
+    dp.write_features(path, corpus_for_io())
+    before = path.read_bytes()
+    c = corpus_for_io()
+    c.utts = _BreaksAfterOne(c.utts)
+    with pytest.raises(_Interrupt):
+        dp.write_features(path, c)
+    assert path.read_bytes() == before
+    assert len(dp.read_features(path)) == len(c.utts)
+    assert [p.name for p in tmp_path.iterdir()] == ["c.ucfd"]
+
+
 def test_feature_file_against_independent_decoder(tmp_path):
     c = corpus_for_io()
     path = tmp_path / "c.ucfd"

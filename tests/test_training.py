@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ucam import data as dp
+from ucam import serial
 from ucam import tensor as tc
 from ucam import training as tr
 from ucam.errors import (ConfigError, DataError, DivergenceError,
@@ -425,6 +426,34 @@ def test_fit_resume_after_crash_matches_uninterrupted_run(
     for name in ("train_log.csv", "best.ckpt", "last.ckpt"):
         assert (run / name).read_bytes() \
             == (tmp_path / "full" / name).read_bytes(), name
+
+
+def test_interrupted_checkpoint_write_keeps_previous_file(
+        tmp_path, monkeypatch):
+    fit_once(tmp_path, steps=3)
+    last = tmp_path / "last.ckpt"
+    before = last.read_bytes()
+    write = serial.write_container
+
+    def raise_midway(records):
+        for i, rec in enumerate(records):
+            if i == 5:
+                raise _Crash
+            yield rec
+
+    def crashing_write(path, header, tensors):
+        if os.path.basename(path) == "last.ckpt":
+            tensors = raise_midway(tensors)
+        write(path, header, tensors)
+
+    monkeypatch.setattr(serial, "write_container", crashing_write)
+    with pytest.raises(_Crash):
+        fit_once(tmp_path, steps=6, resume_from=last)
+    monkeypatch.undo()
+    assert last.read_bytes() == before
+    assert load_checkpoint(last).step == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["best.ckpt", "last.ckpt", "train_log.csv"]
 
 
 def test_fit_resume_keeps_only_complete_rows_up_to_checkpoint(tmp_path):

@@ -37,6 +37,30 @@ def conv2d_loops(x, w, stride_f=1):
     return out.astype(x.dtype)
 
 
+def conv2d_grads_loops(x, w, g, stride_f=1):
+    """float64 loop reference for conv2d's (dX, dW) given the output grad."""
+    x, w, g = (a.astype(np.float64) for a in (x, w, g))
+    _, _, f, t = x.shape
+    _, _, kf, kt = w.shape
+    out_f = g.shape[2]
+    pad_f = max((out_f - 1) * stride_f + kf - f, 0)
+    pf0 = pad_f // 2
+    pt0 = (kt - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pf0, pad_f - pf0),
+                    (pt0, kt - 1 - pt0)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for fo in range(out_f):
+        for ti in range(t):
+            gs = g[:, :, fo, ti]  # [B, O]
+            for i in range(kf):
+                for j in range(kt):
+                    fi, tj = fo * stride_f + i, ti + j
+                    dw[:, :, i, j] += gs.T @ xp[:, :, fi, tj]
+                    dxp[:, :, fi, tj] += gs @ w[:, :, i, j]
+    return dxp[:, :, pf0:pf0 + f, pt0:pt0 + t], dw
+
+
 class TestConv2d:
     def test_delta_kernel_identity(self):
         rng = np.random.default_rng(0)
@@ -47,11 +71,13 @@ class TestConv2d:
         out = conv2d(tc.tensor(x), tc.tensor(w)).data
         np.testing.assert_allclose(out, x, atol=1e-7)
 
-    @pytest.mark.parametrize("stride", [1, 2, 3])
-    def test_matches_loop_reference(self, stride):
+    @pytest.mark.parametrize("stride,kernel", [
+        (1, 3), (2, 3), (3, 3), (2, 1), (3, 2)],
+        ids=["1", "2", "3", "k1-2", "k2-3"])
+    def test_matches_loop_reference(self, stride, kernel):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 2, 7, 4)).astype(np.float32)
-        w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
+        w = rng.standard_normal((3, 2, kernel, kernel)).astype(np.float32)
         got = conv2d(tc.tensor(x), tc.tensor(w), stride_f=stride).data
         want = conv2d_loops(x, w, stride)
         assert got.shape == want.shape
@@ -83,11 +109,13 @@ class TestConv2d:
             conv2d(x, tc.tensor(np.zeros((3, 2, 3, 3), dtype=np.float32)),
                    stride_f=0)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_gradients(self, stride):
+    @pytest.mark.parametrize("stride,kernel", [(1, 3), (2, 3), (2, 1)],
+                             ids=["1", "2", "k1-2"])
+    def test_gradients(self, stride, kernel):
         rng = np.random.default_rng(3)
         x = tc.parameter(rng.standard_normal((2, 2, 5, 3)), dtype=np.float64)
-        w = tc.parameter(rng.standard_normal((3, 2, 3, 3)), dtype=np.float64)
+        w = tc.parameter(rng.standard_normal((3, 2, kernel, kernel)),
+                         dtype=np.float64)
         out_f = -(-5 // stride)
         r = tc.tensor(rng.standard_normal((2, 3, out_f, 3)),
                       dtype=np.float64)
@@ -96,6 +124,39 @@ class TestConv2d:
                 conv2d(ps["x"], ps["w"], stride_f=stride), r)),
             {"x": x, "w": w}, samples_per_tensor=40)
         assert err < 1e-6
+
+    # odd F gives ceil-mode padding; even F with a 1-wide, stride-2 kernel
+    # gives a negative pad clamped to 0
+    @pytest.mark.parametrize("f", [7, 8])
+    @pytest.mark.parametrize("kernel,stride", [(3, 1), (3, 2), (1, 2)])
+    def test_float32_gradients_match_float64_loops(self, kernel, stride, f):
+        rng = np.random.default_rng(4)
+        x = tc.parameter(rng.standard_normal((3, 4, f, 9)), dtype=np.float32)
+        w = tc.parameter(rng.standard_normal((5, 4, kernel, kernel)),
+                         dtype=np.float32)
+        out = conv2d(x, w, stride_f=stride)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        tc.backward(tc.sum_all(tc.mul_const(out, g)))
+        want_dx, want_dw = conv2d_grads_loops(x.data, w.data, g, stride)
+        assert x.grad.dtype == w.grad.dtype == np.float32
+        # each entry sums at most a few hundred float32 products
+        for got, want in ((x.grad, want_dx), (w.grad, want_dw)):
+            np.testing.assert_allclose(got, want, rtol=1e-5,
+                                       atol=1e-5 * np.abs(want).max())
+
+
+    def test_weight_gradient_ignores_batch_order(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((4, 3, 7, 9)).astype(np.float32)
+        w = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
+        g = rng.standard_normal((4, 5, 4, 9)).astype(np.float32)
+        grads = []
+        for order in ([0, 1, 2, 3], [3, 1, 0, 2]):
+            wt = tc.parameter(w)
+            out = conv2d(tc.tensor(x[order]), wt, stride_f=2)
+            tc.backward(tc.sum_all(tc.mul_const(out, g[order])))
+            grads.append(wt.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
 
 
 class TestResidualBlock:
