@@ -55,8 +55,8 @@ def lin_batch(utts, lin: LinTransform, planes=None):
         planes = [utterance_planes(u) for u in utts]
     mask = SequenceMask.from_lengths(np.array([u.length for u in utts]))
     batch = tc.stack([
-        tc.pad_last(tc.stack([tc.matmul(lin.w, tc.tensor(d[i]))
-                              for i in range(3)]), mask.max_len)
+        tc.pad_last(tc.stack([tc.matmul(lin.w, tc.tensor(plane))
+                              for plane in d]), mask.max_len)
         for d in planes])
     return batch, pad_to_longest([u.labels for u in utts]), mask
 

@@ -1,10 +1,13 @@
 """Command-line surface: synth, train, eval, gradcheck, adapt.
 
-One experiment per invocation. A JSON run config with groups "model",
-"train", and "data" mirrors the dataclass fields; any flag overrides the
-matching key, unknown keys are rejected, and the merged result is dumped
-to effective_config.json in the output directory so a run is always
-reproducible from its artifacts.
+One experiment per invocation. ``train`` takes a JSON run config with
+three groups: "model" holds the AcousticModelConfig fields (the frontend's
+under "wrcnn"), "train" the TrainConfig fields, and "data" only dev_every
+(every n-th utterance goes to the dev split). Any flag overrides the
+matching key. Unknown keys and values of the wrong JSON type exit 2: int
+keys take no floats or booleans, float keys also take ints, list keys need
+lists. The merged result is written to effective_config.json in the output
+directory, and passing that file back as --config replays the run.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 IO error,
 4 numeric divergence.
@@ -21,6 +24,7 @@ import sys
 from . import adaptation
 from . import data as dpipe
 from . import gradcheck as gc
+from . import serial
 from .errors import (ConfigError, DataError, DivergenceError,
                      FileFormatError, NumericError, StructureError)
 from .model import (ModelParams, config_from_dict, config_to_dict,
@@ -33,6 +37,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
+# `ucam synth`'s flags and their defaults
 DATA_DEFAULTS = {
     "seed": 0,
     "speakers": 4,
@@ -41,15 +46,10 @@ DATA_DEFAULTS = {
     "feat_dim": 16,
     "t_min": 20,
     "t_max": 40,
-    "separation": 4.0,
     "warp_strength": 0.1,
     "speaker_offset": 0,
     "utt_offset": 0,
-    "dev_every": 4,  # every n-th utterance goes to the dev split
 }
-# the DATA_DEFAULTS keys `ucam synth` takes as flags
-SYNTH_FLAGS = ("seed", "speakers", "classes", "utts", "feat_dim", "t_min",
-               "t_max", "warp_strength", "speaker_offset", "utt_offset")
 
 
 def _train_defaults() -> dict:
@@ -60,19 +60,36 @@ def _train_defaults() -> dict:
 def default_run_config() -> dict:
     return {"model": config_to_dict(desk_config()),
             "train": _train_defaults(),
-            "data": dict(DATA_DEFAULTS)}
+            "data": {"dev_every": 4}}
 
 
-def _overlay(base: dict, user: dict, what: str) -> dict:
+def _typed(value, default, key: str):
+    """``value``, checked against the JSON type of ``default``: an int
+    passes for a float and becomes one; a bool or float is no int."""
+    if isinstance(default, float) and type(value) is int:
+        return float(value)
+    if type(value) is not type(default):
+        raise ConfigError(f"{key} must be of type {type(default).__name__}, "
+                          f"got {json.dumps(value)}")
+    if isinstance(default, list):
+        return [_typed(v, default[0], f"{key}[{i}]")
+                for i, v in enumerate(value)]
+    return value
+
+
+def _overlay(base: dict, user, prefix: str = "") -> dict:
+    if not isinstance(user, dict):
+        raise ConfigError(f"{prefix.rstrip('.') or 'run config'} must be "
+                          f"a JSON object")
     unknown = sorted(set(user) - set(base))
     if unknown:
-        raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
+        raise ConfigError("unknown config keys: "
+                          + ", ".join(prefix + k for k in unknown))
     out = dict(base)
     for k, v in user.items():
-        if isinstance(base[k], dict):
-            out[k] = _overlay(base[k], dict(v), f"{what}.{k}")
-        else:
-            out[k] = v
+        out[k] = (_overlay(base[k], v, f"{prefix}{k}.")
+                  if isinstance(base[k], dict)
+                  else _typed(v, base[k], prefix + k))
     return out
 
 
@@ -85,18 +102,7 @@ def load_run_config(path, overrides: dict | None = None) -> dict:
                 user = json.load(f)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}")
-        if not isinstance(user, dict):
-            raise ConfigError("run config must be a JSON object")
-        user = dict(user)
-        # a plain model config keeps working if the frontend geometry is
-        # left implicit
-        model = dict(user.get("model", {}))
-        if model and "wrcnn" not in model:
-            w = dict(cfg["model"]["wrcnn"])
-            w["in_freq"] = model.get("feat_dim", cfg["model"]["feat_dim"])
-            w["out_dim"] = model.get("d_attn", cfg["model"]["d_attn"])
-            cfg["model"]["wrcnn"] = w
-        cfg = _overlay(cfg, user, "config")
+        cfg = _overlay(cfg, user)
     for dotted, value in (overrides or {}).items():
         group, key = dotted.split(".", 1)
         if value is not None:
@@ -132,15 +138,12 @@ def _check_compat(cfg_model: dict, corpus: dpipe.Corpus) -> None:
 
 
 def cmd_synth(args) -> int:
-    d = dict(DATA_DEFAULTS)
-    for key in SYNTH_FLAGS:
-        if getattr(args, key) is not None:
-            d[key] = getattr(args, key)
+    d = {key: default if getattr(args, key) is None else getattr(args, key)
+         for key, default in DATA_DEFAULTS.items()}
     corpus = dpipe.synth_corpus(
         seed=d["seed"], n_speakers=d["speakers"], n_classes=d["classes"],
         n_utts=d["utts"], feat_dim=d["feat_dim"],
-        t_range=(d["t_min"], d["t_max"]), separation=d["separation"],
-        warp_strength=d["warp_strength"],
+        t_range=(d["t_min"], d["t_max"]), warp_strength=d["warp_strength"],
         speaker_offset=d["speaker_offset"], utt_offset=d["utt_offset"])
     dpipe.write_features(args.out, corpus)
     print(f"wrote {len(corpus)} utterances ({d['speakers']} speakers, "
@@ -162,10 +165,9 @@ def cmd_train(args) -> int:
     model_cfg = config_from_dict(cfg["model"])
     tcfg = TrainConfig(**cfg["train"])
     os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "effective_config.json"),
-              "w") as f:
-        json.dump(cfg, f, indent=2, sort_keys=True)
-        f.write("\n")
+    with serial.atomic_write(
+            os.path.join(args.out_dir, "effective_config.json")) as f:
+        f.write(json.dumps(cfg, indent=2, sort_keys=True).encode() + b"\n")
 
     params = ModelParams.create(model_cfg, rng=keyed(tcfg.seed, "init"))
     report = fit(params, train_utts, dev_utts, tcfg, args.out_dir,
@@ -244,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("synth", help="write a synthetic feature file")
     s.add_argument("--out", required=True)
-    for key in SYNTH_FLAGS:
+    for key, default in DATA_DEFAULTS.items():
         s.add_argument("--" + key.replace("_", "-"), dest=key,
-                       type=type(DATA_DEFAULTS[key]), default=None)
+                       type=type(default), default=None)
     s.set_defaults(fn=cmd_synth)
 
     t = sub.add_parser("train", help="train a model on a feature file")

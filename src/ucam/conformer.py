@@ -2,10 +2,10 @@
 
 Each block runs, in order: a half-step feed-forward module, scaled sinusoidal
 position information, multi-head self-attention, a time-depthwise convolution
-module, a second half-step feed-forward module, and (optionally) a closing
-LayerNorm. Every sub-module is pre-norm with utterance-wise statistics, adds
-its input back as a residual, and keeps padded frames at exactly zero inside
-the branch so padding never contaminates valid frames.
+module, a second half-step feed-forward module, and a closing LayerNorm.
+Every sub-module is pre-norm with utterance-wise statistics, adds its input
+back as a residual, and keeps padded frames at exactly zero inside the branch
+so padding never contaminates valid frames.
 """
 
 from __future__ import annotations
@@ -335,13 +335,13 @@ class ConformerBlockParams:
     mhsa: MHSAParams
     conv: ConvModuleParams
     ffn2: FFNParams
-    final_norm: NormParams | None
+    final_norm: NormParams
 
     def __post_init__(self):
         d = self.ffn1.d_attn
         if not (self.mhsa.d_attn == self.conv.d_attn == self.ffn2.d_attn == d):
             raise ConfigError("all block sub-modules must share one model dim")
-        if self.final_norm is not None and self.final_norm.dim != d:
+        if self.final_norm.dim != d:
             raise ConfigError("final norm dim must match the model dim")
 
     @property
@@ -350,39 +350,28 @@ class ConformerBlockParams:
 
     @classmethod
     def create(cls, d_attn: int, rng: np.random.Generator, heads: int = 4,
-               kernel: int = 16, final_norm: bool = True,
-               dtype=np.float32) -> "ConformerBlockParams":
+               kernel: int = 16, dtype=np.float32) -> "ConformerBlockParams":
         return cls(ffn1=FFNParams.create(d_attn, rng, dtype),
                    mhsa=MHSAParams.create(d_attn, heads, rng, dtype),
                    conv=ConvModuleParams.create(d_attn, kernel, rng, dtype),
                    ffn2=FFNParams.create(d_attn, rng, dtype),
-                   final_norm=(NormParams.create(d_attn, dtype=dtype)
-                               if final_norm else None))
+                   final_norm=NormParams.create(d_attn, dtype=dtype))
 
     def named_parameters(self, prefix: str):
-        named = (self.ffn1.named_parameters(f"{prefix}.ffn1")
-                 + self.mhsa.named_parameters(f"{prefix}.mhsa")
-                 + self.conv.named_parameters(f"{prefix}.conv")
-                 + self.ffn2.named_parameters(f"{prefix}.ffn2"))
-        if self.final_norm is not None:
-            named += self.final_norm.named_parameters(f"{prefix}.final_norm")
-        return named
+        return (self.ffn1.named_parameters(f"{prefix}.ffn1")
+                + self.mhsa.named_parameters(f"{prefix}.mhsa")
+                + self.conv.named_parameters(f"{prefix}.conv")
+                + self.ffn2.named_parameters(f"{prefix}.ffn2")
+                + self.final_norm.named_parameters(f"{prefix}.final_norm"))
 
 
 def conformer_block_forward(x: Tensor, p: ConformerBlockParams,
                             mask: SequenceMask, dropout_p: float = 0.0,
-                            rng: np.random.Generator | None = None,
-                            add_pe: bool = True) -> Tensor:
-    """One full block; ``add_pe`` injects position right before attention.
-
-    Encoders that add position once at their input pass ``add_pe=False``.
-    """
+                            rng: np.random.Generator | None = None) -> Tensor:
+    """One full block; position is added right before attention."""
     h = ffn_forward(x, p.ffn1, mask, dropout_p, rng)
-    if add_pe:
-        h = add_position(h, mask)
+    h = add_position(h, mask)
     h = mhsa_forward(h, p.mhsa, mask, dropout_p, rng)
     h = conv_module_forward(h, p.conv, mask, dropout_p, rng)
     h = ffn_forward(h, p.ffn2, mask, dropout_p, rng)
-    if p.final_norm is not None:
-        return utterance_layernorm(h, mask, p.final_norm)
-    return apply_mask(h, mask)
+    return utterance_layernorm(h, mask, p.final_norm)

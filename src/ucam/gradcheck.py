@@ -171,7 +171,7 @@ def check_full_model(seed: int) -> float:
     cfg = micro_config()
     model = ModelParams.create(cfg, rng=rng, dtype=F64)
     mask = _mask([6, 4])
-    x = _p(rng, 2, cfg.delta_channels, cfg.feat_dim, 6)
+    x = _p(rng, 2, wr.N_PLANES, cfg.feat_dim, 6)
     labels = keyed(seed, "gc-labels").integers(
         cfg.n_senones, size=(2, 6))
     params = dict(model.named_parameters())

@@ -16,21 +16,17 @@ import numpy as np
 
 from . import serial
 from . import tensor as tc
-from .conformer import (ConformerBlockParams, add_position,
-                        conformer_block_forward, glorot)
+from .conformer import ConformerBlockParams, conformer_block_forward, glorot
 from .errors import ConfigError, StructureError
 from .masking import SequenceMask, apply_mask
 from .rng import keyed
 from .tensor import Tensor
 from .wrcnn import WRCNNConfig, WRCNNParams, wrcnn_forward
 
-PE_PLACEMENTS = ("per_block", "encoder_input")
-
 
 @dataclass(frozen=True)
 class AcousticModelConfig:
     feat_dim: int = 80
-    delta_channels: int = 3
     d_attn: int = 256
     n_blocks: int = 2
     conv_kernel: int = 16
@@ -38,15 +34,12 @@ class AcousticModelConfig:
     head_hidden: int = 1024
     n_senones: int = 2042
     dropout: float = 0.15
-    pe_placement: str = "per_block"
-    final_block_norm: bool = True
     wrcnn: WRCNNConfig = field(default_factory=WRCNNConfig)
 
     def __post_init__(self):
-        positives = {"feat_dim": self.feat_dim,
-                     "delta_channels": self.delta_channels,
-                     "d_attn": self.d_attn, "conv_kernel": self.conv_kernel,
-                     "heads": self.heads, "head_hidden": self.head_hidden,
+        positives = {"feat_dim": self.feat_dim, "d_attn": self.d_attn,
+                     "conv_kernel": self.conv_kernel, "heads": self.heads,
+                     "head_hidden": self.head_hidden,
                      "n_senones": self.n_senones}
         for name, v in positives.items():
             if v < 1:
@@ -61,17 +54,6 @@ class AcousticModelConfig:
                               f"got {self.d_attn}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.pe_placement not in PE_PLACEMENTS:
-            raise ConfigError(f"pe_placement must be one of {PE_PLACEMENTS}, "
-                              f"got '{self.pe_placement}'")
-        if self.wrcnn.in_channels != self.delta_channels:
-            raise ConfigError(
-                f"frontend expects {self.wrcnn.in_channels} input planes but "
-                f"the model is configured for {self.delta_channels}")
-        if self.wrcnn.in_freq != self.feat_dim:
-            raise ConfigError(
-                f"frontend expects {self.wrcnn.in_freq} frequency bins but "
-                f"the model is configured for {self.feat_dim}")
 
 
 def desk_config(feat_dim: int = 16, n_senones: int = 10, d_attn: int = 64,
@@ -82,10 +64,7 @@ def desk_config(feat_dim: int = 16, n_senones: int = 10, d_attn: int = 64,
     return AcousticModelConfig(
         feat_dim=feat_dim, d_attn=d_attn, heads=heads, n_blocks=n_blocks,
         conv_kernel=conv_kernel, head_hidden=head_hidden,
-        n_senones=n_senones, dropout=dropout,
-        wrcnn=WRCNNConfig(in_channels=3, in_freq=feat_dim, base_channels=16,
-                          multipliers=(1, 2, 4), strides=(1, 2, 2),
-                          kernel=3, out_dim=d_attn))
+        n_senones=n_senones, dropout=dropout)
 
 
 def micro_config() -> AcousticModelConfig:
@@ -93,9 +72,7 @@ def micro_config() -> AcousticModelConfig:
     return AcousticModelConfig(
         feat_dim=8, d_attn=8, heads=2, n_blocks=1, conv_kernel=3,
         head_hidden=8, n_senones=5, dropout=0.15,
-        wrcnn=WRCNNConfig(in_channels=3, in_freq=8, base_channels=2,
-                          multipliers=(1, 2, 4), strides=(1, 2, 2),
-                          kernel=3, out_dim=8))
+        wrcnn=WRCNNConfig(base_channels=2))
 
 
 def config_to_dict(cfg: AcousticModelConfig) -> dict:
@@ -105,30 +82,29 @@ def config_to_dict(cfg: AcousticModelConfig) -> dict:
     return d
 
 
-def _from_fields(cls, d: dict, what: str):
+def _unknown(cls, d: dict, prefix: str = "") -> list[str]:
     known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(d) - known)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
-    return cls(**d)
+    return [prefix + k for k in sorted(set(d) - known)]
 
 
 def config_from_dict(d: dict) -> AcousticModelConfig:
     d = dict(d)
     w = dict(d.pop("wrcnn", {}))
+    unknown = (_unknown(AcousticModelConfig, d)
+               + _unknown(WRCNNConfig, w, "wrcnn."))
+    if unknown:
+        raise ConfigError(f"unknown model config keys: {', '.join(unknown)}")
     for key in ("multipliers", "strides"):
         if key in w:
             w[key] = tuple(w[key])
-    wrcnn = _from_fields(WRCNNConfig, w, "frontend config")
-    return _from_fields(AcousticModelConfig, d | {"wrcnn": wrcnn},
-                        "model config")
+    return AcousticModelConfig(**d, wrcnn=WRCNNConfig(**w))
 
 
 @dataclass
 class ModelParams:
     cfg: AcousticModelConfig
     wrcnn: WRCNNParams
-    w_proj: Tensor  # [d_attn, wrcnn.out_dim]
+    w_proj: Tensor  # [d_attn, d_attn]
     b_proj: Tensor
     blocks: list
     w_h1: Tensor    # [head_hidden, d_attn]
@@ -143,13 +119,13 @@ class ModelParams:
         rng = rng if rng is not None else keyed(0, "init")
         return cls(
             cfg=cfg,
-            wrcnn=WRCNNParams.create(cfg.wrcnn, rng, dtype),
-            w_proj=glorot(rng, cfg.d_attn, cfg.wrcnn.out_dim, dtype),
+            wrcnn=WRCNNParams.create(cfg.wrcnn, cfg.feat_dim, cfg.d_attn,
+                                     rng, dtype),
+            w_proj=glorot(rng, cfg.d_attn, cfg.d_attn, dtype),
             b_proj=tc.parameter(np.zeros(cfg.d_attn), dtype=dtype),
             blocks=[ConformerBlockParams.create(
                 cfg.d_attn, rng, heads=cfg.heads, kernel=cfg.conv_kernel,
-                final_norm=cfg.final_block_norm, dtype=dtype)
-                for _ in range(cfg.n_blocks)],
+                dtype=dtype) for _ in range(cfg.n_blocks)],
             w_h1=glorot(rng, cfg.head_hidden, cfg.d_attn, dtype),
             b_h1=tc.parameter(np.zeros(cfg.head_hidden), dtype=dtype),
             w_h2=glorot(rng, cfg.n_senones, cfg.head_hidden, dtype),
@@ -182,15 +158,11 @@ def model_forward(x: Tensor, mask: SequenceMask, p: ModelParams,
     ``train`` toggles dropout only; there are no running statistics anywhere,
     so evaluation is just the deterministic dropout-free forward.
     """
-    cfg = p.cfg
-    dp = cfg.dropout if train else 0.0
+    dp = p.cfg.dropout if train else 0.0
     h = wrcnn_forward(x, p.wrcnn, mask)
     h = apply_mask(tc.linear(h, p.w_proj, p.b_proj), mask)
-    if cfg.pe_placement == "encoder_input":
-        h = add_position(h, mask)
     for blk in p.blocks:
-        h = conformer_block_forward(h, blk, mask, dp, rng,
-                                    add_pe=cfg.pe_placement == "per_block")
+        h = conformer_block_forward(h, blk, mask, dp, rng)
     h = apply_mask(tc.linear(h, p.w_h1, p.b_h1), mask)
     h = tc.dropout(tc.relu(h), dp, rng)
     h = tc.linear(h, p.w_h2, p.b_h2)

@@ -22,6 +22,7 @@ from .masking import NormParams, SequenceMask, apply_mask, utterance_batchnorm
 from .tensor import Tensor
 
 N_BLOCKS = 3
+N_PLANES = 3  # static, delta, delta-delta: what data.compute_deltas emits
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -97,16 +98,14 @@ class WRCNNConfig:
 
     The default is a desk-scale profile (narrow channels) chosen so the whole
     model trains in seconds on a CPU; widths are free parameters because none
-    of the correctness properties depend on them.
+    of the correctness properties depend on them. The input frequency count
+    and the output width are the model's ``feat_dim`` and ``d_attn``.
     """
 
-    in_channels: int = 3          # static, delta, delta-delta planes
-    in_freq: int = 80
     base_channels: int = 16
     multipliers: tuple = (1, 2, 4)
     strides: tuple = (1, 2, 2)
     kernel: int = 3
-    out_dim: int = 256
 
     def __post_init__(self):
         if len(self.multipliers) != N_BLOCKS or len(self.strides) != N_BLOCKS:
@@ -114,8 +113,8 @@ class WRCNNConfig:
                 f"exactly {N_BLOCKS} residual blocks are required, got "
                 f"{len(self.multipliers)} multipliers and "
                 f"{len(self.strides)} strides")
-        if self.kernel < 1 or self.in_channels < 1 or self.base_channels < 1:
-            raise ConfigError("channel counts and kernel size must be >= 1")
+        if self.kernel < 1 or self.base_channels < 1:
+            raise ConfigError("channel count and kernel size must be >= 1")
         if any(s < 1 for s in self.strides):
             raise ConfigError("strides must be >= 1")
 
@@ -123,16 +122,10 @@ class WRCNNConfig:
     def block_channels(self) -> list[int]:
         return [self.base_channels * m for m in self.multipliers]
 
-    @property
-    def out_freq(self) -> int:
-        f = self.in_freq
+    def out_freq(self, in_freq: int) -> int:
         for s in self.strides:
-            f = ceil_div(f, s)
-        return f
-
-    @property
-    def flat_dim(self) -> int:
-        return self.block_channels[-1] * self.out_freq
+            in_freq = ceil_div(in_freq, s)
+        return in_freq
 
 
 @dataclass
@@ -198,15 +191,16 @@ def residual_block_forward(x: Tensor, p: ResidualBlockParams,
 
 @dataclass
 class WRCNNParams:
-    cfg: WRCNNConfig
-    stem: Tensor  # [base_channels, in_channels, k, k]
+    in_freq: int
+    stem: Tensor  # [base_channels, N_PLANES, k, k]
     blocks: list
     bn: NormParams
-    w_out: Tensor  # [out_dim, flat_dim]
+    w_out: Tensor  # [out_dim, block_channels[-1] * out_freq(in_freq)]
     b_out: Tensor
 
     @classmethod
-    def create(cls, cfg: WRCNNConfig, rng: np.random.Generator,
+    def create(cls, cfg: WRCNNConfig, in_freq: int, out_dim: int,
+               rng: np.random.Generator,
                dtype=np.float32) -> "WRCNNParams":
         chans = cfg.block_channels
         blocks = []
@@ -215,13 +209,14 @@ class WRCNNParams:
             blocks.append(ResidualBlockParams.create(
                 in_c, out_c, s, cfg.kernel, rng, dtype))
             in_c = out_c
-        return cls(cfg=cfg,
-                   stem=he_conv(rng, cfg.base_channels, cfg.in_channels,
+        flat_dim = chans[-1] * cfg.out_freq(in_freq)
+        return cls(in_freq=in_freq,
+                   stem=he_conv(rng, cfg.base_channels, N_PLANES,
                                 cfg.kernel, cfg.kernel, dtype),
                    blocks=blocks,
                    bn=NormParams.create(chans[-1], dtype=dtype),
-                   w_out=glorot(rng, cfg.out_dim, cfg.flat_dim, dtype),
-                   b_out=tc.parameter(np.zeros(cfg.out_dim), dtype=dtype))
+                   w_out=glorot(rng, out_dim, flat_dim, dtype),
+                   b_out=tc.parameter(np.zeros(out_dim), dtype=dtype))
 
     def named_parameters(self, prefix: str):
         named = [(f"{prefix}.stem", self.stem)]
@@ -235,13 +230,12 @@ class WRCNNParams:
 
 def wrcnn_forward(x: Tensor, p: WRCNNParams, mask: SequenceMask) -> Tensor:
     """[B, 3, F, T] feature planes to [B, T, out_dim] frame vectors."""
-    cfg = p.cfg
     if x.ndim != 4:
         raise ShapeError(f"frontend expects [B, C, F, T], got {x.shape}")
-    if x.shape[1] != cfg.in_channels or x.shape[2] != cfg.in_freq:
+    if x.shape[1:3] != (N_PLANES, p.in_freq):
         raise ShapeError(
             f"input planes {x.shape[1]} x {x.shape[2]} do not match the "
-            f"configured {cfg.in_channels} x {cfg.in_freq}")
+            f"configured {N_PLANES} x {p.in_freq}")
     b, _, _, t = x.shape
     # mask first: the stem's time window must see zeros, not raw padding
     h = apply_mask(x, mask, time_axis=-1)
@@ -250,6 +244,6 @@ def wrcnn_forward(x: Tensor, p: WRCNNParams, mask: SequenceMask) -> Tensor:
         h = residual_block_forward(h, blk, mask)
     h = utterance_batchnorm(h, mask, p.bn)
     h = tc.transpose(h, (0, 3, 1, 2))  # [B, T, C, F']
-    h = tc.reshape(h, (b, t, cfg.flat_dim))
+    h = tc.reshape(h, (b, t, p.w_out.shape[1]))
     h = apply_mask(tc.linear(h, p.w_out, p.b_out), mask)
     return tc.elu(h)

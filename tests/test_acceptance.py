@@ -315,12 +315,13 @@ def test_gate_07_adaptation(tmp_path):
 # 8. parameter accounting
 
 
-def _wrcnn_count(cfg):
+def _wrcnn_count(model_cfg):
+    cfg = model_cfg.wrcnn
     k2 = cfg.kernel ** 2
     chans = cfg.block_channels
-    want = chans[0] * cfg.in_channels * k2  # stem, no bias
+    want = chans[0] * 3 * k2  # stem over 3 planes, no bias
     in_c = chans[0]
-    f_out = cfg.in_freq
+    f_out = model_cfg.feat_dim
     for out_c, s in zip(chans, cfg.strides):
         want += 2 * in_c + out_c * in_c * k2 + 2 * out_c + out_c * out_c * k2
         if in_c != out_c or s != 1:
@@ -328,7 +329,8 @@ def _wrcnn_count(cfg):
         in_c = out_c
         f_out = -(-f_out // s)
     want += 2 * chans[-1]
-    want += cfg.out_dim * (chans[-1] * f_out) + cfg.out_dim
+    d = model_cfg.d_attn
+    want += d * (chans[-1] * f_out) + d
     return want
 
 
@@ -338,8 +340,8 @@ def _model_count(cfg):
     mhsa = 4 * d * d + 2 * d
     conv = 3 * d * d + d * k + 7 * d
     block = 2 * ffn + mhsa + conv + 2 * d
-    total = _wrcnn_count(cfg.wrcnn)
-    total += d * cfg.wrcnn.out_dim + d
+    total = _wrcnn_count(cfg)
+    total += d * d + d
     total += cfg.n_blocks * block
     total += cfg.head_hidden * d + cfg.head_hidden
     total += cfg.n_senones * cfg.head_hidden + cfg.n_senones

@@ -7,8 +7,10 @@ import pytest
 
 from ucam import cli
 from ucam import data as dp
+from ucam import serial
 from ucam.adaptation import load_lin
-from ucam.model import load_checkpoint
+from ucam.model import (ModelParams, config_to_dict, load_checkpoint,
+                        micro_config)
 
 
 def run(argv):
@@ -84,10 +86,43 @@ def test_train_writes_artifacts(tmp_path):
     assert eff["train"]["steps"] == 4
     assert eff["train"]["batch_size"] == 2
     assert eff["model"]["d_attn"] == 8
-    # frontend geometry follows the model when the config leaves it out
-    assert eff["model"]["wrcnn"]["in_freq"] == 8
-    assert eff["model"]["wrcnn"]["out_dim"] == 8
+    assert eff["data"] == {"dev_every": 4}
     assert load_checkpoint(out / "last.ckpt").step == 4
+
+
+def test_effective_config_replays_the_run(tmp_path):
+    data, first = train(tmp_path)  # a config file plus flags
+    again = tmp_path / "again"
+    assert run(["train", "--config", str(first / "effective_config.json"),
+                "--data", str(data), "--out-dir", str(again)]) == 0
+    for name in ("effective_config.json", "last.ckpt"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), \
+            name
+
+
+class _Crash(Exception):
+    pass
+
+
+def test_interrupted_config_rewrite_keeps_previous_file(tmp_path,
+                                                        monkeypatch):
+    data, out = train(tmp_path)
+    config = str(small_config(tmp_path))
+    path = out / "effective_config.json"
+    before = path.read_bytes()
+
+    def crash(*args, **kw):  # the JSON encoder fails mid-rewrite
+        raise _Crash
+
+    monkeypatch.setattr(json, "dump", crash)
+    monkeypatch.setattr(json, "dumps", crash)
+    with pytest.raises(_Crash):
+        run(["train", "--config", config, "--data", str(data),
+             "--out-dir", str(out), "--steps", "6",
+             "--resume", str(out / "last.ckpt")])
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert not list(out.glob("*.tmp"))
 
 
 def test_train_resume_continues_trace(tmp_path):
@@ -120,6 +155,51 @@ def test_train_unknown_config_key_exits_2(tmp_path):
     bad.write_text(json.dumps({"train": {"momentum": 0.9}}))
     assert run(["train", "--config", str(bad), "--data", str(data),
                 "--out-dir", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("user,key", [
+    ({"model": {"heads": "2"}}, "model.heads"),
+    ({"train": {"steps": "5"}}, "train.steps"),
+    ({"train": {"eval_every": 2.5}}, "train.eval_every"),
+    ({"train": {"steps": True}}, "train.steps"),
+    ({"train": {"lr_factor": "5"}}, "train.lr_factor"),
+    ({"model": {"wrcnn": {"strides": 2}}}, "model.wrcnn.strides"),
+    ({"model": {"wrcnn": {"strides": [1, 2.0, 2]}}},
+     "model.wrcnn.strides[1]"),
+    ({"model": {"wrcnn": 3}}, "model.wrcnn"),
+    ({"data": [4]}, "data"),
+    ([], "run config")],
+    ids=["str_for_int", "str_steps", "float_for_int", "bool_for_int",
+         "str_for_float", "int_for_list", "float_in_int_list",
+         "int_for_group", "list_for_group", "list_for_config"])
+def test_train_wrong_typed_config_value_exits_2(tmp_path, capsys, user,
+                                                key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(user))
+    assert run(["train", "--config", str(bad),
+                "--data", str(tmp_path / "unread.ucfd"),
+                "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"config error: {key} must be" in capsys.readouterr().err
+
+
+def test_config_float_key_takes_an_int(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"train": {"lr_factor": 2}}))
+    value = cli.load_run_config(path)["train"]["lr_factor"]
+    assert value == 2.0 and type(value) is float
+
+
+def test_eval_checkpoint_with_removed_config_keys_exits_2(tmp_path, capsys):
+    params = ModelParams.create(micro_config())
+    old = config_to_dict(params.cfg)
+    old["wrcnn"]["in_freq"] = 8
+    ckpt = tmp_path / "old.ckpt"
+    serial.write_container(
+        ckpt, {"kind": "model", "config": old, "step": 0},
+        [(n, t.data) for n, t in params.named_parameters()])
+    data = synth(tmp_path, classes=5)
+    assert run(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 2
+    assert "wrcnn.in_freq" in capsys.readouterr().err
 
 
 def test_train_malformed_config_exits_2(tmp_path):

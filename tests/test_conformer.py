@@ -374,17 +374,6 @@ class TestConformerBlock:
                                    NormParams.create(4))
         np.testing.assert_allclose(out.data, want.data, atol=1e-6)
 
-    def test_position_switch_off(self):
-        rng = np.random.default_rng(24)
-        p = ConformerBlockParams.create(4, rng, heads=2, kernel=3,
-                                        final_norm=False)
-        zero_weights(p)
-        x = rng.standard_normal((1, 3, 4)).astype(np.float32)
-        m = mask_of([2], max_len=3)
-        out = conformer_block_forward(tc.tensor(x), p, m, add_pe=False).data
-        want = x * m.indicator()[:, :, None]
-        np.testing.assert_array_equal(out, want)
-
     def test_padding_invariance(self):
         # same utterance padded to T and to T+7: valid outputs and all
         # parameter gradients must agree
@@ -432,7 +421,7 @@ class TestConformerBlock:
                 mhsa=MHSAParams.create(6, 2, rng),
                 conv=ConvModuleParams.create(4, 3, rng),
                 ffn2=FFNParams.create(4, rng),
-                final_norm=None)
+                final_norm=NormParams.create(4))
 
     def test_gradients_full_block(self):
         rng = np.random.default_rng(28)

@@ -12,7 +12,7 @@ from ucam.model import (AcousticModelConfig, ModelParams, config_from_dict,
                         load_checkpoint, micro_config, model_forward,
                         save_checkpoint)
 from ucam.rng import keyed
-from ucam.wrcnn import WRCNNConfig
+from ucam.wrcnn import N_PLANES, WRCNNConfig
 
 
 def make_model(seed=0, cfg=None):
@@ -40,10 +40,6 @@ def test_config_validation():
         micro_config_with(heads=3)
     with pytest.raises(ConfigError):
         micro_config_with(dropout=1.0)
-    with pytest.raises(ConfigError):
-        micro_config_with(pe_placement="everywhere")
-    with pytest.raises(ConfigError):
-        micro_config_with(feat_dim=9)  # frontend expects 8 frequency bins
 
 
 def micro_config_with(**kw):
@@ -58,6 +54,12 @@ def test_config_dict_round_trip():
     assert back == cfg
 
 
+def test_config_from_dict_fills_defaults():
+    cfg = config_from_dict({"feat_dim": 80, "wrcnn": {"kernel": 5}})
+    assert cfg.d_attn == 256 and cfg.n_senones == 2042
+    assert cfg.wrcnn == WRCNNConfig(kernel=5)
+
+
 def test_config_from_dict_rejects_unknown_keys():
     d = config_to_dict(micro_config())
     d["momentum"] = 0.9
@@ -67,12 +69,6 @@ def test_config_from_dict_rejects_unknown_keys():
     d["wrcnn"]["depth"] = 4
     with pytest.raises(ConfigError, match="depth"):
         config_from_dict(d)
-
-
-def test_config_from_dict_fills_defaults():
-    cfg = config_from_dict({"feat_dim": 80, "wrcnn": {"in_freq": 80}})
-    assert cfg.d_attn == 256 and cfg.n_senones == 2042
-    assert cfg.wrcnn.out_dim == WRCNNConfig().out_dim
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +125,6 @@ def test_forward_padding_invariance_end_to_end():
                                    atol=1e-5)
 
 
-def test_forward_pe_at_encoder_input():
-    cfg = micro_config_with(pe_placement="encoder_input")
-    params = make_model(cfg=cfg)
-    rng = np.random.default_rng(4)
-    x, mask = random_input(rng, 1, 8, 7, [7])
-    out = model_forward(x, mask, params)
-    assert np.isfinite(out.data).all()
-
-
 # ---------------------------------------------------------------------------
 # parameter accounting
 
@@ -152,12 +139,13 @@ def test_count_mhsa_reference_width():
     assert sum(t.size for _, t in p.named_parameters("m")) == 262656
 
 
-def wrcnn_count(cfg):
+def wrcnn_count(model_cfg):
+    cfg = model_cfg.wrcnn
     k2 = cfg.kernel ** 2
     chans = cfg.block_channels
-    want = chans[0] * cfg.in_channels * k2  # stem, no bias
+    want = chans[0] * N_PLANES * k2  # stem, no bias
     in_c = chans[0]
-    f_out = cfg.in_freq
+    f_out = model_cfg.feat_dim
     for out_c, s in zip(chans, cfg.strides):
         want += 2 * in_c + out_c * in_c * k2 + 2 * out_c + out_c * out_c * k2
         if in_c != out_c or s != 1:
@@ -165,7 +153,8 @@ def wrcnn_count(cfg):
         in_c = out_c
         f_out = -(-f_out // s)
     want += 2 * chans[-1]
-    want += cfg.out_dim * (chans[-1] * f_out) + cfg.out_dim
+    d = model_cfg.d_attn
+    want += d * (chans[-1] * f_out) + d
     return want
 
 
@@ -175,8 +164,8 @@ def model_count(cfg):
     mhsa = 4 * d * d + 2 * d
     conv = 3 * d * d + d * k + 7 * d
     block = 2 * ffn + mhsa + conv + 2 * d
-    total = wrcnn_count(cfg.wrcnn)
-    total += d * cfg.wrcnn.out_dim + d
+    total = wrcnn_count(cfg)
+    total += d * d + d
     total += cfg.n_blocks * block
     total += cfg.head_hidden * d + cfg.head_hidden
     total += cfg.n_senones * cfg.head_hidden + cfg.n_senones
@@ -237,6 +226,18 @@ def test_checkpoint_rejects_missing_tensor(tmp_path):
     serial.write_container(tmp_path / "x.ckpt", header, records)
     with pytest.raises(StructureError, match="missing"):
         load_checkpoint(tmp_path / "x.ckpt")
+
+
+def test_checkpoint_rejects_removed_config_keys(tmp_path):
+    # a header from before the frontend took its geometry from the model
+    params = make_model()
+    old = config_to_dict(params.cfg)
+    old["wrcnn"] |= {"in_freq": 8, "out_dim": 8}
+    serial.write_container(
+        tmp_path / "old.ckpt", {"kind": "model", "config": old, "step": 0},
+        [(n, t.data) for n, t in params.named_parameters()])
+    with pytest.raises(ConfigError, match="wrcnn.in_freq, wrcnn.out_dim"):
+        load_checkpoint(tmp_path / "old.ckpt")
 
 
 def test_checkpoint_rejects_shape_mismatch(tmp_path):

@@ -408,24 +408,30 @@ def _crash_at(monkeypatch, step=None, last_save=None):
     monkeypatch.setattr(tr, "save_checkpoint", crashing_save)
 
 
-@pytest.mark.parametrize("crashes", [
-    [{"step": 5}], [{"last_save": 6}], [{"step": 5}, {"last_save": 6}]],
-    ids=["step5", "last_save6", "step5_then_last_save6"])
+@pytest.mark.parametrize("crashes,fit_kw", [
+    ([{"step": 5}], {"steps": 8}),
+    ([{"last_save": 6}], {"steps": 8}),
+    ([{"step": 5}, {"last_save": 6}], {"steps": 8}),
+    # inside the EMA fine-tune phase, which has no resume point of its own
+    ([{"step": 6}], {"steps": 4, "finetune_steps": 3})],
+    ids=["step5", "last_save6", "step5_then_last_save6", "finetune_step6"])
 def test_fit_resume_after_crash_matches_uninterrupted_run(
-        tmp_path, monkeypatch, crashes):
-    fit_once(tmp_path / "full", steps=8)
+        tmp_path, monkeypatch, crashes, fit_kw):
+    full = tmp_path / "full"
+    fit_once(full, **fit_kw)
     run = tmp_path / "run"
     resume = None
     for crash in crashes:
         _crash_at(monkeypatch, **crash)
         with pytest.raises(_Crash):
-            fit_once(run, steps=8, resume_from=resume)
+            fit_once(run, resume_from=resume, **fit_kw)
         monkeypatch.undo()
         resume = run / "last.ckpt"
-    fit_once(run, steps=8, resume_from=resume)
-    for name in ("train_log.csv", "best.ckpt", "last.ckpt"):
-        assert (run / name).read_bytes() \
-            == (tmp_path / "full" / name).read_bytes(), name
+    fit_once(run, resume_from=resume, **fit_kw)
+    names = sorted(p.name for p in full.iterdir())
+    assert sorted(p.name for p in run.iterdir()) == names
+    for name in names:
+        assert (run / name).read_bytes() == (full / name).read_bytes(), name
 
 
 def test_interrupted_checkpoint_write_keeps_previous_file(

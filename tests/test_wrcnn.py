@@ -204,18 +204,17 @@ class TestConfig:
             WRCNNConfig(multipliers=(1, 1, 2, 4), strides=(1, 1, 2, 2))
 
     def test_frequency_plan(self):
-        cfg = WRCNNConfig(in_freq=80, strides=(1, 2, 2))
-        assert cfg.out_freq == 20
+        cfg = WRCNNConfig(strides=(1, 2, 2))
+        assert cfg.out_freq(80) == 20
         assert cfg.block_channels == [16, 32, 64]
-        assert cfg.flat_dim == 64 * 20
-        odd = WRCNNConfig(in_freq=81, strides=(1, 2, 2))
-        assert odd.out_freq == 21  # ceil(ceil(81/2)=41 / 2)
+        p = WRCNNParams.create(cfg, 80, 10, np.random.default_rng(9))
+        assert p.w_out.shape == (10, 64 * 20)
+        assert cfg.out_freq(81) == 21  # ceil(ceil(81/2)=41 / 2)
 
     def test_parameter_count_closed_form(self):
-        cfg = WRCNNConfig(in_channels=3, in_freq=20, base_channels=4,
-                          multipliers=(1, 2, 4), strides=(1, 2, 2),
-                          kernel=3, out_dim=10)
-        p = WRCNNParams.create(cfg, np.random.default_rng(10))
+        cfg = WRCNNConfig(base_channels=4, multipliers=(1, 2, 4),
+                          strides=(1, 2, 2), kernel=3)
+        p = WRCNNParams.create(cfg, 20, 10, np.random.default_rng(10))
         total = sum(t.size for _, t in p.named_parameters("f"))
 
         k2 = 9
@@ -240,16 +239,16 @@ class TestConfig:
 
 class TestWRCNNForward:
     def small(self, dtype=np.float32, seed=11):
-        cfg = WRCNNConfig(in_channels=2, in_freq=6, base_channels=2,
-                          multipliers=(1, 2, 2), strides=(1, 2, 2),
-                          kernel=3, out_dim=5)
-        return cfg, WRCNNParams.create(cfg, np.random.default_rng(seed),
+        cfg = WRCNNConfig(base_channels=2, multipliers=(1, 2, 2),
+                          strides=(1, 2, 2), kernel=3)
+        return cfg, WRCNNParams.create(cfg, 6, 5,
+                                       np.random.default_rng(seed),
                                        dtype=dtype)
 
     def test_time_preserved(self):
         cfg, p = self.small()
         x = tc.tensor(np.random.default_rng(12)
-                      .standard_normal((1, 2, 6, 37)).astype(np.float32))
+                      .standard_normal((1, 3, 6, 37)).astype(np.float32))
         out = wrcnn_forward(x, p, mask_of([37]))
         assert out.shape == (1, 37, 5)
 
@@ -257,18 +256,17 @@ class TestWRCNNForward:
         # identity stem, zero conv branches, identity skips: the frontend
         # collapses to elu(linear(bn(flatten(x))))
         rng = np.random.default_rng(13)
-        cfg = WRCNNConfig(in_channels=2, in_freq=4, base_channels=2,
-                          multipliers=(1, 1, 1), strides=(1, 1, 1),
-                          kernel=3, out_dim=3)
-        p = WRCNNParams.create(cfg, rng)
+        cfg = WRCNNConfig(base_channels=3, multipliers=(1, 1, 1),
+                          strides=(1, 1, 1), kernel=3)
+        p = WRCNNParams.create(cfg, 4, 3, rng)
         p.stem.data[:] = 0.0
-        for c in range(2):
+        for c in range(3):
             p.stem.data[c, c, 1, 1] = 1.0
         for blk in p.blocks:
             blk.conv2.data[:] = 0.0
             assert blk.proj is None
         lengths = [3, 5]
-        x = rng.standard_normal((2, 2, 4, 5)).astype(np.float32)
+        x = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
         x *= mask_of(lengths).indicator()[:, None, None, :]
         out = wrcnn_forward(tc.tensor(x), p, mask_of(lengths)).data
 
@@ -278,7 +276,7 @@ class TestWRCNNForward:
             mu = seg.mean(axis=(1, 2), keepdims=True)
             var = seg.var(axis=(1, 2), keepdims=True)
             bn[b, :, :, :L] = (seg - mu) / np.sqrt(var + p.bn.eps)
-        flat = bn.transpose(0, 3, 1, 2).reshape(2, 5, 8)
+        flat = bn.transpose(0, 3, 1, 2).reshape(2, 5, 12)
         lin = flat @ p.w_out.data.T + p.b_out.data
         lin *= mask_of(lengths).indicator()[:, :, None]
         want = np.where(lin > 0, lin, np.expm1(lin))
@@ -288,10 +286,10 @@ class TestWRCNNForward:
         rng = np.random.default_rng(14)
         cfg, p = self.small()
         L = 6
-        core = rng.standard_normal((1, 2, 6, L)).astype(np.float32)
+        core = rng.standard_normal((1, 3, 6, L)).astype(np.float32)
 
         def run(pad):
-            x = np.zeros((1, 2, 6, L + pad), dtype=np.float32)
+            x = np.zeros((1, 3, 6, L + pad), dtype=np.float32)
             x[..., :L] = core
             if pad:
                 x[..., L:] = -30.0
@@ -306,17 +304,22 @@ class TestWRCNNForward:
 
     def test_wrong_freq_rejected(self):
         cfg, p = self.small()
-        x = tc.tensor(np.zeros((1, 2, 7, 3), dtype=np.float32))
-        with pytest.raises(ShapeError):
-            wrcnn_forward(x, p, mask_of([3]))
+        for planes, freq in ((3, 7), (2, 6)):
+            x = tc.tensor(np.zeros((1, planes, freq, 3), dtype=np.float32))
+            with pytest.raises(ShapeError):
+                wrcnn_forward(x, p, mask_of([3]))
+        # 79 and 80 bins both downsample to 20: the check is on the input
+        p80 = WRCNNParams.create(cfg, 80, 5, np.random.default_rng(15))
+        x = tc.tensor(np.zeros((1, 3, 79, 3), dtype=np.float32))
+        with pytest.raises(ShapeError, match="79"):
+            wrcnn_forward(x, p80, mask_of([3]))
 
     def test_gradients(self):
         rng = np.random.default_rng(16)
-        cfg = WRCNNConfig(in_channels=2, in_freq=5, base_channels=2,
-                          multipliers=(1, 2, 2), strides=(1, 2, 2),
-                          kernel=3, out_dim=4)
-        p = WRCNNParams.create(cfg, rng, dtype=np.float64)
-        x = tc.parameter(rng.standard_normal((2, 2, 5, 3)), dtype=np.float64)
+        cfg = WRCNNConfig(base_channels=2, multipliers=(1, 2, 2),
+                          strides=(1, 2, 2), kernel=3)
+        p = WRCNNParams.create(cfg, 5, 4, rng, dtype=np.float64)
+        x = tc.parameter(rng.standard_normal((2, 3, 5, 3)), dtype=np.float64)
         m = mask_of([2, 3])
         r = tc.tensor(rng.standard_normal((2, 3, 4)), dtype=np.float64)
         params = dict(p.named_parameters("f")) | {"x": x}
