@@ -6,8 +6,11 @@ under "wrcnn"), "train" the TrainConfig fields, and "data" only dev_every
 (every n-th utterance goes to the dev split). Any flag overrides the
 matching key. Unknown keys and values of the wrong JSON type exit 2: int
 keys take no floats or booleans, float keys also take ints, list keys need
-lists. The merged result is written to effective_config.json in the output
-directory, and passing that file back as --config replays the run.
+lists. A checkpoint header's model config is held to the same rules, so
+``eval``, ``adapt`` and ``train --resume`` exit 2 on a bad header. The
+merged result is written to effective_config.json in the output directory,
+and passing that file back as --config replays the run; a rejected
+--resume leaves the file as it was.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 IO error,
 4 numeric divergence.
@@ -27,10 +30,10 @@ from . import gradcheck as gc
 from . import serial
 from .errors import (ConfigError, DataError, DivergenceError,
                      FileFormatError, NumericError, StructureError)
-from .model import (ModelParams, config_from_dict, config_to_dict,
-                    desk_config, load_checkpoint)
+from .model import (AcousticModelConfig, ModelParams, config_from_dict,
+                    config_to_dict, desk_config, load_checkpoint, overlay)
 from .rng import keyed
-from .training import TrainConfig, evaluate, fit
+from .training import TrainConfig, evaluate, fit, load_matching
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,45 +55,10 @@ DATA_DEFAULTS = {
 }
 
 
-def _train_defaults() -> dict:
-    return {f.name: getattr(TrainConfig(), f.name)
-            for f in dataclasses.fields(TrainConfig)}
-
-
 def default_run_config() -> dict:
     return {"model": config_to_dict(desk_config()),
-            "train": _train_defaults(),
+            "train": dataclasses.asdict(TrainConfig()),
             "data": {"dev_every": 4}}
-
-
-def _typed(value, default, key: str):
-    """``value``, checked against the JSON type of ``default``: an int
-    passes for a float and becomes one; a bool or float is no int."""
-    if isinstance(default, float) and type(value) is int:
-        return float(value)
-    if type(value) is not type(default):
-        raise ConfigError(f"{key} must be of type {type(default).__name__}, "
-                          f"got {json.dumps(value)}")
-    if isinstance(default, list):
-        return [_typed(v, default[0], f"{key}[{i}]")
-                for i, v in enumerate(value)]
-    return value
-
-
-def _overlay(base: dict, user, prefix: str = "") -> dict:
-    if not isinstance(user, dict):
-        raise ConfigError(f"{prefix.rstrip('.') or 'run config'} must be "
-                          f"a JSON object")
-    unknown = sorted(set(user) - set(base))
-    if unknown:
-        raise ConfigError("unknown config keys: "
-                          + ", ".join(prefix + k for k in unknown))
-    out = dict(base)
-    for k, v in user.items():
-        out[k] = (_overlay(base[k], v, f"{prefix}{k}.")
-                  if isinstance(base[k], dict)
-                  else _typed(v, base[k], prefix + k))
-    return out
 
 
 def load_run_config(path, overrides: dict | None = None) -> dict:
@@ -102,12 +70,11 @@ def load_run_config(path, overrides: dict | None = None) -> dict:
                 user = json.load(f)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}")
-        cfg = _overlay(cfg, user)
+        cfg = overlay(cfg, user)
     for dotted, value in (overrides or {}).items():
         group, key = dotted.split(".", 1)
         if value is not None:
             cfg[group][key] = value
-    config_from_dict(cfg["model"])  # validate early
     return cfg
 
 
@@ -124,13 +91,13 @@ def _split_dev(corpus: dpipe.Corpus, dev_every: int):
     return train, dev
 
 
-def _check_compat(cfg_model: dict, corpus: dpipe.Corpus) -> None:
-    if corpus.feat_dim != cfg_model["feat_dim"]:
+def _check_compat(cfg: AcousticModelConfig, corpus: dpipe.Corpus) -> None:
+    if corpus.feat_dim != cfg.feat_dim:
         raise ConfigError(f"data has feat_dim={corpus.feat_dim} but the "
-                          f"model expects {cfg_model['feat_dim']}")
-    if corpus.n_classes > cfg_model["n_senones"]:
+                          f"model expects {cfg.feat_dim}")
+    if corpus.n_classes > cfg.n_senones:
         raise ConfigError(f"data has {corpus.n_classes} classes but the "
-                          f"model only emits {cfg_model['n_senones']}")
+                          f"model only emits {cfg.n_senones}")
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +125,14 @@ def cmd_train(args) -> int:
                  "train.finetune_steps": args.finetune_steps,
                  "data.dev_every": args.dev_every}
     cfg = load_run_config(args.config, overrides)
+    model_cfg = config_from_dict(cfg["model"])
     corpus = dpipe.read_features(args.data)
-    _check_compat(cfg["model"], corpus)
+    _check_compat(model_cfg, corpus)
     train_utts, dev_utts = _split_dev(corpus, cfg["data"]["dev_every"])
 
-    model_cfg = config_from_dict(cfg["model"])
     tcfg = TrainConfig(**cfg["train"])
+    if args.resume is not None:  # check before effective_config.json
+        load_matching(args.resume, model_cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     with serial.atomic_write(
             os.path.join(args.out_dir, "effective_config.json")) as f:
@@ -181,7 +150,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ck = load_checkpoint(args.ckpt)
     corpus = dpipe.read_features(args.data)
-    _check_compat(config_to_dict(ck.params.cfg), corpus)
+    _check_compat(ck.params.cfg, corpus)
     utts = corpus.utts
     if args.speaker is not None:
         utts = corpus.for_speaker(args.speaker).utts
@@ -211,7 +180,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_adapt(args) -> int:
     ck = load_checkpoint(args.ckpt)
     corpus = dpipe.read_features(args.data)
-    _check_compat(config_to_dict(ck.params.cfg), corpus)
+    _check_compat(ck.params.cfg, corpus)
     utts = corpus.for_speaker(args.speaker).utts
     if not utts:
         raise DataError(f"no utterances for speaker '{args.speaker}'")

@@ -45,20 +45,6 @@ class FFNParams:
     w2: Tensor  # [d_attn, d_ff]
     b2: Tensor  # [d_attn]
 
-    def __post_init__(self):
-        d_ff, d = self.w1.shape
-        if d_ff != FFN_EXPANSION * d:
-            raise ConfigError(
-                f"feed-forward inner dim must be {FFN_EXPANSION}x the model "
-                f"dim, got {d_ff} for model dim {d}")
-        if self.w2.shape != (d, d_ff) or self.b1.shape != (d_ff,) \
-                or self.b2.shape != (d,):
-            raise ShapeError("inconsistent feed-forward parameter shapes")
-
-    @property
-    def d_attn(self) -> int:
-        return self.w1.shape[1]
-
     @classmethod
     def create(cls, d_attn: int, rng: np.random.Generator,
                dtype=np.float32) -> "FFNParams":
@@ -68,11 +54,6 @@ class FFNParams:
                    b1=tc.parameter(np.zeros(d_ff), dtype=dtype),
                    w2=glorot(rng, d_attn, d_ff, dtype),
                    b2=tc.parameter(np.zeros(d_attn), dtype=dtype))
-
-    def named_parameters(self, prefix: str):
-        return self.norm.named_parameters(f"{prefix}.norm") + [
-            (f"{prefix}.w1", self.w1), (f"{prefix}.b1", self.b1),
-            (f"{prefix}.w2", self.w2), (f"{prefix}.b2", self.b2)]
 
 
 def ffn_forward(x: Tensor, p: FFNParams, mask: SequenceMask,
@@ -136,21 +117,6 @@ class MHSAParams:
     wo: Tensor
     heads: int
 
-    def __post_init__(self):
-        d = self.wq.shape[1]
-        for name, w in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv),
-                        ("wo", self.wo)):
-            if w.shape != (d, d):
-                raise ShapeError(f"attention weight {name} must be square "
-                                 f"[{d}, {d}], got {w.shape}")
-        if self.heads < 1 or d % self.heads != 0:
-            raise ConfigError(
-                f"head count {self.heads} must divide the model dim {d}")
-
-    @property
-    def d_attn(self) -> int:
-        return self.wq.shape[1]
-
     @classmethod
     def create(cls, d_attn: int, heads: int, rng: np.random.Generator,
                dtype=np.float32) -> "MHSAParams":
@@ -160,11 +126,6 @@ class MHSAParams:
                    wv=glorot(rng, d_attn, d_attn, dtype),
                    wo=glorot(rng, d_attn, d_attn, dtype),
                    heads=heads)
-
-    def named_parameters(self, prefix: str):
-        return self.norm.named_parameters(f"{prefix}.norm") + [
-            (f"{prefix}.wq", self.wq), (f"{prefix}.wk", self.wk),
-            (f"{prefix}.wv", self.wv), (f"{prefix}.wo", self.wo)]
 
 
 def mhsa_forward(x: Tensor, p: MHSAParams, mask: SequenceMask,
@@ -180,8 +141,9 @@ def mhsa_forward(x: Tensor, p: MHSAParams, mask: SequenceMask,
     if x.ndim != 3:
         raise ShapeError(f"attention expects [B, T, D], got {x.shape}")
     b, t, d = x.shape
-    if d != p.d_attn:
-        raise ShapeError(f"input dim {d} does not match weights for {p.d_attn}")
+    if d != p.wq.shape[1]:
+        raise ShapeError(f"input dim {d} does not match weights for "
+                         f"{p.wq.shape[1]}")
     n_heads, dh = p.heads, d // p.heads
 
     xn = utterance_layernorm(x, mask, p.norm)
@@ -260,28 +222,9 @@ class ConvModuleParams:
     pw2_w: Tensor  # [d_attn, d_attn]
     pw2_b: Tensor  # [d_attn]
 
-    def __post_init__(self):
-        d = self.pw2_w.shape[0]
-        if self.dw_w.ndim != 2 or self.dw_w.shape[1] < 1:
-            raise ConfigError("depthwise kernel size must be at least 1")
-        if self.pw1_w.shape != (2 * d, d) or self.dw_w.shape[0] != d \
-                or self.pw2_w.shape != (d, d):
-            raise ShapeError("inconsistent convolution module shapes")
-
-    @property
-    def d_attn(self) -> int:
-        return self.pw2_w.shape[0]
-
-    @property
-    def kernel(self) -> int:
-        return self.dw_w.shape[1]
-
     @classmethod
     def create(cls, d_attn: int, kernel: int, rng: np.random.Generator,
                dtype=np.float32) -> "ConvModuleParams":
-        if kernel < 1:
-            raise ConfigError(f"depthwise kernel size must be at least 1, "
-                              f"got {kernel}")
         bound = 1.0 / np.sqrt(kernel)
         return cls(norm=NormParams.create(d_attn, dtype=dtype),
                    pw1_w=glorot(rng, 2 * d_attn, d_attn, dtype),
@@ -292,15 +235,6 @@ class ConvModuleParams:
                    bn=NormParams.create(d_attn, dtype=dtype),
                    pw2_w=glorot(rng, d_attn, d_attn, dtype),
                    pw2_b=tc.parameter(np.zeros(d_attn), dtype=dtype))
-
-    def named_parameters(self, prefix: str):
-        return (self.norm.named_parameters(f"{prefix}.norm")
-                + [(f"{prefix}.pw1_w", self.pw1_w),
-                   (f"{prefix}.pw1_b", self.pw1_b),
-                   (f"{prefix}.dw_w", self.dw_w)]
-                + self.bn.named_parameters(f"{prefix}.bn")
-                + [(f"{prefix}.pw2_w", self.pw2_w),
-                   (f"{prefix}.pw2_b", self.pw2_b)])
 
 
 def conv_module_forward(x: Tensor, p: ConvModuleParams, mask: SequenceMask,
@@ -337,17 +271,6 @@ class ConformerBlockParams:
     ffn2: FFNParams
     final_norm: NormParams
 
-    def __post_init__(self):
-        d = self.ffn1.d_attn
-        if not (self.mhsa.d_attn == self.conv.d_attn == self.ffn2.d_attn == d):
-            raise ConfigError("all block sub-modules must share one model dim")
-        if self.final_norm.dim != d:
-            raise ConfigError("final norm dim must match the model dim")
-
-    @property
-    def d_attn(self) -> int:
-        return self.ffn1.d_attn
-
     @classmethod
     def create(cls, d_attn: int, rng: np.random.Generator, heads: int = 4,
                kernel: int = 16, dtype=np.float32) -> "ConformerBlockParams":
@@ -356,13 +279,6 @@ class ConformerBlockParams:
                    conv=ConvModuleParams.create(d_attn, kernel, rng, dtype),
                    ffn2=FFNParams.create(d_attn, rng, dtype),
                    final_norm=NormParams.create(d_attn, dtype=dtype))
-
-    def named_parameters(self, prefix: str):
-        return (self.ffn1.named_parameters(f"{prefix}.ffn1")
-                + self.mhsa.named_parameters(f"{prefix}.mhsa")
-                + self.conv.named_parameters(f"{prefix}.conv")
-                + self.ffn2.named_parameters(f"{prefix}.ffn2")
-                + self.final_norm.named_parameters(f"{prefix}.final_norm"))
 
 
 def conformer_block_forward(x: Tensor, p: ConformerBlockParams,

@@ -22,7 +22,7 @@ from . import tensor as tc
 from . import wrcnn as wr
 from .masking import (NormParams, SequenceMask, masked_softmax,
                       utterance_batchnorm, utterance_layernorm)
-from .model import ModelParams, micro_config, model_forward
+from .model import ModelParams, micro_config, model_forward, walk_parameters
 from .rng import keyed
 from .training import masked_cross_entropy
 
@@ -120,7 +120,7 @@ def _branch_check(seed: int, tag: str, make, forward,
     mask = _mask([6, 4])
     block = make(rng)
     x = _p(rng, *x_shape)
-    params = dict(block.named_parameters("m"))
+    params = dict(walk_parameters(block, "m"))
     params["x"] = x
 
     def f(p):

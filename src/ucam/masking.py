@@ -101,14 +101,6 @@ class NormParams:
     beta: Tensor
     eps: float = 1e-5
 
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
-        if self.gamma.ndim != 1 or self.gamma.shape != self.beta.shape:
-            raise ShapeError(
-                f"gamma/beta must be equal-length vectors, got "
-                f"{self.gamma.shape} and {self.beta.shape}")
-
     @classmethod
     def create(cls, dim: int, eps: float = 1e-5, dtype=np.float32) -> "NormParams":
         return cls(gamma=tc.parameter(np.ones(dim), dtype=dtype),
@@ -118,9 +110,6 @@ class NormParams:
     @property
     def dim(self) -> int:
         return self.gamma.shape[0]
-
-    def named_parameters(self, prefix: str):
-        return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
 
 
 def _masked_norm(x: Tensor, m: np.ndarray, p: NormParams, axes: tuple,

@@ -3,13 +3,14 @@
 The pipeline per frame: convolutional frontend over the feature planes, a
 linear projection into the encoder width, a stack of Conformer blocks, then
 a two-layer classification head emitting per-frame log-posteriors over
-senone classes. Checkpoints store the config and every named tensor in a
-binary container and round-trip bit-exactly.
+senone classes. Checkpoints store the config and every tensor, named by
+:func:`walk_parameters`, in a binary container and round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,21 +83,52 @@ def config_to_dict(cfg: AcousticModelConfig) -> dict:
     return d
 
 
-def _unknown(cls, d: dict, prefix: str = "") -> list[str]:
-    known = {f.name for f in dataclasses.fields(cls)}
-    return [prefix + k for k in sorted(set(d) - known)]
+def typed(value, default, key: str):
+    """``value``, checked against the JSON type of ``default``: an int
+    passes for a float and becomes one; a bool or float is no int."""
+    if isinstance(default, float) and type(value) is int:
+        return float(value)
+    if type(value) is not type(default):
+        raise ConfigError(f"{key} must be of type {type(default).__name__}, "
+                          f"got {json.dumps(value)}")
+    if isinstance(default, list):
+        return [typed(v, default[0], f"{key}[{i}]")
+                for i, v in enumerate(value)]
+    return value
+
+
+def overlay(base: dict, user, prefix: str = "") -> dict:
+    """``base`` overlaid with ``user``, each value checked by :func:`typed`
+    and named ``prefix`` + its dotted path; all unknown keys in one error."""
+    unknown = []
+
+    def merge(base, user, prefix):
+        if not isinstance(user, dict):
+            raise ConfigError(f"{prefix.rstrip('.') or 'run config'} must "
+                              f"be a JSON object")
+        out = dict(base)
+        for k, v in user.items():
+            if k not in base:
+                unknown.append(prefix + k)
+            elif isinstance(base[k], dict):
+                out[k] = merge(base[k], v, f"{prefix}{k}.")
+            else:
+                out[k] = typed(v, base[k], prefix + k)
+        return out
+
+    out = merge(base, user, prefix)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    return out
 
 
 def config_from_dict(d: dict) -> AcousticModelConfig:
-    d = dict(d)
-    w = dict(d.pop("wrcnn", {}))
-    unknown = (_unknown(AcousticModelConfig, d)
-               + _unknown(WRCNNConfig, w, "wrcnn."))
-    if unknown:
-        raise ConfigError(f"unknown model config keys: {', '.join(unknown)}")
-    for key in ("multipliers", "strides"):
-        if key in w:
-            w[key] = tuple(w[key])
+    """The defaults overlaid with ``d``, a run config's "model" group or a
+    checkpoint header's "config", under :func:`overlay`'s type rules."""
+    d = overlay(config_to_dict(AcousticModelConfig()), d)
+    w = d.pop("wrcnn")
+    w["multipliers"] = tuple(w["multipliers"])
+    w["strides"] = tuple(w["strides"])
     return AcousticModelConfig(**d, wrcnn=WRCNNConfig(**w))
 
 
@@ -131,18 +163,40 @@ class ModelParams:
             w_h2=glorot(rng, cfg.n_senones, cfg.head_hidden, dtype),
             b_h2=tc.parameter(np.zeros(cfg.n_senones), dtype=dtype))
 
-    def named_parameters(self):
-        named = self.wrcnn.named_parameters("wrcnn")
-        named += [("proj.w", self.w_proj), ("proj.b", self.b_proj)]
-        for i, blk in enumerate(self.blocks):
-            named += blk.named_parameters(f"enc{i}")
-        named += [("head.w1", self.w_h1), ("head.b1", self.b_h1),
-                  ("head.w2", self.w_h2), ("head.b2", self.b_h2)]
-        return named
+    def named_parameters(self) -> list:
+        return walk_parameters(self)
 
     def set_requires_grad(self, flag: bool) -> None:
         for _, t in self.named_parameters():
             t.requires_grad = flag
+
+
+# Record names that are not the field name, by (container, field); a
+# list's items append their index to it.
+RECORD_NAMES = {
+    (WRCNNParams, "blocks"): "block", (ModelParams, "blocks"): "enc",
+    (ModelParams, "w_proj"): "proj.w", (ModelParams, "b_proj"): "proj.b",
+    (ModelParams, "w_h1"): "head.w1", (ModelParams, "b_h1"): "head.b1",
+    (ModelParams, "w_h2"): "head.w2", (ModelParams, "b_h2"): "head.b2"}
+
+
+def walk_parameters(p, prefix: str = "") -> list:
+    """``(record name, tensor)`` for every tensor in the container ``p``,
+    in field order: the dotted field path below ``prefix``, renamed by
+    RECORD_NAMES. None and other non-tensor fields (eps, heads) add none."""
+    named = []
+    for f in dataclasses.fields(p):
+        value = getattr(p, f.name)
+        name = RECORD_NAMES.get((type(p), f.name), f.name)
+        name = f"{prefix}.{name}" if prefix else name
+        if isinstance(value, Tensor):
+            named.append((name, value))
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                named += walk_parameters(item, f"{name}{i}")
+        elif dataclasses.is_dataclass(value):
+            named += walk_parameters(value, name)
+    return named
 
 
 def count_params(params: ModelParams) -> int:

@@ -19,8 +19,9 @@ from . import tensor as tc
 from .data import Batch, batch_pad
 from .errors import ConfigError, DataError, DivergenceError, NumericError
 from .masking import SequenceMask, apply_mask
-from .model import (ModelParams, config_to_dict, load_checkpoint,
-                    model_forward, save_checkpoint)
+from .model import (AcousticModelConfig, Checkpoint, ModelParams,
+                    config_to_dict, load_checkpoint, model_forward,
+                    save_checkpoint)
 from .rng import keyed
 
 
@@ -299,6 +300,15 @@ class _TrainLog:
         self.f.close()
 
 
+def load_matching(path, cfg: AcousticModelConfig) -> Checkpoint:
+    """The checkpoint at ``path``; a run resumes only its own model."""
+    ck = load_checkpoint(path)
+    if config_to_dict(ck.params.cfg) != config_to_dict(cfg):
+        raise ConfigError(f"checkpoint {path} was trained with a different "
+                          f"model config")
+    return ck
+
+
 def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
         out_dir, resume_from=None) -> dict:
     """Train, track the best dev checkpoint, optionally fine-tune with EMA.
@@ -314,13 +324,15 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
     adam = AdamState(named)
     start = 1
     best_dev = math.inf
-    if resume_from is not None:
-        ck = load_checkpoint(resume_from)
-        if config_to_dict(ck.params.cfg) != config_to_dict(params.cfg):
-            raise ConfigError("resume checkpoint was trained with a "
-                              "different model config")
+
+    def restore(path) -> Checkpoint:
+        ck = load_matching(path, params.cfg)
         for (_, dst), (_, src) in zip(named, ck.params.named_parameters()):
             dst.data = src.data
+        return ck
+
+    if resume_from is not None:
+        ck = restore(resume_from)
         adam.load_state(ck.extra, ck.step)
         start = ck.step + 1
         best_dev = ck.header.get("best_dev", math.inf)
@@ -359,10 +371,7 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
         if cfg.finetune_steps > 0:
             best_path = os.path.join(out_dir, "best.ckpt")
             if os.path.exists(best_path):
-                ck = load_checkpoint(best_path)
-                for (_, dst), (_, src) in zip(
-                        named, ck.params.named_parameters()):
-                    dst.data = src.data
+                restore(best_path)
             ft_adam = AdamState(named)
             ema = EMAState(named, decay=cfg.ema_decay)
             for i in range(1, cfg.finetune_steps + 1):

@@ -144,15 +144,6 @@ class ResidualBlockParams:
     proj: Tensor | None  # [out_c, in_c, 1, 1]
     stride_f: int = 1
 
-    def __post_init__(self):
-        out_c, in_c = self.conv1.shape[:2]
-        needs_proj = in_c != out_c or self.stride_f != 1
-        if needs_proj and self.proj is None:
-            raise ConfigError("skip projection required when channels or "
-                              "stride change")
-        if self.conv2.shape[:2] != (out_c, out_c):
-            raise ShapeError("second conv must preserve the block's channels")
-
     @classmethod
     def create(cls, in_c: int, out_c: int, stride_f: int, kernel: int,
                rng: np.random.Generator, dtype=np.float32):
@@ -164,15 +155,6 @@ class ResidualBlockParams:
                    proj=(he_conv(rng, out_c, in_c, 1, 1, dtype)
                          if needs_proj else None),
                    stride_f=stride_f)
-
-    def named_parameters(self, prefix: str):
-        named = (self.bn1.named_parameters(f"{prefix}.bn1")
-                 + [(f"{prefix}.conv1", self.conv1)]
-                 + self.bn2.named_parameters(f"{prefix}.bn2")
-                 + [(f"{prefix}.conv2", self.conv2)])
-        if self.proj is not None:
-            named.append((f"{prefix}.proj", self.proj))
-        return named
 
 
 def residual_block_forward(x: Tensor, p: ResidualBlockParams,
@@ -217,15 +199,6 @@ class WRCNNParams:
                    bn=NormParams.create(chans[-1], dtype=dtype),
                    w_out=glorot(rng, out_dim, flat_dim, dtype),
                    b_out=tc.parameter(np.zeros(out_dim), dtype=dtype))
-
-    def named_parameters(self, prefix: str):
-        named = [(f"{prefix}.stem", self.stem)]
-        for i, blk in enumerate(self.blocks):
-            named += blk.named_parameters(f"{prefix}.block{i}")
-        named += self.bn.named_parameters(f"{prefix}.bn")
-        named += [(f"{prefix}.w_out", self.w_out),
-                  (f"{prefix}.b_out", self.b_out)]
-        return named
 
 
 def wrcnn_forward(x: Tensor, p: WRCNNParams, mask: SequenceMask) -> Tensor:

@@ -24,7 +24,8 @@ from ucam.conformer import positional_encoding
 from ucam.masking import (NormParams, SequenceMask, masked_softmax,
                           utterance_batchnorm, utterance_layernorm)
 from ucam.model import (ModelParams, count_params, desk_config, load_checkpoint,
-                        micro_config, model_forward, save_checkpoint)
+                        micro_config, model_forward, save_checkpoint,
+                        walk_parameters)
 from ucam.rng import keyed
 
 
@@ -351,9 +352,9 @@ def _model_count(cfg):
 def test_gate_08_parameter_accounting():
     rng = keyed(8, "count")
     ffn = sum(t.size for _, t in
-              cf.FFNParams.create(256, rng).named_parameters("f"))
+              walk_parameters(cf.FFNParams.create(256, rng), "f"))
     mhsa = sum(t.size for _, t in
-               cf.MHSAParams.create(256, 4, rng).named_parameters("a"))
+               walk_parameters(cf.MHSAParams.create(256, 4, rng), "a"))
     configs = [micro_config(), desk_config(),
                desk_config(feat_dim=32, n_senones=64, d_attn=128,
                            heads=4, n_blocks=3)]

