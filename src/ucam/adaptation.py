@@ -171,7 +171,10 @@ def load_lin(path) -> LinTransform:
     header, tensors = serial.read_container(path)
     if header.get("kind") != "lin":
         raise StructureError(f"not a LIN file (kind={header.get('kind')!r})")
-    speaker = header["speaker"]
+    speaker = header.get("speaker")
+    if not isinstance(speaker, str):
+        raise StructureError(f"LIN file header needs a speaker name, got "
+                             f"{speaker!r}")
     name = f"lin.{speaker}"
     if name not in tensors:
         raise StructureError(f"LIN file is missing tensor '{name}'")

@@ -190,9 +190,15 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
     pr = kk - 1 - pl
     xp = np.pad(x.data, ((0, 0), (0, 0), (pl, pr)))
     wd = w.data
-    out = np.zeros_like(x.data)
+    # sum the taps in xp's C order, where each tap reads contiguous memory
+    acc = np.zeros(x.shape, x.data.dtype)
+    tap = np.empty_like(acc)  # one tap's products at a time
     for j in range(kk):
-        out += wd[:, j][None, :, None] * xp[:, :, j:j + t]
+        acc += np.multiply(wd[:, j][None, :, None], xp[:, :, j:j + t], out=tap)
+    # the output keeps the input's memory order, on which the rounding of
+    # later sums over it depends
+    out = np.empty_like(x.data)
+    out[...] = acc
 
     need_x, need_w = tc.needs_grad(x), tc.needs_grad(w)
 
@@ -203,8 +209,11 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
         if not need_x:
             return None, dw
         dxp = np.zeros_like(xp)
+        gc = np.ascontiguousarray(g)  # one copy, then contiguous tap reads
+        tap = np.empty_like(gc)
         for j in range(kk):
-            dxp[:, :, j:j + t] += g * wd[:, j][None, :, None]
+            dxp[:, :, j:j + t] += np.multiply(gc, wd[:, j][None, :, None],
+                                              out=tap)
         return dxp[:, :, pl:pl + t], dw
 
     return tc.from_op(out, (x, w), bwd, "depthwise_conv1d")

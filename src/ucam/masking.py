@@ -121,13 +121,18 @@ def _masked_norm(x: Tensor, m: np.ndarray, p: NormParams, axes: tuple,
     gamma/beta broadcast as ``cshape``. The output is zero where ``m`` is
     0, and gamma/beta gradients accumulate from valid entries only.
     """
-    xd = x.data * m  # padding junk, however large, never meets a statistic
-    mu = xd.sum(axis=axes, keepdims=True) / counts
-    var = (((xd - mu) ** 2) * m).sum(axis=axes, keepdims=True) / counts
-    inv = 1.0 / np.sqrt(var + np.asarray(p.eps, dtype=xd.dtype))
-    xhat = (xd - mu) * inv
+    xc = x.data * m  # padding junk, however large, never meets a statistic
+    mu = xc.sum(axis=axes, keepdims=True) / counts
+    xc -= mu
+    sq = np.square(xc)
+    sq *= m
+    var = sq.sum(axis=axes, keepdims=True) / counts
+    inv = 1.0 / np.sqrt(var + np.asarray(p.eps, dtype=xc.dtype))
+    xhat = np.multiply(xc, inv, out=xc)
     gamma, beta = p.gamma.data.reshape(cshape), p.beta.data.reshape(cshape)
-    y = (xhat * gamma + beta) * m
+    y = np.multiply(xhat, gamma, out=sq)
+    y += beta
+    y *= m
     # every axis but the channel axis; all of them when there is one channel
     param_axes = tuple(a for a, n in enumerate(cshape) if n == 1)
     need_x, need_gamma, need_beta = (tc.needs_grad(x), tc.needs_grad(p.gamma),
@@ -135,16 +140,21 @@ def _masked_norm(x: Tensor, m: np.ndarray, p: NormParams, axes: tuple,
 
     def bwd(g):
         gm = g * m
-        dgamma = ((gm * xhat).sum(axis=param_axes).reshape(p.dim)
-                  if need_gamma else None)
+        gx = gm * xhat if need_gamma else None
+        dgamma = gx.sum(axis=param_axes).reshape(p.dim) if need_gamma else None
         dbeta = gm.sum(axis=param_axes).reshape(p.dim) if need_beta else None
         if not need_x:
             return None, dgamma, dbeta
-        ghat = gm * gamma
+        # dx = inv * (ghat - mean(ghat) - xhat * mean(ghat * xhat)) * m
+        ghat = np.multiply(gm, gamma, out=gm)
         mean_g = ghat.sum(axis=axes, keepdims=True) / counts
-        mean_gx = (ghat * xhat).sum(axis=axes, keepdims=True) / counts
-        dx = inv * (ghat - mean_g - xhat * mean_gx) * m
-        return dx, dgamma, dbeta
+        gx = np.multiply(ghat, xhat, out=gx)
+        mean_gx = gx.sum(axis=axes, keepdims=True) / counts
+        ghat -= mean_g
+        ghat -= np.multiply(xhat, mean_gx, out=gx)
+        ghat *= inv
+        ghat *= m
+        return ghat, dgamma, dbeta
 
     return tc.from_op(y, (x, p.gamma, p.beta), bwd, op)
 
@@ -206,13 +216,18 @@ def masked_softmax(scores: Tensor, mask: SequenceMask) -> Tensor:
 
     # Push masked keys far below the valid scores before the max-shift, then
     # zero them exactly after exponentiation.
-    z = scores.data - (1.0 - mk) * np.asarray(1e9, dtype=dt)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z) * mk
-    y = e / e.sum(axis=-1, keepdims=True)
-    y = y * mq
+    y = scores.data - (1.0 - mk) * np.asarray(1e9, dtype=dt)
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y *= mk
+    y /= y.sum(axis=-1, keepdims=True)
+    y *= mq
 
     def bwd(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+        # y * (g - sum(g * y))
+        d = g * y
+        np.subtract(g, d.sum(axis=-1, keepdims=True), out=d)
+        d *= y
+        return (d,)
 
     return tc.from_op(y, (scores,), bwd, "masked_softmax")

@@ -254,6 +254,11 @@ def load_checkpoint(path) -> Checkpoint:
     if header.get("kind") != "model":
         raise StructureError(
             f"not a model checkpoint (kind={header.get('kind')!r})")
+    if "config" not in header:
+        raise StructureError("model checkpoint header has no 'config'")
+    if not isinstance(header["config"], dict):
+        raise ConfigError(f"checkpoint config must be a JSON object, got "
+                          f"{json.dumps(header['config'])[:80]}")
     cfg = config_from_dict(header["config"])
     params = ModelParams.create(cfg)
     seen = set()

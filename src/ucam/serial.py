@@ -86,6 +86,9 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             header = json.loads(raw.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise FileFormatError(f"unreadable header: {e}") from None
+        if not isinstance(header, dict):
+            raise FileFormatError(f"header must be a JSON object, got "
+                                  f"{json.dumps(header)[:80]}")
 
         tensors: dict[str, np.ndarray] = {}
         while True:

@@ -27,6 +27,12 @@ adaptation, which trains only an input transform, skips every weight
 gradient of the model it runs through. :func:`backward` still drops any
 gradient a parent does not need, so an op whose gradient costs nothing,
 such as one passing the output gradient through, may skip the test.
+
+Kernels work in place on buffers they own, with ``out=`` and augmented
+assignment, to spare full-size temporaries. A backward closure never writes
+into its incoming gradient, nor into any array it did not allocate in that
+call: :func:`add` hands one gradient array to both of its parents, and the
+forward arrays a closure reads may be another op's input or output.
 """
 
 from __future__ import annotations
@@ -143,9 +149,11 @@ def from_op(data: np.ndarray, parents: Sequence[Tensor],
     ``backward`` receives the output gradient and must return one gradient
     (or None) per parent, each matching the parent's shape. Compute a
     parent's gradient only when ``needs_grad(parent)`` held at forward time;
-    return None otherwise. When no parent needs a gradient the node
-    collapses to a constant, so eval-mode code pays nothing for graph
-    bookkeeping.
+    return None otherwise. ``backward`` may write only into arrays it
+    allocated in that call, never into the output gradient, which
+    :func:`add` hands to two parents, nor into a forward array. When no
+    parent needs a gradient the node collapses to a constant, so eval-mode
+    code pays nothing for graph bookkeeping.
     """
     if _CHECK_FINITE and not np.isfinite(data).all():
         raise NumericError(f"non-finite values produced by op '{op}'")
@@ -319,18 +327,30 @@ def pad_last(a: Tensor, target: int) -> Tensor:
 
 
 def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
-    # exp of a non-positive argument never overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # exp of a non-positive argument never overflows: 1 / (1 + e) where
+    # x >= 0, e / (1 + e) elsewhere. As e <= 1, max(e, [x >= 0]) is that
+    # numerator, with no branch per element.
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
+    d = 1.0 + e
+    np.maximum(e, x >= 0, out=e)
+    return np.divide(e, d, out=e)
 
 
 def swish(a: Tensor) -> Tensor:
     """x * sigmoid(x)."""
     s = _sigmoid_raw(a.data)
-    out = a.data * s
+    # the backward reads s, so only a no-grad forward may overwrite it
+    out = np.multiply(a.data, s, out=None if needs_grad(a) else s)
 
     def bwd(g):
-        return (g * (s * (1.0 + a.data * (1.0 - s))),)
+        # g * (s * (1 + x * (1 - s)))
+        d = np.subtract(1.0, s)
+        d *= a.data
+        d += 1.0
+        d *= s
+        d *= g
+        return (d,)
     return from_op(out, (a,), bwd, "swish")
 
 
@@ -356,16 +376,20 @@ def glu(a: Tensor, axis: int = -1) -> Tensor:
     c = a.shape[axis]
     if c % 2 != 0:
         raise ShapeError(f"glu: axis {axis} has odd extent {c} in shape {a.shape}")
-    half = c // 2
-    v = np.take(a.data, range(half), axis=axis)
-    u = np.take(a.data, range(half, c), axis=axis)
+    # halves in C order, whatever the input's layout
+    v, u = np.split(np.ascontiguousarray(a.data), 2, axis=axis)
     s = _sigmoid_raw(u)
-    out = v * s
+    out = np.multiply(v, s, out=None if needs_grad(a) else s)
 
     def bwd(g):
-        dv = g * s
-        du = g * v * s * (1.0 - s)
-        return (np.concatenate([dv, du], axis=axis),)
+        da = np.empty(a.shape, a.data.dtype)
+        dv, du = np.split(da, 2, axis=axis)
+        # du = g * v * s * (1 - s); dv holds 1 - s until g * s is due
+        np.multiply(g, v, out=du)
+        du *= s
+        du *= np.subtract(1.0, s, out=dv)
+        np.multiply(g, s, out=dv)
+        return (da,)
     return from_op(out, (a,), bwd, "glu")
 
 
@@ -377,7 +401,8 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     if rng is None:
         raise ConfigError("dropout with p > 0 needs an explicit rng")
-    keep = (rng.random(a.shape) >= p).astype(a.data.dtype) / (1.0 - p)
+    keep = (rng.random(a.shape) >= p).astype(a.data.dtype)
+    keep /= 1.0 - p
     return mul_const(a, keep, op="dropout")
 
 

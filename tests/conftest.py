@@ -1,0 +1,20 @@
+"""Pin BLAS to one thread for the whole test session.
+
+Gates 01 and 06 bound ``time.process_time()``, which counts the CPU time of
+every thread of the process. With BLAS on one thread those bounds mean the
+same on a 2-core and a 64-core machine. BLAS reads these variables once,
+when numpy loads, so this file must run before anything imports numpy.
+"""
+
+import os
+import sys
+
+if "numpy" in sys.modules:
+    raise RuntimeError(
+        "numpy was imported before tests/conftest.py could pin BLAS to one "
+        "thread, so the CPU-time bounds of the gates would count every BLAS "
+        "thread; run the tests with `python -m pytest` from the repository "
+        "root, without a plugin or startup file that imports numpy")
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ from ucam import cli
 from ucam import data as dp
 from ucam import serial
 from ucam.adaptation import load_lin
+from ucam.errors import FileFormatError, StructureError
 from ucam.model import (ModelParams, config_to_dict, load_checkpoint,
                         micro_config)
 
@@ -226,6 +228,38 @@ def test_eval_wrong_typed_checkpoint_header_exits_2(tmp_path, capsys, path,
     assert run(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 2
     key = ".".join(path)
     assert f"config error: {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header,code,cause", [
+    ([1, 2], 3, "header must be a JSON object, got [1, 2]"),
+    ({"kind": "model", "step": 0}, 3, "checkpoint header has no 'config'"),
+    ({"kind": "model", "config": [1, 2], "step": 0}, 2,
+     "checkpoint config must be a JSON object")],
+    ids=["header_not_object", "config_missing", "config_not_object"])
+def test_eval_malformed_checkpoint_header_names_the_cause(tmp_path, capsys,
+                                                          header, code,
+                                                          cause):
+    params = ModelParams.create(micro_config())
+    ckpt = tmp_path / "bad.ckpt"
+    serial.write_container(ckpt, header,
+                           [(n, t.data) for n, t in params.named_parameters()])
+    data = synth(tmp_path, classes=5)
+    assert run(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == code
+    assert cause in capsys.readouterr().err
+
+
+# a LIN file is read only by the library, so its header cases call load_lin
+@pytest.mark.parametrize("header,error,cause", [
+    ([1, 2], FileFormatError, "header must be a JSON object"),
+    ({"kind": "lin"}, StructureError, "needs a speaker name, got None")],
+    ids=["header_not_object", "speaker_missing"])
+def test_load_lin_malformed_header_names_the_cause(tmp_path, header, error,
+                                                    cause):
+    path = tmp_path / "bad.lin"
+    serial.write_container(path, header,
+                           [("lin.spk0", np.eye(8, dtype=np.float32))])
+    with pytest.raises(error, match=re.escape(cause)):
+        load_lin(path)
 
 
 def test_rejected_resume_leaves_effective_config(tmp_path, capsys):
