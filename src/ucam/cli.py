@@ -164,7 +164,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = gc.run_gradcheck(seed=args.seed, mutate=args.mutate)
+    results = gc.run_gradcheck(seed=args.seed)
     worst = 0.0
     for name, err in results.items():
         status = "PASS" if err < gc.THRESHOLD else "FAIL"
@@ -246,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gradcheck",
                        help="finite-difference audit of every module")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--mutate", action="store_true",
-                   help=argparse.SUPPRESS)  # test hook: sign-flipped op
     g.set_defaults(fn=cmd_gradcheck)
 
     a = sub.add_parser("adapt", help="LIN adaptation for one speaker")

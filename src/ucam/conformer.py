@@ -3,9 +3,10 @@
 Each block runs, in order: a half-step feed-forward module, scaled sinusoidal
 position information, multi-head self-attention, a time-depthwise convolution
 module, a second half-step feed-forward module, and a closing LayerNorm.
-Every sub-module is pre-norm with utterance-wise statistics, adds its input
-back as a residual, and keeps padded frames at exactly zero inside the branch
-so padding never contaminates valid frames.
+Every sub-module is pre-norm with utterance-wise statistics and adds its
+input back as a residual. Padding never reaches a valid frame, and every
+branch ends at exactly zero in the padded frames, so a zero-padded input
+stays zero-padded; the ``masking`` module says where the masks go.
 """
 
 from __future__ import annotations
@@ -61,8 +62,7 @@ def ffn_forward(x: Tensor, p: FFNParams, mask: SequenceMask,
                 rng: np.random.Generator | None = None) -> Tensor:
     """x + half of the dropped-out feed-forward branch."""
     h = utterance_layernorm(x, mask, p.norm)
-    h = apply_mask(tc.linear(h, p.w1, p.b1), mask)
-    h = tc.dropout(tc.swish(h), dropout_p, rng)
+    h = tc.dropout(tc.swish(tc.linear(h, p.w1, p.b1)), dropout_p, rng)
     h = apply_mask(tc.linear(h, p.w2, p.b2), mask)
     h = tc.dropout(h, dropout_p, rng)
     return tc.add(x, tc.scale(h, 0.5))
@@ -253,14 +253,15 @@ def conv_module_forward(x: Tensor, p: ConvModuleParams, mask: SequenceMask,
 
     The branch expands to 2d channels, gates down to d with a GLU (first half
     value, second half gate), convolves each channel over time, normalizes
-    per utterance, applies Swish and projects back. Masking after every conv
-    keeps the depthwise window from ever reading nonzero padding.
+    per utterance, applies Swish and projects back. The depthwise window
+    reads masked GLU input, so it never sees nonzero padding; its own output
+    needs no mask, because the BatchNorm after it masks its input.
     """
     h = utterance_layernorm(x, mask, p.norm)
     h = apply_mask(tc.linear(h, p.pw1_w, p.pw1_b), mask)
     h = tc.glu(h, axis=-1)
     h = tc.transpose(h, (0, 2, 1))  # [B, d, T] for the time convolution
-    h = apply_mask(depthwise_conv1d(h, p.dw_w), mask, time_axis=-1)
+    h = depthwise_conv1d(h, p.dw_w)
     h = tc.swish(utterance_batchnorm(h, mask, p.bn))
     h = tc.transpose(h, (0, 2, 1))
     h = apply_mask(tc.linear(h, p.pw2_w, p.pw2_b), mask)

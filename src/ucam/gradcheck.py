@@ -38,7 +38,7 @@ def _p(rng, *shape):
     return tc.parameter(rng.standard_normal(shape))
 
 
-def check_tensor_ops(seed: int, mutate: bool = False) -> float:
+def check_tensor_ops(seed: int) -> float:
     """Composite chain over the core op set."""
     rng = keyed(seed, "gc-tensor")
     params = {"x": _p(rng, 3, 4), "w": _p(rng, 4, 5), "b": _p(rng, 5),
@@ -51,16 +51,10 @@ def check_tensor_ops(seed: int, mutate: bool = False) -> float:
                       tc.elu(tc.transpose(h, (1, 0))))
         h = tc.glu(tc.reshape(h, (5, 10)), axis=-1)
         h = tc.log_softmax(h)
-        h = tc.scale(h, -0.5) if not mutate else _bad_scale(h, -0.5)
+        h = tc.scale(h, -0.5)
         return tc.sum_all(tc.mul(h, h))
 
     return tc.grad_check(f, params, eps=1e-4, rng=keyed(seed, "gc-pick"))
-
-
-def _bad_scale(a, c):
-    # deliberate sign flip in the backward; exists so the harness can be
-    # shown to fail loudly when a gradient is wrong
-    return tc.from_op(a.data * c, (a,), lambda g: (-g * c,), "bad_scale")
 
 
 def check_layernorm(seed: int) -> float:
@@ -199,9 +193,6 @@ CHECKS = {
 }
 
 
-def run_gradcheck(seed: int = 0, modules=None, mutate: bool = False) -> dict:
-    """Max relative FD error per module. ``mutate`` flips one op's gradient
-    sign inside the tensor_ops check; the suite must then report a failure.
-    """
-    return {name: CHECKS[name](seed, mutate=mutate) if name == "tensor_ops"
-            else CHECKS[name](seed) for name in (modules or CHECKS)}
+def run_gradcheck(seed: int = 0) -> dict:
+    """Max relative FD error per module."""
+    return {name: check(seed) for name, check in CHECKS.items()}

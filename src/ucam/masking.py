@@ -13,6 +13,14 @@ gradient. Concretely:
 * :func:`masked_softmax` gives padded key positions exactly zero attention
   weight.
 
+The models mask a value only where padding could otherwise reach a valid
+frame or a module's output: before an op that reads across time without
+masking its own input (``conv2d``, ``depthwise_conv1d``, attention), and at
+the end of a module's branch. The norms and the softmax mask their own
+input, and per-frame ops (linear layers, activations, dropout) never move
+a value between frames, so finite junk in front of them needs no mask: it
+stays in its padded frame, and the next mask gives it a zero gradient.
+
 BatchNorm here keeps no running statistics: train and eval both normalize
 with per-utterance statistics, so results do not depend on how a batch was
 assembled.

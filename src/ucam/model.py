@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,7 +215,9 @@ def model_forward(x: Tensor, mask: SequenceMask, p: ModelParams,
     """
     dp = p.cfg.dropout if train else 0.0
     h = wrcnn_forward(x, p.wrcnn, mask)
-    h = apply_mask(tc.linear(h, p.w_proj, p.b_proj), mask)
+    # no mask: the blocks' norms and add_position, or the head's mask when
+    # there are no blocks, zero the padding before anything reads across time
+    h = tc.linear(h, p.w_proj, p.b_proj)
     for blk in p.blocks:
         h = conformer_block_forward(h, blk, mask, dp, rng)
     h = apply_mask(tc.linear(h, p.w_h1, p.b_h1), mask)
@@ -259,6 +262,14 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(header["config"], dict):
         raise ConfigError(f"checkpoint config must be a JSON object, got "
                           f"{json.dumps(header['config'])[:80]}")
+    step = header.get("step", 0)
+    if type(step) is not int or step < 0:
+        raise StructureError(f"checkpoint header 'step' must be a "
+                             f"non-negative integer, got {json.dumps(step)}")
+    best_dev = header.get("best_dev", 0.0)
+    if type(best_dev) not in (int, float) or not math.isfinite(best_dev):
+        raise StructureError(f"checkpoint header 'best_dev' must be a finite "
+                             f"number, got {json.dumps(best_dev)[:80]}")
     cfg = config_from_dict(header["config"])
     params = ModelParams.create(cfg)
     seen = set()
@@ -273,5 +284,4 @@ def load_checkpoint(path) -> Checkpoint:
         t.data = arr
         seen.add(name)
     extra = {k: v for k, v in tensors.items() if k not in seen}
-    return Checkpoint(params=params, step=int(header.get("step", 0)),
-                      extra=extra, header=header)
+    return Checkpoint(params=params, step=step, extra=extra, header=header)

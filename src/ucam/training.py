@@ -201,6 +201,9 @@ def evaluate(params: ModelParams, utts, batch_size: int = 4,
 # fit
 
 
+FINETUNE_LR = 1e-5  # the EMA fine-tune's constant learning rate
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     steps: int = 500
@@ -209,9 +212,7 @@ class TrainConfig:
     lr_factor: float = 5.0
     seed: int = 0
     eval_every: int = 50
-    grad_clip: float = 0.0
     finetune_steps: int = 0
-    finetune_lr: float = 1e-5
     ema_decay: float = 0.999
 
     def __post_init__(self):
@@ -221,20 +222,6 @@ class TrainConfig:
         if self.finetune_steps < 0:
             raise ConfigError("finetune_steps must be >= 0")
 
-
-def _clip_gradients(named, limit: float) -> None:
-    if limit <= 0.0:
-        return
-    sq = 0.0
-    grads = [p.grad for _, p in named
-             if p.requires_grad and p.grad is not None]
-    for g in grads:
-        sq += float((g.astype(np.float64) ** 2).sum())
-    norm = math.sqrt(sq)
-    if norm > limit:
-        s = limit / norm
-        for g in grads:
-            g *= s
 
 def _batch_for_step(utts, step: int, cfg: TrainConfig, cache: dict) -> Batch:
     # Epoch and position follow from the step alone, which is what makes
@@ -262,7 +249,6 @@ def _train_step(params, batch: Batch, adam: AdamState, lr: float,
         raise DivergenceError(f"non-finite training loss at step {step}; "
                               f"the last saved checkpoint is still good")
     tc.backward(loss)
-    _clip_gradients(named, cfg.grad_clip)
     adam.apply(lr)
     tc.zero_grad(named)
     return value
@@ -378,15 +364,15 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
                 step = cfg.steps + i
                 batch = _batch_for_step(train_utts, step, cfg, cache)
                 value = _train_step(params, batch, ft_adam,
-                                    cfg.finetune_lr, cfg, step, named)
+                                    FINETUNE_LR, cfg, step, named)
                 ema.update()
                 dev = None
                 if i % cfg.eval_every == 0 or i == cfg.finetune_steps:
                     with ema.swapped():
                         dev = evaluate(params, dev_utts,
                                        batch_size=cfg.batch_size)
-                log.row(step, cfg.finetune_lr, value, dev)
-                history.append((step, cfg.finetune_lr, value, dev))
+                log.row(step, FINETUNE_LR, value, dev)
+                history.append((step, FINETUNE_LR, value, dev))
             save_checkpoint(params, os.path.join(out_dir, "final.ckpt"),
                             step=cfg.steps + cfg.finetune_steps)
             with ema.swapped():

@@ -4,8 +4,9 @@ A stem convolution, three pre-activation residual blocks that shrink the
 frequency axis while always preserving time, then an utterance-wise
 BatchNorm, a flatten of channels x frequency per frame, and a linear + ELU
 projection. Frame-level targets require the time axis to survive untouched,
-so every stride applies to frequency only, and masking between layers keeps
-time-axis kernels from reading anything but zeros in the padding.
+so every stride applies to frequency only. Each convolution reads a masked
+input or the output of a norm, which masks its own, so time-axis kernels
+read nothing but zeros in the padding.
 """
 
 from __future__ import annotations
@@ -160,15 +161,13 @@ class ResidualBlockParams:
 def residual_block_forward(x: Tensor, p: ResidualBlockParams,
                            mask: SequenceMask) -> Tensor:
     o = tc.relu(utterance_batchnorm(x, mask, p.bn1))
-    h = apply_mask(conv2d(o, p.conv1, stride_f=p.stride_f), mask,
-                   time_axis=-1)
+    h = conv2d(o, p.conv1, stride_f=p.stride_f)
     h = tc.relu(utterance_batchnorm(h, mask, p.bn2))
     h = apply_mask(conv2d(h, p.conv2), mask, time_axis=-1)
     if p.proj is None:
         return tc.add(x, h)
-    skip = apply_mask(conv2d(o, p.proj, stride_f=p.stride_f), mask,
-                      time_axis=-1)
-    return tc.add(skip, h)
+    # a 1x1 conv of o, which is zero at padding, is zero there too
+    return tc.add(conv2d(o, p.proj, stride_f=p.stride_f), h)
 
 
 @dataclass
@@ -211,8 +210,7 @@ def wrcnn_forward(x: Tensor, p: WRCNNParams, mask: SequenceMask) -> Tensor:
             f"configured {N_PLANES} x {p.in_freq}")
     b, _, _, t = x.shape
     # mask first: the stem's time window must see zeros, not raw padding
-    h = apply_mask(x, mask, time_axis=-1)
-    h = apply_mask(conv2d(h, p.stem), mask, time_axis=-1)
+    h = conv2d(apply_mask(x, mask, time_axis=-1), p.stem)
     for blk in p.blocks:
         h = residual_block_forward(h, blk, mask)
     h = utterance_batchnorm(h, mask, p.bn)

@@ -9,6 +9,7 @@ import pytest
 from ucam import cli
 from ucam import data as dp
 from ucam import serial
+from ucam import tensor as tc
 from ucam.adaptation import load_lin
 from ucam.errors import FileFormatError, StructureError
 from ucam.model import (ModelParams, config_to_dict, load_checkpoint,
@@ -151,6 +152,17 @@ def test_train_resume_continues_trace(tmp_path):
         == (part / "train_log.csv").read_text()
 
 
+@pytest.mark.parametrize("key", ["grad_clip", "finetune_lr"])
+def test_train_removed_train_key_exits_2(tmp_path, capsys, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"train": {key: 1.0}}))
+    assert run(["train", "--config", str(bad),
+                "--data", str(tmp_path / "unread.ucfd"),
+                "--out-dir", str(tmp_path / "o")]) == 2
+    assert (f"unknown config keys: train.{key}"
+            in capsys.readouterr().err)
+
+
 def test_train_unknown_config_key_exits_2(tmp_path, capsys):
     data = synth(tmp_path)
     bad = tmp_path / "bad.json"
@@ -246,6 +258,39 @@ def test_eval_malformed_checkpoint_header_names_the_cause(tmp_path, capsys,
     data = synth(tmp_path, classes=5)
     assert run(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == code
     assert cause in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("step", "abc"), ("step", None), ("step", 2.5), ("step", True),
+    ("step", -1), ("best_dev", "x"), ("best_dev", None),
+    ("best_dev", False), ("best_dev", float("nan"))],
+    ids=["step_str", "step_null", "step_float", "step_bool", "step_negative",
+         "best_dev_str", "best_dev_null", "best_dev_bool", "best_dev_nan"])
+def test_eval_bad_checkpoint_step_or_best_dev_exits_3(tmp_path, capsys, key,
+                                                      value):
+    params = ModelParams.create(micro_config())
+    header = {"kind": "model", "config": config_to_dict(params.cfg),
+              "step": 0, key: value}
+    ckpt = tmp_path / "bad.ckpt"
+    serial.write_container(ckpt, header,
+                           [(n, t.data) for n, t in params.named_parameters()])
+    data = synth(tmp_path, classes=5)
+    assert run(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 3
+    assert f"checkpoint header '{key}' must be" in capsys.readouterr().err
+
+
+def test_resume_with_bad_best_dev_exits_3_before_training(tmp_path, capsys):
+    data, out = train(tmp_path, steps=2)
+    header, tensors = serial.read_container(out / "last.ckpt")
+    header["best_dev"] = "x"
+    serial.write_container(out / "last.ckpt", header, list(tensors.items()))
+    log = (out / "train_log.csv").read_bytes()
+    assert run(["train", "--config", str(small_config(tmp_path)),
+                "--data", str(data), "--out-dir", str(out), "--steps", "4",
+                "--eval-every", "2", "--batch-size", "2",
+                "--resume", str(out / "last.ckpt")]) == 3
+    assert "checkpoint header 'best_dev' must be" in capsys.readouterr().err
+    assert (out / "train_log.csv").read_bytes() == log
 
 
 # a LIN file is read only by the library, so its header cases call load_lin
@@ -358,8 +403,12 @@ def test_gradcheck_passes(tmp_path, capsys):
     assert "FAIL" not in text
 
 
-def test_gradcheck_mutation_detected(capsys):
-    assert run(["gradcheck", "--mutate"]) == 4
+def test_gradcheck_mutation_detected(capsys, monkeypatch):
+    def sign_flipped_scale(a, c):
+        return tc.from_op(a.data * c, (a,), lambda g: (-g * c,), "scale")
+
+    monkeypatch.setattr(tc, "scale", sign_flipped_scale)
+    assert run(["gradcheck"]) == 4
     assert "FAIL" in capsys.readouterr().out
 
 

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ucam import conformer as cf
 from ucam import tensor as tc
+from ucam import wrcnn as wr
 from ucam.errors import ConfigError, ShapeError
 from ucam.masking import (NormParams, SequenceMask, apply_mask, masked_softmax,
                           utterance_batchnorm, utterance_layernorm)
+from ucam.model import (ModelParams, micro_config, model_forward,
+                        walk_parameters)
+from ucam.rng import keyed
 
 
 def mask_of(lengths, max_len=None):
@@ -412,3 +417,76 @@ def test_property_padding_independence(seed, batch, max_len):
     for b_i, L in enumerate(lengths):
         np.testing.assert_allclose(bb[b_i, :, :L, :L], a[b_i, :, :L, :L],
                                    atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# padding junk through whole modules: the masks the modules leave out must
+# not matter
+
+
+def _model_train(x, p, m):
+    return model_forward(x, m, p, train=True, rng=keyed(5, "dropout", 1))
+
+
+# name: (make(rng, dtype), forward(x, params, mask), input shape, input and
+# output time axes); every module's output is zero at padding for a
+# zero-padded input, except the model's log-posteriors
+MODULES = {
+    "ffn": (lambda r, dt: cf.FFNParams.create(8, r, dt),
+            cf.ffn_forward, (3, 7, 8), 1, 1),
+    "conv_module": (lambda r, dt: cf.ConvModuleParams.create(8, 3, r, dt),
+                    cf.conv_module_forward, (3, 7, 8), 1, 1),
+    "residual_block": (
+        lambda r, dt: wr.ResidualBlockParams.create(3, 3, 1, 3, r, dt),
+        wr.residual_block_forward, (3, 3, 6, 7), -1, -1),
+    "residual_block_proj": (
+        lambda r, dt: wr.ResidualBlockParams.create(2, 4, 2, 3, r, dt),
+        wr.residual_block_forward, (3, 2, 6, 7), -1, -1),
+    "wrcnn": (lambda r, dt: wr.WRCNNParams.create(
+                  wr.WRCNNConfig(base_channels=2), 8, 8, r, dt),
+              wr.wrcnn_forward, (3, wr.N_PLANES, 8, 7), -1, 1),
+    "model_train": (lambda r, dt: ModelParams.create(micro_config(), r, dt),
+                    _model_train, (3, wr.N_PLANES, 8, 7), -1, 1),
+}
+
+
+def valid_frames(m, shape, time_axis):
+    """Boolean array of ``shape``, True at valid frames."""
+    ind = m.indicator(bool)
+    rest = (1,) * (len(shape) - 2)
+    ind = (ind.reshape(ind.shape + rest) if time_axis == 1
+           else ind.reshape(ind.shape[:1] + rest + ind.shape[1:]))
+    return np.broadcast_to(ind, shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", list(MODULES))
+def test_module_padding_junk_changes_no_valid_value_or_gradient(name, dtype):
+    make, forward, shape, in_axis, out_axis = MODULES[name]
+    rng = np.random.default_rng(21)
+    params = make(rng, dtype)
+    named = walk_parameters(params)
+    # nonzero biases and norm shifts, so an unmasked padded frame is nonzero
+    for _, t in named:
+        t.data = (t.data + 0.3 * rng.standard_normal(t.shape)).astype(dtype)
+    m = mask_of([7, 5, 2])
+    x_valid = valid_frames(m, shape, in_axis)
+    x = (rng.standard_normal(shape) * x_valid).astype(dtype)  # zero-padded
+
+    def run(arr):
+        xt = tc.parameter(arr)
+        out = forward(xt, params, m)
+        valid = valid_frames(m, out.shape, out_axis)
+        w = np.random.default_rng(22).standard_normal(out.shape) * valid
+        tc.backward(tc.sum_all(tc.mul_const(out, w.astype(dtype))))
+        grads = [t.grad.tobytes() for _, t in named]
+        tc.zero_grad(named)
+        return out.data, valid, xt.grad[x_valid], grads
+
+    clean, valid, clean_dx, clean_grads = run(x)
+    out, _, dx, grads = run(write_garbage(x, m, in_axis, rng, scale=1e3))
+    assert out[valid].tobytes() == clean[valid].tobytes()
+    assert grads == clean_grads
+    assert dx.tobytes() == clean_dx.tobytes()
+    if name != "model_train":
+        assert not clean[~valid].any()

@@ -289,27 +289,6 @@ def test_masked_ce_rejects_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# gradient clipping
-
-
-def test_clip_gradients_scales_global_norm():
-    p = make_param([3.0])
-    q = make_param([4.0])
-    p.grad, q.grad = np.array([3.0]), np.array([4.0])  # norm 5
-    tr._clip_gradients([("p", p), ("q", q)], 1.0)
-    norm = math.sqrt(p.grad[0] ** 2 + q.grad[0] ** 2)
-    assert norm == pytest.approx(1.0, abs=1e-12)
-    assert p.grad[0] == pytest.approx(0.6, abs=1e-12)
-
-
-def test_clip_gradients_noop_under_limit():
-    p = make_param([1.0])
-    p.grad = np.array([0.5])
-    tr._clip_gradients([("p", p)], 10.0)
-    assert p.grad[0] == 0.5
-
-
-# ---------------------------------------------------------------------------
 # evaluate / fit
 
 

@@ -1,0 +1,120 @@
+"""Hash what fixed ucam runs compute, to show a change bit-identical.
+
+    python3 tools/fingerprint.py SRC_DIR
+
+imports ucam from SRC_DIR (a checkout's ``src``) and prints one
+``name sha256[:16]`` line per artifact:
+
+- every file of the determinism gate's small fit, for 6 steps (``gate09_6``)
+  and for 3 steps resumed to 6 (``gate09_resume``);
+- every file of a desk-model fit with dropout 0.15 and a 3-step EMA
+  fine-tune (``desk_ema``);
+- ``evaluate``'s loss and accuracy, and the posteriors at every frame,
+  padded ones included, at T 20-40 and T 200-400 (``eval_*``);
+- ``adapt_speaker``'s LIN and report for 2 speakers x 2 seeds (``adapt``);
+- ``run_gradcheck`` at seeds 0 and 1 (``gradcheck``).
+
+Run it on two checkouts on the same machine and diff the outputs. The
+hashes depend on the BLAS build, so they are not pinned anywhere; BLAS runs
+on one thread so that its thread count cannot change a sum.
+"""
+
+import os
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def emit(name: str, data: bytes) -> None:
+    print(f"{name} {digest(data)}", flush=True)
+
+
+def emit_dir(name: str, path: Path) -> None:
+    for f in sorted(path.iterdir()):
+        emit(f"{name}/{f.name}", f.read_bytes())
+
+
+def main(src: str) -> None:
+    src = Path(src).resolve()
+    sys.path.insert(0, str(src))
+    import ucam
+    from ucam import data as dp
+    from ucam import training as tr
+    from ucam.adaptation import adapt_speaker
+    from ucam.gradcheck import run_gradcheck
+    from ucam.model import ModelParams, desk_config, micro_config
+    from ucam.rng import keyed
+
+    if Path(ucam.__file__).resolve().parent != src / "ucam":
+        raise SystemExit(f"imported ucam from {ucam.__file__}, not {src}")
+
+    def fit_small(out, steps, resume_from=None):
+        corpus = dp.synth_corpus(seed=9, n_speakers=2, n_classes=5,
+                                 n_utts=9, feat_dim=8, t_range=(6, 10))
+        params = ModelParams.create(micro_config(), rng=keyed(9, "det"))
+        cfg = tr.TrainConfig(steps=steps, batch_size=3, eval_every=3,
+                             seed=9)
+        tr.fit(params, corpus.utts[:6], corpus.utts[6:], cfg, out,
+               resume_from=resume_from)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        fit_small(tmp / "gate09_6", 6)
+        emit_dir("gate09_6", tmp / "gate09_6")
+        fit_small(tmp / "gate09_resume", 3)
+        fit_small(tmp / "gate09_resume", 6,
+                  resume_from=tmp / "gate09_resume" / "last.ckpt")
+        emit_dir("gate09_resume", tmp / "gate09_resume")
+
+        corpus = dp.synth_corpus(seed=21, n_speakers=4, n_classes=10,
+                                 n_utts=20, feat_dim=16, t_range=(20, 40))
+        params = ModelParams.create(desk_config(), rng=keyed(21, "init"))
+        cfg = tr.TrainConfig(steps=8, batch_size=4, warmup=8,
+                             lr_factor=0.5, eval_every=4, seed=21,
+                             finetune_steps=3, ema_decay=0.9)
+        tr.fit(params, corpus.utts[:16], corpus.utts[16:], cfg,
+               tmp / "desk_ema")
+        emit_dir("desk_ema", tmp / "desk_ema")
+
+    for t_range, n_utts in (((20, 40), 8), ((200, 400), 4)):
+        utts = dp.synth_corpus(seed=22, n_speakers=2, n_classes=10,
+                               n_utts=n_utts, feat_dim=16,
+                               t_range=t_range).utts
+        name = f"eval_{t_range[0]}_{t_range[1]}"
+        emit(f"{name}/metrics",
+             json.dumps(tr.evaluate(params, utts)).encode())
+        emit(f"{name}/posteriors",
+             b"".join(out.data.tobytes() for _, out in tr.posteriors(
+                 params, dp.batch_pad(utts, batch_size=4))))
+
+    unseen = dp.synth_corpus(seed=21, n_speakers=2, n_classes=10,
+                             n_utts=16, feat_dim=16, t_range=(20, 40),
+                             speaker_offset=40, utt_offset=1000)
+    for speaker in unseen.speakers():
+        for seed in (11, 12):
+            lin, report = adapt_speaker(
+                params, unseen.for_speaker(speaker).utts, iterations=2,
+                epochs=1, lr=1e-3, seed=seed)
+            emit(f"adapt/{speaker}/{seed}/lin", lin.matrix().tobytes())
+            emit(f"adapt/{speaker}/{seed}/report",
+                 json.dumps(report, sort_keys=True).encode())
+
+    for seed in (0, 1):
+        emit(f"gradcheck/{seed}",
+             json.dumps(run_gradcheck(seed=seed), sort_keys=True).encode())
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    main(sys.argv[1])
