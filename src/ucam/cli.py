@@ -132,7 +132,7 @@ def cmd_train(args) -> int:
 
     tcfg = TrainConfig(**cfg["train"])
     if args.resume is not None:  # check before effective_config.json
-        load_matching(args.resume, model_cfg)
+        load_matching(args.resume, model_cfg, tcfg.steps)
     os.makedirs(args.out_dir, exist_ok=True)
     with serial.atomic_write(
             os.path.join(args.out_dir, "effective_config.json")) as f:

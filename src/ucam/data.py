@@ -148,7 +148,8 @@ def compute_deltas(static: np.ndarray) -> np.ndarray:
     t = static.shape[1]
 
     def regress(x):
-        xp = np.pad(x, ((0, 0), (2, 2)), mode="edge")
+        first, last = x[:, :1], x[:, -1:]
+        xp = np.concatenate([first, first, x, last, last], axis=1)
         return ((xp[:, 3:3 + t] - xp[:, 1:1 + t])
                 + 2.0 * (xp[:, 4:4 + t] - xp[:, 0:t])) / 10.0
 
@@ -176,10 +177,7 @@ class Batch:
     lengths: np.ndarray  # [B]
     utt_ids: list
     speakers: list
-
-    @property
-    def mask(self) -> SequenceMask:
-        return SequenceMask.from_lengths(self.lengths)
+    mask: SequenceMask   # of lengths, built once per batch
 
 
 def pad_to_longest(arrays) -> np.ndarray:
@@ -208,7 +206,8 @@ def batch_pad(utts, batch_size: int = 4,
         labels = pad_to_longest([u.labels for u in group])
         yield Batch(feats=feats, labels=labels, lengths=lengths,
                     utt_ids=[u.utt_id for u in group],
-                    speakers=[u.speaker for u in group])
+                    speakers=[u.speaker for u in group],
+                    mask=SequenceMask.from_lengths(lengths))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ def check_tensor_ops(seed: int) -> float:
               "y": _p(rng, 2, 3, 5)}
 
     def f(p):
-        h = tc.add(tc.matmul(p["x"], p["w"]), p["b"])
+        h = tc.linear(p["x"], tc.transpose(p["w"], (1, 0)), p["b"])
         h = tc.swish(tc.reshape(h, (5, 3)))
         h = tc.matmul(tc.transpose(p["y"], (0, 2, 1)),
                       tc.elu(tc.transpose(h, (1, 0))))

@@ -21,6 +21,10 @@ input, and per-frame ops (linear layers, activations, dropout) never move
 a value between frames, so finite junk in front of them needs no mask: it
 stays in its padded frame, and the next mask gives it a zero gradient.
 
+A mask builds its [B, T] indicator once per dtype and hands every caller
+the same read-only array, so the dozens of masks and norms in one forward
+share it; a caller that needs to change it must copy it first.
+
 BatchNorm here keeps no running statistics: train and eval both normalize
 with per-utterance statistics, so results do not depend on how a batch was
 assembled.
@@ -28,7 +32,7 @@ assembled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +48,8 @@ class SequenceMask:
 
     lengths: np.ndarray
     max_len: int
+    _indicators: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         self.lengths = np.asarray(self.lengths, dtype=np.int64)
@@ -67,9 +73,15 @@ class SequenceMask:
         return int(self.lengths.shape[0])
 
     def indicator(self, dtype=np.float32) -> np.ndarray:
-        """0/1 array of shape [B, T]."""
-        t = np.arange(self.max_len)
-        return (t[None, :] < self.lengths[:, None]).astype(dtype)
+        """0/1 array of shape [B, T], built once per dtype and read-only."""
+        dtype = np.dtype(dtype)
+        m = self._indicators.get(dtype)
+        if m is None:
+            t = np.arange(self.max_len)
+            m = (t[None, :] < self.lengths[:, None]).astype(dtype)
+            m.flags.writeable = False
+            self._indicators[dtype] = m
+        return m
 
     def valid_frames(self) -> int:
         return int(self.lengths.sum())

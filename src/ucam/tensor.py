@@ -9,8 +9,9 @@ Ground rules (they keep masking bugs visible):
 
 * float32 is the training dtype; float64 is used for gradient checking.
   Operands of mixed dtype are an error, never silently promoted.
-* the only implicit broadcast is adding a 1-D bias along the last axis;
-  every other shape mismatch raises :class:`~ucam.errors.ShapeError`.
+* there is no implicit broadcast: :func:`linear` adds its 1-D bias along
+  the last axis, and every other shape mismatch raises
+  :class:`~ucam.errors.ShapeError`.
 * calling :func:`backward` twice without resetting grads is an error,
   because silent accumulation is the classic source of wrong optimizer
   steps.
@@ -19,6 +20,8 @@ Ground rules (they keep masking bugs visible):
 
 New differentiable primitives can be defined outside this module with
 :func:`from_op`; the normalization and attention ops do exactly that.
+A linear layer, weight, transpose and bias together, is one graph node
+(:func:`linear`), so a forward records one node per layer, not three.
 
 Backward closures follow one rule: compute a parent's gradient only when
 ``needs_grad(parent)`` held at forward time; return None otherwise. Frozen
@@ -180,18 +183,11 @@ def _check_same_dtype(op: str, *ts: Tensor):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """a + b for identical shapes, or a + bias where bias is 1-D over the last axis."""
+    """a + b for identical shapes."""
     _check_same_dtype("add", a, b)
-    if a.shape == b.shape:
-        return from_op(a.data + b.data, (a, b), lambda g: (g, g), "add")
-    if b.ndim == 1 and a.ndim >= 2 and a.shape[-1] == b.shape[0]:
-        need_a, need_b = needs_grad(a), needs_grad(b)
-
-        def bwd(g):
-            return (g if need_a else None,
-                    g.reshape(-1, b.shape[0]).sum(axis=0) if need_b else None)
-        return from_op(a.data + b.data, (a, b), bwd, "add_bias")
-    raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    if a.shape != b.shape:
+        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    return from_op(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -270,9 +266,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Apply ``w`` (stored [out, in]) to the last axis of ``x``, plus ``b``."""
-    y = matmul(x, transpose(w, (1, 0)))
-    return add(y, b) if b is not None else y
+    """Apply ``w`` (stored [out, in]) to the last axis of ``x``, plus ``b``.
+
+    One graph node that makes the numpy calls of ``matmul(x, w.T) + b``:
+    ``x @ w.T`` then ``+ b`` forward; ``g @ w``, ``(x.T @ g).T`` and a sum
+    of ``g`` over every leading axis backward. Its op name is "matmul".
+    """
+    parents = (x, w) if b is None else (x, w, b)
+    _check_same_dtype("linear", *parents)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
+        raise ShapeError(f"linear: input {x.shape} does not fit weight "
+                         f"{w.shape} stored [out, in]")
+    n, k = w.shape
+    if b is not None and b.shape != (n,):
+        raise ShapeError(f"linear: bias {b.shape} does not fit weight "
+                         f"{w.shape}")
+    y = x.data @ w.data.T
+    if b is not None:
+        y += b.data
+    need_x, need_w = needs_grad(x), needs_grad(w)
+    need_b = b is not None and needs_grad(b)
+
+    def bwd(g):
+        g2 = g.reshape(-1, n)
+        dx = g @ w.data if need_x else None
+        dw = (x.data.reshape(-1, k).T @ g2).T if need_w else None
+        if b is None:
+            return dx, dw
+        return dx, dw, g2.sum(axis=0) if need_b else None
+    return from_op(y, parents, bwd, "matmul")
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -317,9 +339,9 @@ def pad_last(a: Tensor, target: int) -> Tensor:
         raise ShapeError(f"pad_last: target {target} shorter than input {t}")
     if target == t:
         return a
-    width = [(0, 0)] * (a.ndim - 1) + [(0, target - t)]
-    return from_op(np.pad(a.data, width), (a,),
-                   lambda g: (g[..., :t],), "pad_last")
+    out = np.zeros(a.shape[:-1] + (target,), a.data.dtype)
+    out[..., :t] = a.data
+    return from_op(out, (a,), lambda g: (g[..., :t],), "pad_last")
 
 
 # ---------------------------------------------------------------------------

@@ -286,12 +286,17 @@ class _TrainLog:
         self.f.close()
 
 
-def load_matching(path, cfg: AcousticModelConfig) -> Checkpoint:
-    """The checkpoint at ``path``; a run resumes only its own model."""
+def load_matching(path, cfg: AcousticModelConfig,
+                  steps: int | None = None) -> Checkpoint:
+    """The checkpoint at ``path``; a run resumes only its own model, and
+    only from a step within its ``steps``."""
     ck = load_checkpoint(path)
     if config_to_dict(ck.params.cfg) != config_to_dict(cfg):
         raise ConfigError(f"checkpoint {path} was trained with a different "
                           f"model config")
+    if steps is not None and ck.step > steps:
+        raise ConfigError(f"checkpoint {path} is at step {ck.step}, past "
+                          f"the run's {steps} steps")
     return ck
 
 
@@ -312,7 +317,7 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
     best_dev = math.inf
 
     def restore(path) -> Checkpoint:
-        ck = load_matching(path, params.cfg)
+        ck = load_matching(path, params.cfg, cfg.steps)
         for (_, dst), (_, src) in zip(named, ck.params.named_parameters()):
             dst.data = src.data
         return ck

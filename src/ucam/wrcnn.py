@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as tc
 from .conformer import glorot
@@ -30,12 +29,31 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _tap_spans(n_in: int, n_out: int, stride: int, pad: int, k: int):
+    """Per tap offset i: the slice of outputs o whose input ``o * stride +
+    i - pad`` lies in [0, n_in), and the slice of those inputs."""
+    spans = []
+    for i in range(k):
+        lo = min(max(ceil_div(pad - i, stride), 0), n_out)
+        hi = max(min(ceil_div(n_in + pad - i, stride), n_out), lo)
+        src = lo * stride + i - pad
+        spans.append((slice(lo, hi), slice(src, src + stride * (hi - lo),
+                                           stride)))
+    return spans
+
+
 def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
     """Biasless 2-D convolution on [B, C, F, T] with kernel [O, C, kf, kt].
 
     Frequency uses ceil-mode same padding: the output extent is
     ceil(F / stride_f) for every F, with the leftover pad split small-side
     first. Time is never strided and keeps its extent exactly.
+
+    No padded copy of ``x`` is made. The im2col columns [B, C, kf, kt,
+    F', T] take, per tap (i, j), one strided span straight from ``x``:
+    the outputs whose input lies inside it. Only the border strips whose
+    input lies in the padding are zeroed. dX adds the same spans back
+    into an unpadded array, tap by tap in (i, j) order from zeros.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects [B, C, F, T] and [O, C, kf, kt], "
@@ -52,19 +70,26 @@ def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
     o, _, kf, kt = w.shape
     out_f = ceil_div(f, stride_f)
     pad_f = max((out_f - 1) * stride_f + kf - f, 0)
-    pf0, pf1 = pad_f // 2, pad_f - pad_f // 2
-    pt0, pt1 = (kt - 1) // 2, kt - 1 - (kt - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pf0, pf1), (pt0, pt1)))
+    fspans = _tap_spans(f, out_f, stride_f, pad_f // 2, kf)
+    tspans = _tap_spans(t, t, 1, (kt - 1) // 2, kt)
+    taps = [(i, j, fo, to, fi, ti) for i, (fo, fi) in enumerate(fspans)
+            for j, (to, ti) in enumerate(tspans)]
 
-    # [B, C, out_f, T, kf, kt] window view; one copy makes the im2col columns
-    win = sliding_window_view(xp, (kf, kt), axis=(2, 3))[:, :, ::stride_f]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(bsz, c * kf * kt, -1)
+    cols = np.empty((bsz, c, kf, kt, out_f, t), dtype=x.data.dtype)
+    for i, (fo, _) in enumerate(fspans):
+        cols[:, :, i, :, :fo.start] = 0
+        cols[:, :, i, :, fo.stop:] = 0
+    for j, (to, _) in enumerate(tspans):
+        cols[:, :, :, j, :, :to.start] = 0
+        cols[:, :, :, j, :, to.stop:] = 0
+    for i, j, fo, to, fi, ti in taps:
+        cols[:, :, i, j, fo, to] = x.data[:, :, fi, ti]
+    cols = cols.reshape(bsz, c * kf * kt, out_f * t)
     w2 = w.data.reshape(o, -1)
     out = np.matmul(w2, cols).reshape(bsz, o, out_f, t)
     need_x = tc.needs_grad(x)
     # only dW reads the im2col buffer; keep it alive only when dW is needed
     saved_cols = cols if tc.needs_grad(w) else None
-    xp_shape = xp.shape
 
     def bwd(g):
         g2 = g.reshape(bsz, o, -1)
@@ -76,12 +101,10 @@ def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
         if not need_x:
             return None, dw
         dcol = np.matmul(w2.T, g2).reshape(bsz, c, kf, kt, out_f, t)
-        dxp = np.zeros(xp_shape, dtype=x.data.dtype)
-        for i in range(kf):
-            for j in range(kt):
-                dxp[:, :, i:i + stride_f * out_f:stride_f,
-                    j:j + t] += dcol[:, :, i, j]
-        return dxp[:, :, pf0:pf0 + f, pt0:pt0 + t], dw
+        dx = np.zeros(x.shape, dtype=x.data.dtype)
+        for i, j, fo, to, fi, ti in taps:
+            dx[:, :, fi, ti] += dcol[:, :, i, j, fo, to]
+        return dx, dw
 
     return tc.from_op(out, (x, w), bwd, "conv2d")
 

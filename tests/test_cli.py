@@ -322,6 +322,18 @@ def test_rejected_resume_leaves_effective_config(tmp_path, capsys):
     assert path.read_bytes() == before
 
 
+def test_resume_past_steps_exits_2_before_writing(tmp_path, capsys):
+    data, out = train(tmp_path, steps=4)
+    files = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert run(["train", "--config", str(small_config(tmp_path)),
+                "--data", str(data), "--out-dir", str(out), "--steps", "2",
+                "--eval-every", "2", "--batch-size", "2",
+                "--resume", str(out / "last.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert "at step 4" in err and "2 steps" in err
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == files
+
+
 def test_train_malformed_config_exits_2(tmp_path):
     data = synth(tmp_path)
     bad = tmp_path / "bad.json"

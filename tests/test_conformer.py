@@ -277,6 +277,27 @@ class TestDepthwiseConv:
         np.testing.assert_allclose(w.grad, want, rtol=1e-5,
                                    atol=1e-5 * np.abs(want).max())
 
+    @pytest.mark.parametrize("t,k", [(1, 3), (1, 16), (2, 5), (3, 16),
+                                     (8, 16), (16, 16)])
+    def test_taps_beyond_short_input_change_no_bit(self, t, k):
+        # every tap over a zero-padded copy, as a padded reference would
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((2, t, 3)).astype(np.float32).swapaxes(1, 2)
+        w = rng.standard_normal((3, k)).astype(np.float32)
+        g = rng.standard_normal((2, 3, t)).astype(np.float32)
+        pl = (k - 1) // 2
+        xp = np.pad(x, ((0, 0), (0, 0), (pl, k - 1 - pl)))
+        want = np.zeros_like(xp[:, :, :t])
+        dxp = np.zeros_like(xp)
+        for j in range(k):
+            want += w[:, j][None, :, None] * xp[:, :, j:j + t]
+            dxp[:, :, j:j + t] += g * w[:, j][None, :, None]
+        xt, wt = tc.parameter(x), tc.parameter(w)
+        out = depthwise_conv1d(xt, wt)
+        dx, _ = out._backward_fn(g)
+        assert out.data.tobytes() == want.tobytes()
+        assert dx.tobytes() == dxp[:, :, pl:pl + t].tobytes()
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             depthwise_conv1d(tc.tensor(np.zeros((1, 3, 4), dtype=np.float32)),

@@ -241,6 +241,16 @@ def test_batch_pad_shapes_padding_and_mask():
             assert ind[i, :n].all() and not ind[i, n:].any()
 
 
+def test_batch_holds_one_mask():
+    c = dp.synth_corpus(seed=8, n_speakers=2, n_classes=4, n_utts=3,
+                        feat_dim=3, t_range=(5, 15))
+    (b,) = dp.batch_pad(c.utts, batch_size=3)
+    assert b.mask is b.mask
+    assert b.mask.indicator() is b.mask.indicator()
+    np.testing.assert_array_equal(b.mask.lengths, b.lengths)
+    assert b.mask.max_len == b.feats.shape[-1]
+
+
 def test_batch_pad_round_trip():
     c = dp.synth_corpus(seed=9, n_speakers=1, n_classes=4, n_utts=5,
                         feat_dim=3, t_range=(4, 9))

@@ -75,6 +75,20 @@ class TestSequenceMask:
             m.indicator(), [[1, 1, 0, 0], [1, 1, 1, 0]])
         assert m.valid_frames() == 5
 
+    def test_indicator_is_cached_and_read_only(self):
+        m = mask_of([2, 3], max_len=4)
+        ind = m.indicator()
+        assert m.indicator(np.float32) is ind
+        assert not ind.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ind[0, 3] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ind.reshape(2, 1, 4)[0, 0, 3] = 1.0
+        b = m.indicator(bool)
+        assert b is m.indicator(np.bool_) and not b.flags.writeable
+        assert b.dtype == bool and m.indicator(np.float64).dtype == np.float64
+        np.testing.assert_array_equal(ind, [[1, 1, 0, 0], [1, 1, 1, 0]])
+
     def test_invalid_lengths(self):
         with pytest.raises(ConfigError):
             mask_of([0, 2], max_len=3)

@@ -127,6 +127,17 @@ def test_forward_dropout_seeded():
     assert t1.data.tobytes() != ev.data.tobytes()
 
 
+def test_desk_training_forward_records_150_nodes():
+    # one node per linear layer, not matmul + transpose + bias
+    params = make_model(cfg=desk_config())
+    rng = np.random.default_rng(3)
+    x, mask = random_input(rng, 4, 16, 40, [40, 33, 27, 20])
+    out = model_forward(x, mask, params, train=True, rng=keyed(7, "d"))
+    ops = [n._op for n in tc._toposort(out) if n._parents is not None]
+    assert len(ops) == 150
+    assert ops.count("matmul") == 28 and ops.count("transpose") == 15
+
+
 def test_forward_padding_invariance_end_to_end():
     params = make_model()
     rng = np.random.default_rng(3)

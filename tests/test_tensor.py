@@ -202,20 +202,30 @@ class TestBackward:
 
 
 class TestShapeDiscipline:
-    def test_add_same_shape_and_bias_only(self):
+    def test_add_requires_same_shape(self):
         a = tc.tensor(np.zeros((2, 3)))
         assert tc.add(a, tc.tensor(np.ones((2, 3)))).shape == (2, 3)
-        assert tc.add(a, tc.tensor(np.ones(3))).shape == (2, 3)
-        with pytest.raises(ShapeError):
-            tc.add(a, tc.tensor(np.ones((1, 3))))
-        with pytest.raises(ShapeError):
-            tc.add(a, tc.tensor(np.ones(2)))
+        for shape in ((3,), (1, 3), (2,)):
+            with pytest.raises(ShapeError):
+                tc.add(a, tc.tensor(np.ones(shape)))
 
     def test_bias_gradient_sums_leading_axes(self):
         b = tc.parameter(np.zeros(3))
-        x = tc.tensor(np.ones((4, 5, 3)))
-        tc.backward(tc.sum_all(tc.add(x, b)))
+        x = tc.tensor(np.ones((4, 5, 2)))
+        w = tc.tensor(np.ones((3, 2)))
+        tc.backward(tc.sum_all(tc.linear(x, w, b)))
         np.testing.assert_allclose(b.grad, np.full(3, 20.0))
+
+    def test_linear_shape_errors(self):
+        x = tc.tensor(np.zeros((2, 4)))
+        with pytest.raises(ShapeError, match="weight"):
+            tc.linear(x, tc.tensor(np.zeros((3, 5))))
+        with pytest.raises(ShapeError, match="weight"):
+            tc.linear(tc.tensor(np.zeros(4)), tc.tensor(np.zeros((3, 4))))
+        with pytest.raises(ShapeError, match="bias"):
+            tc.linear(x, tc.tensor(np.zeros((3, 4))), tc.tensor(np.zeros(4)))
+        with pytest.raises(ShapeError, match="dtype"):
+            tc.linear(x, tc.tensor(np.zeros((3, 4)), dtype=np.float32))
 
     def test_mul_requires_exact_shape(self):
         with pytest.raises(ShapeError):
@@ -354,8 +364,16 @@ def _needs_grad_cases():
         "matmul_stacked": ({"q": rand(rng, 2, 2, 6, 4),
                             "k": rand(rng, 2, 2, 4, 6)},
                            lambda p: tc.matmul(p["q"], p["k"])),
-        "add_bias": ({"x": rand(rng, 2, 6, 8), "b": rand(rng, 8)},
-                     lambda p: tc.add(p["x"], p["b"])),
+        "linear": ({"x": rand(rng, 2, 6, 8), "w": rand(rng, 32, 8),
+                    "b": rand(rng, 32)},
+                   lambda p: tc.linear(p["x"], p["w"], p["b"])),
+        "linear_nobias": ({"x": rand(rng, 2, 6, 8), "w": rand(rng, 32, 8)},
+                          lambda p: tc.linear(p["x"], p["w"])),
+        "linear_2d": ({"x": rand(rng, 6, 8), "w": rand(rng, 32, 8),
+                       "b": rand(rng, 32)},
+                      lambda p: tc.linear(p["x"], p["w"], p["b"])),
+        "linear_2d_nobias": ({"x": rand(rng, 6, 8), "w": rand(rng, 32, 8)},
+                             lambda p: tc.linear(p["x"], p["w"])),
         "depthwise_conv1d": ({"x": rand(rng, 2, 8, 6), "w": rand(rng, 8, 3)},
                              lambda p: cf.depthwise_conv1d(p["x"], p["w"])),
         "utterance_layernorm": (
@@ -399,6 +417,59 @@ def test_frozen_operand_gets_no_gradient_work(case, frozen):
         if name != frozen:
             assert closure[name].tobytes() == live_closure[name].tobytes()
             assert grads[name].tobytes() == live[name].tobytes()
+
+
+def _composite_linear(x, w, b=None):
+    """The three-node chain a linear layer used to record: matmul with a
+    transposed weight, then a bias node with its own backward."""
+    y = tc.matmul(x, tc.transpose(w, (1, 0)))
+    if b is None:
+        return y
+    need_y, need_b = tc.needs_grad(y), tc.needs_grad(b)
+
+    def bwd(g):
+        return (g if need_y else None,
+                g.reshape(-1, b.shape[0]).sum(axis=0) if need_b else None)
+    return tc.from_op(y.data + b.data, (y, b), bwd, "add_bias")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("x_shape", [(6, 8), (2, 6, 8)], ids=["2d", "3d"])
+@pytest.mark.parametrize("bias,frozen", [
+    (bias, frozen) for bias in (True, False)
+    for frozen in (None, "x", "w") + (("b",) if bias else ())])
+def test_linear_node_matches_composite_chain_bitwise(dtype, x_shape, bias,
+                                                     frozen):
+    rng = np.random.default_rng(53)
+    arrays = {"x": rand(rng, *x_shape), "w": rand(rng, 32, 8),
+              "b": rand(rng, 32)}
+    if not bias:
+        del arrays["b"]
+    g = rand(rng, *x_shape[:-1], 32).astype(dtype)
+    runs = []
+    for op in (tc.linear, _composite_linear):
+        ops = {n: tc.tensor(a, requires_grad=n != frozen, dtype=dtype)
+               for n, a in arrays.items()}
+        out = op(*ops.values())
+        tc.backward(tc.sum_all(tc.mul_const(out, g)))
+        runs.append((out.data, {n: t.grad for n, t in ops.items()}))
+    (out, grads), (want, want_grads) = runs
+    assert out.dtype == want.dtype == dtype
+    assert out.tobytes() == want.tobytes()
+    for n in arrays:
+        if n == frozen:
+            assert grads[n] is None and want_grads[n] is None
+        else:
+            assert grads[n].dtype == dtype
+            assert grads[n].tobytes() == want_grads[n].tobytes(), n
+
+
+def test_linear_is_one_matmul_node():
+    x = tc.parameter(np.ones((2, 3, 4)))
+    w, b = tc.parameter(np.ones((5, 4))), tc.parameter(np.ones(5))
+    out = tc.linear(x, w, b)
+    assert out._op == "matmul" and out._parents == (x, w, b)
+    assert tc.linear(x, w)._parents == (x, w)
 
 
 def test_needs_grad():

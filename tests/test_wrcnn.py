@@ -62,6 +62,82 @@ def conv2d_grads_loops(x, w, g, stride_f=1):
     return dxp[:, :, pf0:pf0 + f, pt0:pt0 + t], dw
 
 
+def conv2d_padded_windows(x, w, g, stride_f=1):
+    """conv2d's (out, dX, dW) the padded way: pad x, copy each tap's window
+    into the im2col columns, and scatter dX into the padded array tap by
+    tap before cropping; the same BLAS calls as conv2d."""
+    bsz, c, f, t = x.shape
+    o, _, kf, kt = w.shape
+    out_f = -(-f // stride_f)
+    pad_f = max((out_f - 1) * stride_f + kf - f, 0)
+    pf0, pt0 = pad_f // 2, (kt - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pf0, pad_f - pf0), (pt0, kt - 1 - pt0)))
+    windows = [((i, j), (slice(i, i + stride_f * out_f, stride_f),
+                         slice(j, j + t)))
+               for i in range(kf) for j in range(kt)]
+    cols = np.empty((bsz, c, kf, kt, out_f, t), dtype=x.dtype)
+    for (i, j), (fs, ts) in windows:
+        cols[:, :, i, j] = xp[:, :, fs, ts]
+    cols = cols.reshape(bsz, c * kf * kt, out_f * t)
+    w2 = w.reshape(o, -1)
+    out = np.matmul(w2, cols).reshape(bsz, o, out_f, t)
+    g2 = g.reshape(bsz, o, -1)
+    dw = (np.matmul(g2, cols.transpose(0, 2, 1))
+          .sum(axis=0, dtype=np.float64).astype(g.dtype).reshape(w.shape))
+    dcol = np.matmul(w2.T, g2).reshape(bsz, c, kf, kt, out_f, t)
+    dxp = np.zeros_like(xp)
+    for (i, j), (fs, ts) in windows:
+        dxp[:, :, fs, ts] += dcol[:, :, i, j]
+    return out, dxp[:, :, pf0:pf0 + f, pt0:pt0 + t], dw
+
+
+# (F, T, kf, kt, stride): windows that overhang x on one or both sides
+EDGE_GEOMETRY = {
+    "t1": (6, 1, 3, 3, 1),
+    "t_below_kt": (6, 2, 3, 5, 1),
+    "f_below_kf": (2, 5, 3, 3, 1),
+    "f1_stride2": (1, 4, 5, 3, 2),
+    "odd_f_stride2": (7, 5, 3, 3, 2),
+    "1x1_stride2_odd_f": (7, 4, 1, 1, 2),
+    "1x1_stride2_even_f": (8, 4, 1, 1, 2),
+    "even_kernel_stride3": (8, 3, 2, 4, 3),
+}
+
+
+class TestConv2dEdgeGeometry:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["f32", "f64"])
+    @pytest.mark.parametrize("geom", sorted(EDGE_GEOMETRY))
+    def test_matches_padded_windows_bitwise(self, geom, dtype):
+        f, t, kf, kt, s = EDGE_GEOMETRY[geom]
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((3, 2, f, t)).astype(dtype)
+        w = rng.standard_normal((4, 2, kf, kt)).astype(dtype)
+        xt, wt = tc.parameter(x), tc.parameter(w)
+        out = conv2d(xt, wt, stride_f=s)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        tc.backward(tc.sum_all(tc.mul_const(out, g)))
+        want = conv2d_padded_windows(x, w, g, s)
+        for got, ref in zip((out.data, xt.grad, wt.grad), want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+    @pytest.mark.parametrize("geom", sorted(EDGE_GEOMETRY))
+    def test_columns_match_padded_windows(self, geom):
+        # with an identity kernel of C*kf*kt output channels, the output
+        # is the im2col columns themselves, zeroed borders included
+        f, t, kf, kt, s = EDGE_GEOMETRY[geom]
+        c = 2
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((3, c, f, t)).astype(np.float32)
+        eye = np.eye(c * kf * kt, dtype=np.float32).reshape(-1, c, kf, kt)
+        got = conv2d(tc.tensor(x), tc.tensor(eye), stride_f=s).data
+        want, _, _ = conv2d_padded_windows(
+            x, eye, np.zeros_like(got), s)
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got).all()
+
+
 class TestConv2d:
     def test_delta_kernel_identity(self):
         rng = np.random.default_rng(0)

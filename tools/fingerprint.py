@@ -1,9 +1,13 @@
 """Hash what fixed ucam runs compute, to show a change bit-identical.
 
     python3 tools/fingerprint.py SRC_DIR
+    python3 tools/fingerprint.py PARENT_SRC CHANGE_SRC
 
-imports ucam from SRC_DIR (a checkout's ``src``) and prints one
-``name sha256[:16]`` line per artifact:
+The first form imports ucam from SRC_DIR (a checkout's ``src``) and
+prints one ``name sha256[:16]`` line per artifact. The second runs the
+first form on each tree, each in its own subprocess, prints every line
+that differs as ``name parent_hash change_hash`` (``-`` for a missing
+line), and exits 1 on any difference. The artifacts are:
 
 - every file of the determinism gate's small fit, for 6 steps (``gate09_6``)
   and for 3 steps resumed to 6 (``gate09_resume``);
@@ -14,9 +18,9 @@ imports ucam from SRC_DIR (a checkout's ``src``) and prints one
 - ``adapt_speaker``'s LIN and report for 2 speakers x 2 seeds (``adapt``);
 - ``run_gradcheck`` at seeds 0 and 1 (``gradcheck``).
 
-Run it on two checkouts on the same machine and diff the outputs. The
-hashes depend on the BLAS build, so they are not pinned anywhere; BLAS runs
-on one thread so that its thread count cannot change a sum.
+Compare two checkouts on the same machine only: the hashes depend on the
+BLAS build, so they are not pinned anywhere; BLAS runs on one thread so
+that its thread count cannot change a sum.
 """
 
 import os
@@ -27,6 +31,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -114,7 +119,29 @@ def main(src: str) -> None:
              json.dumps(run_gradcheck(seed=seed), sort_keys=True).encode())
 
 
+def fingerprint(src: str) -> dict:
+    """``name -> hash`` of every artifact, from a fresh interpreter."""
+    run = subprocess.run([sys.executable, __file__, src], text=True,
+                         stdout=subprocess.PIPE)
+    if run.returncode != 0:
+        raise SystemExit(f"fingerprint of {src} exited {run.returncode}")
+    return dict(line.split() for line in run.stdout.splitlines())
+
+
+def compare(parent_src: str, change_src: str) -> int:
+    parent, change = fingerprint(parent_src), fingerprint(change_src)
+    names = list(parent) + [n for n in change if n not in parent]
+    differ = [n for n in names if parent.get(n) != change.get(n)]
+    for n in differ:
+        print(f"{n} {parent.get(n, '-')} {change.get(n, '-')}")
+    print(f"{len(differ)} of {len(names)} lines differ")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) == 2:
+        main(sys.argv[1])
+    elif len(sys.argv) == 3:
+        sys.exit(compare(sys.argv[1], sys.argv[2]))
+    else:
         raise SystemExit(__doc__)
-    main(sys.argv[1])
