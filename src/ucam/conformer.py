@@ -174,8 +174,6 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
 
     ``w`` is [C, K]. Zero padding of (K-1)//2 left and the remainder right
     preserves T for any K; for even K the extra padded frame is on the right.
-    A tap whose window holds only padding adds only zeros, so the forward
-    and dX skip it; at T below K most taps are such.
     """
     if x.ndim != 3 or w.ndim != 2:
         raise ShapeError(f"depthwise conv expects [B, C, T] and [C, K], "
@@ -191,12 +189,11 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
     pl = (kk - 1) // 2
     xp = np.zeros((b, c, t + kk - 1), x.data.dtype)
     xp[:, :, pl:pl + t] = x.data
-    live = range(max(pl - t + 1, 0), min(t + pl, kk))
     wd = w.data
     # sum the taps in xp's C order, where each tap reads contiguous memory
     acc = np.zeros(x.shape, x.data.dtype)
     tap = np.empty_like(acc)  # one tap's products at a time
-    for j in live:
+    for j in range(kk):
         acc += np.multiply(wd[:, j][None, :, None], xp[:, :, j:j + t], out=tap)
     # the output keeps the input's memory order, on which the rounding of
     # later sums over it depends
@@ -214,7 +211,7 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
         dxp = np.zeros_like(xp)
         gc = np.ascontiguousarray(g)  # one copy, then contiguous tap reads
         tap = np.empty_like(gc)
-        for j in live:
+        for j in range(kk):
             dxp[:, :, j:j + t] += np.multiply(gc, wd[:, j][None, :, None],
                                               out=tap)
         return dxp[:, :, pl:pl + t], dw

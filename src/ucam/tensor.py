@@ -339,9 +339,9 @@ def pad_last(a: Tensor, target: int) -> Tensor:
         raise ShapeError(f"pad_last: target {target} shorter than input {t}")
     if target == t:
         return a
-    out = np.zeros(a.shape[:-1] + (target,), a.data.dtype)
-    out[..., :t] = a.data
-    return from_op(out, (a,), lambda g: (g[..., :t],), "pad_last")
+    width = [(0, 0)] * (a.ndim - 1) + [(0, target - t)]
+    return from_op(np.pad(a.data, width), (a,),
+                   lambda g: (g[..., :t],), "pad_last")
 
 
 # ---------------------------------------------------------------------------

@@ -286,15 +286,14 @@ class _TrainLog:
         self.f.close()
 
 
-def load_matching(path, cfg: AcousticModelConfig,
-                  steps: int | None = None) -> Checkpoint:
+def load_matching(path, cfg: AcousticModelConfig, steps: int) -> Checkpoint:
     """The checkpoint at ``path``; a run resumes only its own model, and
     only from a step within its ``steps``."""
     ck = load_checkpoint(path)
     if config_to_dict(ck.params.cfg) != config_to_dict(cfg):
         raise ConfigError(f"checkpoint {path} was trained with a different "
                           f"model config")
-    if steps is not None and ck.step > steps:
+    if ck.step > steps:
         raise ConfigError(f"checkpoint {path} is at step {ck.step}, past "
                           f"the run's {steps} steps")
     return ck
