@@ -28,7 +28,7 @@ corpus = dp.synth_corpus(seed=3, n_speakers=2, n_classes=10, n_utts=3,
                          feat_dim=16, t_range=(6, 14))
 batch = next(dp.batch_pad(corpus.utts, batch_size=3))
 mask = batch.mask
-print(f"utterance lengths {batch.lengths.tolist()}, "
+print(f"utterance lengths {mask.lengths.tolist()}, "
       f"feature planes {batch.feats.shape}")
 
 out = model_forward(tc.tensor(batch.feats), mask, params)
@@ -41,8 +41,8 @@ print(f"prob mass per valid frame: min {sums.min():.6f}, "
       f"max {sums.max():.6f}")
 
 # run the shortest utterance on its own, with no padding at all
-b = int(np.argmin(batch.lengths))
-n = int(batch.lengths[b])
+b = int(np.argmin(mask.lengths))
+n = int(mask.lengths[b])
 alone_batch = next(dp.batch_pad([corpus.utts[b]], batch_size=1))
 alone = model_forward(tc.tensor(alone_batch.feats), alone_batch.mask, params)
 drift = np.abs(alone.data[0] - out.data[b, :n]).max()
@@ -52,10 +52,10 @@ print(f"utterance alone vs padded in a batch: max drift {drift:.2e}")
 t_max = batch.feats.shape[-1]
 wide = np.zeros(batch.feats.shape[:-1] + (t_max + 16,), np.float32)
 wide[..., :t_max] = batch.feats
-wide_mask = SequenceMask.from_lengths(batch.lengths, t_max + 16)
+wide_mask = SequenceMask.from_lengths(mask.lengths, t_max + 16)
 wider = model_forward(tc.tensor(wide), wide_mask, params)
 drift = max(np.abs(wider.data[i, :k] - out.data[i, :k]).max()
-            for i, k in enumerate(batch.lengths))
+            for i, k in enumerate(mask.lengths))
 print(f"padding stretched by 16 frames: max drift {drift:.2e}")
 
 # dropout only fires in train mode, and only with an rng in hand

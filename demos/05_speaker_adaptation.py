@@ -59,10 +59,11 @@ print(f"adapted error {report['iterations'][-1]['error']:.3f} "
       f"(started at {report['initial_error']:.3f}); "
       f"model weights untouched")
 
-# the transform rides along with evaluation as a plain matrix
+# the saved transform reloads bit-identical: scoring the heldout set
+# through it gives the report's final error
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "spk50.lin"
     ad.save_lin(lin, path)
     again = ad.load_lin(path)
-    _, acc = tr.evaluate(params, heldout, lin=again.matrix())
-    print(f"reloaded transform, adapted heldout accuracy {acc:.3f}")
+    err = ad.frame_error(params, heldout, again, batch_size=2)
+    print(f"reloaded transform, heldout frame error {err:.3f}")

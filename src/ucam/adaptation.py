@@ -6,6 +6,10 @@ point. Adaptation is unsupervised: the model pseudo-labels the speaker's
 utterances with its own argmax decisions, then only the LIN is trained to
 fit those labels while every model weight stays frozen. Re-labeling and
 retraining from a fresh identity repeats for a few iterations.
+
+A step's batch comes from ``batch_pad``, as in ``fit``, and ``lin_batch``
+warps its delta planes; pseudo-labels and held-out error warp the statics
+before the deltas, which agrees up to rounding only.
 """
 
 from __future__ import annotations
@@ -14,12 +18,12 @@ import numpy as np
 
 from . import serial
 from . import tensor as tc
-from .data import batch_pad, pad_to_longest, utterance_planes
-from .errors import ConfigError, StructureError
-from .masking import SequenceMask
+from .data import Batch, batch_pad, pad_to_longest
+from .errors import ConfigError, ShapeError, StructureError
 from .model import ModelParams, model_forward
 from .rng import keyed
-from .training import AdamState, masked_cross_entropy, posteriors
+from .training import (AdamState, check_lr, masked_cross_entropy,
+                       posteriors)
 
 
 class LinTransform:
@@ -43,22 +47,25 @@ class LinTransform:
                                            dtype=np.float32)).all())
 
 
-def lin_batch(utts, lin: LinTransform, planes=None):
-    """Differentiable padded batch [B, 3, F, T_max] through the LIN.
+def lin_batch(batch: Batch, lin: LinTransform) -> tc.Tensor:
+    """The LIN on every plane of a ``batch_pad`` batch, as one graph node.
 
-    The delta regression is linear in the frames, so transforming the
-    precomputed planes equals transforming the statics before the deltas;
-    this keeps the graph a single matmul per plane. ``planes`` are the
-    utterances' ``utterance_planes``, computed here when not given.
+    Utterance b of n frames gets ``w @ feats[b, :, :, :n]`` and zeros
+    beyond n; dW adds ``g @ plane.T`` over the valid frames utterance by
+    utterance, then plane by plane. The op name is "matmul".
     """
-    if planes is None:
-        planes = [utterance_planes(u) for u in utts]
-    mask = SequenceMask.from_lengths(np.array([u.length for u in utts]))
-    batch = tc.stack([
-        tc.pad_last(tc.stack([tc.matmul(lin.w, tc.tensor(plane))
-                              for plane in d]), mask.max_len)
-        for d in planes])
-    return batch, pad_to_longest([u.labels for u in utts]), mask
+    w, feats, lengths = lin.w, batch.feats, batch.mask.lengths
+    if feats.dtype != w.data.dtype:
+        raise ShapeError(f"lin_batch: mixed dtypes {w.dtype}, {feats.dtype}")
+    out = np.zeros_like(feats)
+    for b, n in enumerate(lengths):
+        out[b, ..., :n] = w.data @ feats[b, ..., :n]
+
+    def bwd(g):
+        terms = [g[b, p, :, :n] @ feats[b, p, :, :n].T
+                 for b, n in enumerate(lengths) for p in range(feats.shape[1])]
+        return (sum(terms[1:], terms[0]),)
+    return tc.from_op(out, (w,), bwd, "matmul")
 
 
 def pseudo_label(params: ModelParams, utts, lin: LinTransform,
@@ -68,7 +75,7 @@ def pseudo_label(params: ModelParams, utts, lin: LinTransform,
     for batch, post in posteriors(
             params, batch_pad(utts, batch_size=batch_size, lin=lin.matrix())):
         pred = post.data.argmax(-1)
-        for i, n in enumerate(batch.lengths):
+        for i, n in enumerate(batch.mask.lengths):
             out.append(pred[i, :n].astype(np.int64))
     return out
 
@@ -77,17 +84,14 @@ def frame_error(params: ModelParams, utts, lin: LinTransform,
                 batch_size: int = 4) -> float:
     """Fraction of valid frames whose argmax differs from the true label."""
     if not utts:
-        raise ConfigError("frame_error needs at least one utterance, got "
-                          "none")
+        raise ConfigError("frame_error needs at least one utterance, got none")
     wrong = 0
-    total = 0
     for batch, post in posteriors(
             params, batch_pad(utts, batch_size=batch_size, lin=lin.matrix())):
         pred = post.data.argmax(-1)
         ind = batch.mask.indicator(np.bool_)
         wrong += int((pred[ind] != batch.labels[ind]).sum())
-        total += int(ind.sum())
-    return wrong / total
+    return wrong / sum(u.length for u in utts)
 
 
 def adapt_speaker(params: ModelParams, utts, heldout=None,
@@ -107,6 +111,7 @@ def adapt_speaker(params: ModelParams, utts, heldout=None,
         # zero iterations is allowed: the report then reduces to a plain
         # evaluation of the unadapted model
         raise ConfigError("iterations must be >= 0 and epochs >= 1")
+    check_lr("lr", lr)
     if heldout is None:
         heldout = utts[3::4] or utts
         utts = [u for i, u in enumerate(utts) if i % 4 != 3] or utts
@@ -123,9 +128,6 @@ def adapt_speaker(params: ModelParams, utts, heldout=None,
                                            batch_size),
               "iterations": []}
 
-    # the LIN commutes with the deltas, so one set of planes serves every
-    # epoch of every iteration
-    planes = [utterance_planes(u) for u in utts]
     prior = [(t, t.requires_grad) for _, t in params.named_parameters()]
     params.set_requires_grad(False)
     try:
@@ -140,11 +142,12 @@ def adapt_speaker(params: ModelParams, utts, heldout=None,
                               ep).permutation(len(utts))
                 for start in range(0, len(utts), batch_size):
                     idx = order[start:start + batch_size]
-                    x, _, mask = lin_batch([utts[i] for i in idx], lin,
-                                           [planes[i] for i in idx])
+                    batch = next(batch_pad([utts[i] for i in idx],
+                                           batch_size=len(idx)))
                     labels = pad_to_longest([targets[i] for i in idx])
-                    out = model_forward(x, mask, params)
-                    loss = masked_cross_entropy(out, labels, mask)
+                    out = model_forward(lin_batch(batch, lin), batch.mask,
+                                        params)
+                    loss = masked_cross_entropy(out, labels, batch.mask)
                     tc.backward(loss)
                     adam.apply(lr)
                     tc.zero_grad([lin.w])

@@ -9,7 +9,9 @@ keys take no floats or booleans, float keys also take ints, list keys need
 lists. A checkpoint header's model config is held to the same rules, so
 ``eval``, ``adapt`` and ``train --resume`` exit 2 on a bad header. The
 merged result is written to effective_config.json in the output directory,
-and passing that file back as --config replays the run; a rejected
+and passing that file back as --config replays the run. A --resume keeps
+the "train" and "data" values of the effective_config.json beside its
+checkpoint, except train.steps, finetune_steps and ema_decay; a rejected
 --resume leaves the file as it was.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 IO error,
@@ -100,6 +102,19 @@ def _check_compat(cfg: AcousticModelConfig, corpus: dpipe.Corpus) -> None:
                           f"model only emits {cfg.n_senones}")
 
 
+def _check_resume_config(cfg: dict, ckpt) -> None:
+    """A resume keeps every train and data value but the schedule's length."""
+    path = os.path.join(os.path.dirname(ckpt), "effective_config.json")
+    if not os.path.exists(path):
+        raise ConfigError(f"no {path} to check the resume's run config")
+    saved = load_run_config(path)
+    differ = [f"{g}.{k}" for g in ("train", "data") for k in cfg[g]
+              if cfg[g][k] != saved[g][k] and f"{g}.{k}" not in (
+                  "train.steps", "train.finetune_steps", "train.ema_decay")]
+    if differ:
+        raise ConfigError(f"resume changes {', '.join(differ)} from {path}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -133,6 +148,7 @@ def cmd_train(args) -> int:
     tcfg = TrainConfig(**cfg["train"])
     if args.resume is not None:  # check before effective_config.json
         load_matching(args.resume, model_cfg, tcfg.steps)
+        _check_resume_config(cfg, args.resume)
     os.makedirs(args.out_dir, exist_ok=True)
     with serial.atomic_write(
             os.path.join(args.out_dir, "effective_config.json")) as f:
@@ -227,12 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--resume", default=None)
     t.add_argument("--seed", type=int, default=None)
     t.add_argument("--steps", type=int, default=None)
-    t.add_argument("--batch-size", dest="batch_size", type=int,
-                   default=None)
-    t.add_argument("--eval-every", dest="eval_every", type=int,
-                   default=None)
-    t.add_argument("--finetune-steps", dest="finetune_steps", type=int,
-                   default=None)
+    t.add_argument("--batch-size", type=int, default=None)
+    t.add_argument("--eval-every", type=int, default=None)
+    t.add_argument("--finetune-steps", type=int, default=None)
     t.add_argument("--dev-every", dest="dev_every", type=int, default=None)
     t.set_defaults(fn=cmd_train)
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, DataError, FileFormatError
 from .masking import SequenceMask
 from .rng import keyed
-from .serial import atomic_write, read_exact
+from .serial import atomic_write, read_exact, read_text
 
 FEATURE_MAGIC = b"UCFD"
 FEATURE_VERSION = 1
@@ -173,10 +173,7 @@ def utterance_planes(utt: UtteranceRecord,
 class Batch:
     feats: np.ndarray    # [B, 3, F, T_max], zeros beyond each length
     labels: np.ndarray   # [B, T_max], zeros beyond each length
-    lengths: np.ndarray  # [B]
-    utt_ids: list
-    speakers: list
-    mask: SequenceMask   # of lengths, built once per batch
+    mask: SequenceMask   # of the lengths, built once per batch
 
 
 def pad_to_longest(arrays) -> np.ndarray:
@@ -194,19 +191,16 @@ def batch_pad(utts, batch_size: int = 4,
     """Group consecutive utterances into zero-padded batches.
 
     The final batch may be short. Shuffling is the caller's concern so the
-    same function serves training (shuffled copy) and evaluation (as-is).
+    same function serves training, adaptation (both shuffled) and evaluation.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     for start in range(0, len(utts), batch_size):
         group = utts[start:start + batch_size]
-        lengths = np.array([u.length for u in group], dtype=np.int64)
-        feats = pad_to_longest([utterance_planes(u, lin) for u in group])
-        labels = pad_to_longest([u.labels for u in group])
-        yield Batch(feats=feats, labels=labels, lengths=lengths,
-                    utt_ids=[u.utt_id for u in group],
-                    speakers=[u.speaker for u in group],
-                    mask=SequenceMask.from_lengths(lengths))
+        yield Batch(
+            feats=pad_to_longest([utterance_planes(u, lin) for u in group]),
+            labels=pad_to_longest([u.labels for u in group]),
+            mask=SequenceMask.from_lengths([u.length for u in group]))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +238,7 @@ def read_features(path) -> Corpus:
             names = []
             for what in ("utterance id", "speaker id"):
                 (n,) = struct.unpack("<I", read_exact(f, 4, what))
-                names.append(read_exact(f, n, what).decode())
+                names.append(read_text(f, n, what))
             (t,) = struct.unpack("<I", read_exact(f, 4, "frame count"))
             raw = read_exact(f, 4 * feat_dim * t, "features")
             feats = np.frombuffer(raw, dtype="<f4").reshape(feat_dim, t)

@@ -33,6 +33,13 @@ def read_exact(f, n: int, what: str) -> bytes:
     return b
 
 
+def read_text(f, n: int, what: str) -> str:
+    try:
+        return read_exact(f, n, what).decode()
+    except UnicodeDecodeError as e:
+        raise FileFormatError(f"{what} is not valid UTF-8: {e}") from None
+
+
 @contextlib.contextmanager
 def atomic_write(path):
     """Write ``path`` through a temp file beside it, fsynced and renamed over
@@ -81,10 +88,9 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
                 f"unsupported format version {version}; this build reads "
                 f"version {VERSION}")
         (hlen,) = struct.unpack("<I", read_exact(f, 4, "header length"))
-        raw = read_exact(f, hlen, "header")
         try:
-            header = json.loads(raw.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            header = json.loads(read_text(f, hlen, "header"))
+        except json.JSONDecodeError as e:
             raise FileFormatError(f"unreadable header: {e}") from None
         if not isinstance(header, dict):
             raise FileFormatError(f"header must be a JSON object, got "
@@ -98,7 +104,7 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             if len(lead) != 4:
                 raise TruncatedFileError("file ends inside a tensor record")
             (nlen,) = struct.unpack("<I", lead)
-            name = read_exact(f, nlen, "tensor name").decode()
+            name = read_text(f, nlen, "tensor name")
             (rank,) = struct.unpack(
                 "<I", read_exact(f, 4, f"rank of tensor '{name}'"))
             dims = struct.unpack(

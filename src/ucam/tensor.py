@@ -319,31 +319,6 @@ def sum_all(a: Tensor) -> Tensor:
     return from_op(out, (a,), bwd, "sum_all")
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack same-shape tensors along a new axis."""
-    _check_same_dtype("stack", *tensors)
-    shapes = {t.shape for t in tensors}
-    if len(shapes) != 1:
-        raise ShapeError(f"stack: mismatched shapes {sorted(shapes)}")
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def bwd(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
-    return from_op(data, tuple(tensors), bwd, "stack")
-
-
-def pad_last(a: Tensor, target: int) -> Tensor:
-    """Zero-pad the last axis up to ``target`` elements."""
-    t = a.shape[-1]
-    if target < t:
-        raise ShapeError(f"pad_last: target {target} shorter than input {t}")
-    if target == t:
-        return a
-    width = [(0, 0)] * (a.ndim - 1) + [(0, target - t)]
-    return from_op(np.pad(a.data, width), (a,),
-                   lambda g: (g[..., :t],), "pad_last")
-
-
 # ---------------------------------------------------------------------------
 # activations
 

@@ -176,8 +176,8 @@ def posteriors(params: ModelParams, batches):
         yield batch, out
 
 
-def evaluate(params: ModelParams, utts, batch_size: int = 4,
-             lin: np.ndarray | None = None) -> tuple[float, float]:
+def evaluate(params: ModelParams, utts,
+             batch_size: int = 4) -> tuple[float, float]:
     """Corpus-level (mean NLL, frame accuracy) in eval mode."""
     if not utts:
         raise ConfigError("evaluate needs at least one utterance, got none")
@@ -185,7 +185,7 @@ def evaluate(params: ModelParams, utts, batch_size: int = 4,
     total_correct = 0
     total_frames = 0
     for batch, out in posteriors(
-            params, batch_pad(utts, batch_size=batch_size, lin=lin)):
+            params, batch_pad(utts, batch_size=batch_size)):
         mask = batch.mask
         loss = masked_cross_entropy(out, batch.labels, mask)
         n = mask.valid_frames()
@@ -216,11 +216,20 @@ class TrainConfig:
     ema_decay: float = 0.999
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 1 or self.eval_every < 1:
-            raise ConfigError("steps, batch_size and eval_every must "
-                              "be >= 1")
+        if min(self.steps, self.batch_size, self.eval_every, self.warmup) < 1:
+            raise ConfigError("steps, batch_size, eval_every and warmup "
+                              "must be >= 1")
         if self.finetune_steps < 0:
             raise ConfigError("finetune_steps must be >= 0")
+        check_lr("lr_factor", self.lr_factor)
+        if not 0.0 <= self.ema_decay < 1.0:
+            raise ConfigError(f"ema_decay must be in [0, 1), got "
+                              f"{self.ema_decay}")
+
+
+def check_lr(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 def _batch_for_step(utts, step: int, cfg: TrainConfig, cache: dict) -> Batch:
@@ -233,8 +242,7 @@ def _batch_for_step(utts, step: int, cfg: TrainConfig, cache: dict) -> Batch:
         cache["epoch"] = epoch
         cache["order"] = order
     idx = cache["order"][pos * cfg.batch_size:(pos + 1) * cfg.batch_size]
-    group = [utts[i] for i in idx]
-    return next(batch_pad(group, batch_size=len(group)))
+    return next(batch_pad([utts[i] for i in idx], batch_size=len(idx)))
 
 
 def _train_step(params, batch: Batch, adam: AdamState, lr: float,

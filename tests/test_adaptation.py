@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,7 @@ from ucam import data as dp
 from ucam import serial
 from ucam import tensor as tc
 from ucam import training as tr
-from ucam.errors import ConfigError, StructureError
-from ucam.masking import SequenceMask
+from ucam.errors import ConfigError, ShapeError, StructureError
 from ucam.model import (ModelParams, micro_config, model_forward,
                         save_checkpoint)
 from ucam.rng import keyed
@@ -36,26 +37,32 @@ def test_fresh_lin_is_identity():
         ad.LinTransform(0)
 
 
+def first_batch(utts, dtype=np.float32):
+    batch = next(dp.batch_pad(utts, batch_size=len(utts)))
+    return dataclasses.replace(batch, feats=batch.feats.astype(dtype))
+
+
 def test_identity_lin_forward_matches_unadapted():
     c = speaker_corpus()
     params = tiny_model()
-    lin = ad.LinTransform(8)
-    batch, labels, mask = ad.lin_batch(c.utts[:3], lin)
-    (plain,) = dp.batch_pad(c.utts[:3], batch_size=3)
-    assert np.array_equal(batch.data, plain.feats)
-    np.testing.assert_array_equal(labels, plain.labels)
-    np.testing.assert_array_equal(mask.lengths, plain.lengths)
-    adapted = model_forward(batch, mask, params)
+    plain = first_batch(c.utts[:3])
+    x = ad.lin_batch(plain, ad.LinTransform(8))
+    assert np.array_equal(x.data, plain.feats)
+    adapted = model_forward(x, plain.mask, params)
     unadapted = model_forward(tc.tensor(plain.feats), plain.mask, params)
     assert np.array_equal(adapted.data, unadapted.data)
 
 
-def test_identity_lin_evaluate_matches_unadapted():
+def test_identity_lin_scoring_matches_unadapted():
     c = speaker_corpus()
     params = tiny_model()
-    with_lin = tr.evaluate(params, c.utts, lin=np.eye(8, dtype=np.float32))
-    without = tr.evaluate(params, c.utts)
-    assert with_lin == without
+    eye = np.eye(8, dtype=np.float32)
+    for warped, plain in zip(dp.batch_pad(c.utts, lin=eye),
+                             dp.batch_pad(c.utts)):
+        assert np.array_equal(warped.feats, plain.feats)
+    _, acc = tr.evaluate(params, c.utts)
+    assert ad.frame_error(params, c.utts, ad.LinTransform(8)) \
+        == pytest.approx(1.0 - acc, abs=1e-12)
 
 
 def test_lin_batch_commutes_with_static_warp():
@@ -65,9 +72,91 @@ def test_lin_batch_commutes_with_static_warp():
     lin = ad.LinTransform(8)
     lin.w.data = (np.eye(8) + 0.2 * np.random.default_rng(3)
                   .standard_normal((8, 8))).astype(np.float32)
-    batch, _, _ = ad.lin_batch(c.utts[:4], lin)
+    x = ad.lin_batch(first_batch(c.utts[:4]), lin)
     (plain,) = dp.batch_pad(c.utts[:4], batch_size=4, lin=lin.matrix())
-    np.testing.assert_allclose(batch.data, plain.feats, atol=1e-4)
+    np.testing.assert_allclose(x.data, plain.feats, atol=1e-4)
+
+
+def lin_loop(batch, w, g):
+    """Reference on contiguous copies of each utterance's valid frames, one
+    plane at a time: the LIN's output, and dW for output gradient g."""
+    out = np.zeros_like(batch.feats)
+    dw = None
+    for b, n in enumerate(batch.mask.lengths):
+        for p in range(batch.feats.shape[1]):
+            plane = batch.feats[b, p, :, :n].copy()
+            out[b, p, :, :n] = w @ plane
+            term = g[b, p, :, :n].copy() @ plane.T
+            dw = term if dw is None else dw + term
+    return out, dw
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t_range", [(1, 1), (1, 6), (3, 40)])
+def test_lin_batch_matches_per_utterance_loop_bitwise(dtype, t_range):
+    c = dp.synth_corpus(seed=14, n_speakers=1, n_classes=5, n_utts=4,
+                        feat_dim=8, t_range=t_range)
+    batch = first_batch(c.utts, dtype)
+    rng = np.random.default_rng(15)
+    lin = ad.LinTransform(8)
+    lin.w = tc.parameter(np.eye(8) + 0.3 * rng.standard_normal((8, 8)),
+                         dtype=dtype)
+    g = rng.standard_normal(batch.feats.shape).astype(dtype)
+    x = ad.lin_batch(batch, lin)
+    tc.backward(tc.sum_all(tc.mul(x, tc.tensor(g))))
+    out, dw = lin_loop(batch, lin.w.data, g)
+    assert x.data.tobytes() == out.tobytes()
+    assert lin.w.grad.tobytes() == dw.tobytes()
+    for b, n in enumerate(batch.mask.lengths):
+        assert not x.data[b, ..., n:].any()
+
+
+def test_lin_batch_sums_dw_in_utterance_major_order():
+    # the same terms added plane by plane across the batch round
+    # differently, so the utterance-major order above is a real pin
+    c = dp.synth_corpus(seed=14, n_speakers=1, n_classes=5, n_utts=4,
+                        feat_dim=8, t_range=(3, 40))
+    batch = first_batch(c.utts)
+    g = np.random.default_rng(16).standard_normal(
+        batch.feats.shape).astype(np.float32)
+    _, dw = lin_loop(batch, np.eye(8, dtype=np.float32), g)
+    lengths = batch.mask.lengths
+    other = None
+    for p in range(batch.feats.shape[1]):
+        for b, n in enumerate(lengths):
+            term = g[b, p, :, :n] @ batch.feats[b, p, :, :n].T
+            other = term if other is None else other + term
+    assert dw.tobytes() != other.tobytes()
+
+
+def test_adaptation_step_records_one_lin_node():
+    c = speaker_corpus(seed=3, n_utts=4)
+    params = tiny_model()
+    params.set_requires_grad(False)
+    lin = ad.LinTransform(8)
+    batch = first_batch(c.utts)
+    out = model_forward(ad.lin_batch(batch, lin), batch.mask, params)
+    loss = tr.masked_cross_entropy(out, batch.labels, batch.mask)
+    params.set_requires_grad(True)
+    nodes, todo, seen = [], [loss], set()
+    while todo:
+        t = todo.pop()
+        if id(t) in seen or t._parents is None:
+            continue
+        seen.add(id(t))
+        nodes.append(t)
+        todo.extend(t._parents)
+    lin_nodes = [t for t in nodes if any(p is lin.w for p in t._parents)]
+    assert len(lin_nodes) == 1
+    assert lin_nodes[0]._parents == (lin.w,)
+    assert lin_nodes[0]._op == "matmul"
+    assert not {"stack", "pad_last"} & {t._op for t in nodes}
+
+
+def test_lin_batch_rejects_mixed_dtypes():
+    c = speaker_corpus()
+    with pytest.raises(ShapeError, match="mixed dtypes"):
+        ad.lin_batch(first_batch(c.utts[:2], np.float64), ad.LinTransform(8))
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +176,7 @@ def test_pseudo_label_consistent_with_frame_error():
         total += u.length
     assert ad.frame_error(params, c.utts, lin) == pytest.approx(
         wrong / total, abs=1e-12)
-    _, acc = tr.evaluate(params, c.utts, lin=lin.matrix())
+    _, acc = tr.evaluate(params, c.utts)  # the LIN is identity
     assert acc == pytest.approx(1.0 - wrong / total, abs=1e-12)
 
 
@@ -124,25 +213,28 @@ def test_empty_heldout_is_a_config_error():
         ad.adapt_speaker(params, c.utts, heldout=[], iterations=1)
 
 
-def test_plane_cache_leaves_adaptation_unchanged(monkeypatch):
+def test_adapt_steps_take_batch_pad_batches(monkeypatch):
+    # batch_pad and lin_batch are looked up at call time, once per step,
+    # so a wrapper around either sees every adaptation step
     c = speaker_corpus(seed=7, n_utts=8)
     params = tiny_model()
-    calls = []
-    planes = dp.utterance_planes
-    monkeypatch.setattr(ad, "utterance_planes",
-                        lambda u: calls.append(u.utt_id) or planes(u))
     lin1, rep1 = ad.adapt_speaker(params, c.utts, iterations=2, epochs=2,
-                                  seed=3)
-    # one plane computation per adaptation utterance, not per epoch
-    assert sorted(calls) == sorted(u.utt_id for i, u in enumerate(c.utts)
-                                   if i % 4 != 3)
-    lin_batch = ad.lin_batch
-    monkeypatch.setattr(ad, "lin_batch",
-                        lambda utts, lin, planes=None: lin_batch(utts, lin))
+                                  batch_size=4, seed=3)
+    calls = []
+    batch_pad, lin_batch = ad.batch_pad, ad.lin_batch
+    monkeypatch.setattr(ad, "batch_pad", lambda utts, **kw: calls.append(
+        ("batch_pad", len(utts), kw.get("lin") is None))
+        or batch_pad(utts, **kw))
+    monkeypatch.setattr(ad, "lin_batch", lambda batch, lin: calls.append(
+        ("lin_batch", batch.mask.batch, True)) or lin_batch(batch, lin))
     lin2, rep2 = ad.adapt_speaker(params, c.utts, iterations=2, epochs=2,
-                                  seed=3)
+                                  batch_size=4, seed=3)
     assert lin1.w.data.tobytes() == lin2.w.data.tobytes()
     assert rep1 == rep2
+    # 6 adaptation utterances: two steps of 4 and 2 per epoch
+    steps = [k for k in calls if k[2]]
+    assert steps == [("batch_pad", 4, True), ("lin_batch", 4, True),
+                     ("batch_pad", 2, True), ("lin_batch", 2, True)] * 4
 
 
 def test_adapt_report_structure():
@@ -211,20 +303,11 @@ def test_adapt_validates_inputs():
 
 
 def lin_path_loss(c, params, w):
-    planes, lengths = [], []
-    for u in c.utts:
-        d = dp.utterance_planes(u).astype(w.data.dtype)
-        rows = [tc.matmul(w, tc.tensor(d[i])) for i in range(3)]
-        planes.append(tc.stack(rows))
-        lengths.append(u.length)
-    t_max = max(lengths)
-    x = tc.stack([tc.pad_last(p, t_max) for p in planes])
-    mask = SequenceMask.from_lengths(np.array(lengths))
-    labels = np.zeros((len(c.utts), t_max), np.int64)
-    for i, u in enumerate(c.utts):
-        labels[i, :u.length] = u.labels
-    out = model_forward(x, mask, params)
-    return tr.masked_cross_entropy(out, labels, mask)
+    batch = first_batch(c.utts, w.data.dtype)
+    lin = ad.LinTransform(w.shape[0])
+    lin.w = w
+    out = model_forward(ad.lin_batch(batch, lin), batch.mask, params)
+    return tr.masked_cross_entropy(out, batch.labels, batch.mask)
 
 
 def test_gradient_flows_to_w_only():

@@ -121,8 +121,8 @@ def test_interrupted_config_rewrite_keeps_previous_file(tmp_path,
     monkeypatch.setattr(json, "dumps", crash)
     with pytest.raises(_Crash):
         run(["train", "--config", config, "--data", str(data),
-             "--out-dir", str(out), "--steps", "6",
-             "--resume", str(out / "last.ckpt")])
+             "--out-dir", str(out), "--steps", "6", "--eval-every", "2",
+             "--batch-size", "2", "--resume", str(out / "last.ckpt")])
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert not list(out.glob("*.tmp"))
@@ -334,6 +334,56 @@ def test_resume_past_steps_exits_2_before_writing(tmp_path, capsys):
     assert {f.name: f.read_bytes() for f in out.iterdir()} == files
 
 
+@pytest.mark.parametrize("flags,keys", [
+    (["--seed", "7", "--batch-size", "3"], "train.batch_size, train.seed"),
+    (["--dev-every", "3"], "data.dev_every"),
+    (["--eval-every", "1"], "train.eval_every")])
+def test_resume_with_other_run_config_exits_2_before_writing(
+        tmp_path, capsys, flags, keys):
+    data, out = train(tmp_path, steps=2)
+    files = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert run(["train", "--config", str(small_config(tmp_path)),
+                "--data", str(data), "--out-dir", str(out), "--steps", "4",
+                "--eval-every", "2", "--batch-size", "2", *flags,
+                "--resume", str(out / "last.ckpt")]) == 2
+    assert f"resume changes {keys} from" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == files
+
+
+def test_resume_without_effective_config_exits_2(tmp_path, capsys):
+    data, out = train(tmp_path, steps=2)
+    (out / "effective_config.json").unlink()
+    assert run(["train", "--config", str(small_config(tmp_path)),
+                "--data", str(data), "--out-dir", str(out), "--steps", "4",
+                "--eval-every", "2", "--batch-size", "2",
+                "--resume", str(out / "last.ckpt")]) == 2
+    assert "effective_config.json" in capsys.readouterr().err
+    assert not (out / "effective_config.json").exists()
+
+
+def test_resume_from_missing_checkpoint_exits_3(tmp_path, capsys):
+    data = synth(tmp_path)
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(small_config(tmp_path)),
+                "--data", str(data), "--out-dir", str(out), "--steps", "4",
+                "--resume", str(tmp_path / "gone" / "last.ckpt")]) == 3
+    assert "effective_config.json" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resume_may_extend_the_schedule(tmp_path):
+    data, out = train(tmp_path, steps=2)
+    cfg = json.loads((out / "effective_config.json").read_text())
+    assert run(["train", "--config", str(small_config(tmp_path,
+                                                      ema_decay=0.5)),
+                "--data", str(data), "--out-dir", str(out), "--steps", "4",
+                "--eval-every", "2", "--batch-size", "2",
+                "--finetune-steps", "1",
+                "--resume", str(out / "last.ckpt")]) == 0
+    cfg["train"].update(steps=4, finetune_steps=1, ema_decay=0.5)
+    assert json.loads((out / "effective_config.json").read_text()) == cfg
+
+
 def test_train_malformed_config_exits_2(tmp_path):
     data = synth(tmp_path)
     bad = tmp_path / "bad.json"
@@ -351,6 +401,22 @@ def test_train_feat_dim_mismatch_exits_2(tmp_path):
     data = synth(tmp_path)  # feat_dim 8, desk default model expects 16
     assert run(["train", "--data", str(data),
                 "--out-dir", str(tmp_path / "o"), "--steps", "2"]) == 2
+
+
+@pytest.mark.parametrize("key,value", [
+    ("warmup", 0), ("lr_factor", -5), ("lr_factor", float("nan")),
+    ("ema_decay", 1.5)])
+def test_train_bad_schedule_value_exits_2_before_writing(tmp_path, capsys,
+                                                         key, value):
+    data = synth(tmp_path)
+    out = tmp_path / "o"
+    assert run(["train", "--config", str(small_config(tmp_path,
+                                                      **{key: value})),
+                "--data", str(data), "--out-dir", str(out), "--steps", "2",
+                "--eval-every", "2", "--batch-size", "2",
+                "--finetune-steps", "2"]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -387,6 +453,21 @@ def test_eval_corrupt_checkpoint_exits_3(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"XXXX" + bytes(32))
     assert run(["eval", "--ckpt", str(bad), "--data", str(data)]) == 3
+
+
+@pytest.mark.parametrize("target,name,field", [
+    ("ckpt", b"head.b", "tensor name"),
+    ("data", b"utt00000", "utterance id"),
+    ("data", b"spk0", "speaker id")])
+def test_eval_non_utf8_name_exits_3(tmp_path, capsys, target, name, field):
+    data, out = train(tmp_path, steps=2)
+    paths = {"ckpt": out / "last.ckpt", "data": data}
+    raw = paths[target].read_bytes()
+    assert name in raw
+    paths[target].write_bytes(raw.replace(name, b"\xff" + name[1:], 1))
+    assert run(["eval", "--ckpt", str(paths["ckpt"]),
+                "--data", str(data)]) == 3
+    assert f"{field} is not valid UTF-8" in capsys.readouterr().err
 
 
 def test_eval_untrained_model_near_chance(tmp_path, capsys):
@@ -459,6 +540,18 @@ def test_adapt_zero_iterations_matches_plain_eval(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "iteration" not in text.replace("iterations", "")
     assert load_lin(lin_path).is_identity()
+
+
+@pytest.mark.parametrize("lr", ["-0.01", "0", "nan", "inf"])
+def test_adapt_bad_lr_exits_2_before_writing(tmp_path, capsys, lr):
+    data, out = train(tmp_path)
+    lin_path = tmp_path / "spk.ucam"
+    assert run(["adapt", "--ckpt", str(out / "last.ckpt"),
+                "--data", str(data), "--speaker", "spk1",
+                "--iterations", "1", "--epochs", "1", "--lr", lr,
+                "--out", str(lin_path)]) == 2
+    assert "lr must be positive and finite" in capsys.readouterr().err
+    assert not lin_path.exists()
 
 
 def test_adapt_unknown_speaker_exits_3(tmp_path):

@@ -229,13 +229,13 @@ def test_batch_pad_shapes_padding_and_mask():
     c = dp.synth_corpus(seed=8, n_speakers=2, n_classes=4, n_utts=7,
                         feat_dim=3, t_range=(5, 15))
     batches = list(dp.batch_pad(c.utts, batch_size=3))
-    assert [len(b.lengths) for b in batches] == [3, 3, 1]
+    assert [b.mask.batch for b in batches] == [3, 3, 1]
     for b in batches:
         t_max = b.feats.shape[-1]
-        assert t_max == b.lengths.max()
-        assert b.labels.shape == (len(b.lengths), t_max)
+        assert t_max == b.mask.lengths.max()
+        assert b.labels.shape == (b.mask.batch, t_max)
         ind = b.mask.indicator(bool)
-        for i, n in enumerate(b.lengths):
+        for i, n in enumerate(b.mask.lengths):
             assert np.all(b.feats[i, :, :, n:] == 0)
             assert np.all(b.labels[i, n:] == 0)
             assert ind[i, :n].all() and not ind[i, n:].any()
@@ -247,7 +247,8 @@ def test_batch_holds_one_mask():
     (b,) = dp.batch_pad(c.utts, batch_size=3)
     assert b.mask is b.mask
     assert b.mask.indicator() is b.mask.indicator()
-    np.testing.assert_array_equal(b.mask.lengths, b.lengths)
+    np.testing.assert_array_equal(b.mask.lengths,
+                                  [u.length for u in c.utts])
     assert b.mask.max_len == b.feats.shape[-1]
 
 
@@ -257,7 +258,7 @@ def test_batch_pad_round_trip():
     flat = []
     for b in dp.batch_pad(c.utts, batch_size=2):
         flat += [(b.feats[i, ..., :n], b.labels[i, :n])
-                 for i, n in enumerate(b.lengths)]
+                 for i, n in enumerate(b.mask.lengths)]
     assert len(flat) == 5
     for u, (planes, labels) in zip(c.utts, flat):
         np.testing.assert_array_equal(planes, dp.utterance_planes(u))
@@ -269,14 +270,6 @@ def test_batch_pad_rejects_bad_batch_size():
                         feat_dim=2)
     with pytest.raises(ConfigError):
         list(dp.batch_pad(c.utts, batch_size=0))
-
-
-def test_batch_pad_preserves_identity_fields():
-    c = dp.synth_corpus(seed=2, n_speakers=2, n_classes=3, n_utts=4,
-                        feat_dim=2)
-    (b,) = dp.batch_pad(c.utts, batch_size=4)
-    assert b.utt_ids == [u.utt_id for u in c.utts]
-    assert b.speakers == [u.speaker for u in c.utts]
 
 
 # ---------------------------------------------------------------------------

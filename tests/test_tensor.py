@@ -238,7 +238,7 @@ class TestShapeDiscipline:
             tc.add(a, b)
 
 
-class TestReshapeTransposeStack:
+class TestReshapeTranspose:
     def test_transpose_gradient(self):
         rng = np.random.default_rng(11)
         check_op_grad(lambda t: tc.mul(
@@ -249,22 +249,6 @@ class TestReshapeTransposeStack:
     def test_reshape_gradient(self):
         rng = np.random.default_rng(13)
         check_op_grad(lambda t: tc.reshape(t, (6, 2)), rand(rng, 3, 4))
-
-    def test_stack_and_pad_gradients(self):
-        rng = np.random.default_rng(14)
-        x = rand(rng, 3, 4)
-
-        def build(t):
-            return tc.stack([tc.pad_last(t, 6), tc.pad_last(tc.scale(t, 2.0), 6)])
-        check_op_grad(build, x)
-
-    def test_pad_last_zeroes(self):
-        out = tc.pad_last(tc.tensor([[1.0, 2.0]]), 4)
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 0.0, 0.0]])
-
-    def test_stack_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            tc.stack([tc.tensor(np.ones(2)), tc.tensor(np.ones(3))])
 
 
 class TestSoftmaxGather:

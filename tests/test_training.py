@@ -516,3 +516,14 @@ def test_train_config_validation():
         tr.TrainConfig(steps=0)
     with pytest.raises(ConfigError):
         tr.TrainConfig(finetune_steps=-1)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("warmup", 0), ("lr_factor", -5.0), ("lr_factor", 0.0),
+    ("lr_factor", float("nan")), ("lr_factor", float("inf")),
+    ("ema_decay", 1.5), ("ema_decay", 1.0), ("ema_decay", -0.1),
+    ("ema_decay", float("nan"))])
+def test_train_config_checks_schedule_and_ema(key, value):
+    with pytest.raises(ConfigError, match=key):
+        tr.TrainConfig(**{key: value})
+    tr.TrainConfig(ema_decay=0.0)

@@ -15,7 +15,9 @@ line), and exits 1 on any difference. The artifacts are:
   fine-tune (``desk_ema``);
 - ``evaluate``'s loss and accuracy, and the posteriors at every frame,
   padded ones included, at T 20-40 and T 200-400 (``eval_*``);
-- ``adapt_speaker``'s LIN and report for 2 speakers x 2 seeds (``adapt``);
+- ``adapt_speaker``'s LIN and report for 2 speakers x 2 seeds (``adapt``),
+  and for a speaker whose utterances have T 1-6, in batches of 3 over
+  2 epochs (``adapt_short``);
 - ``run_gradcheck`` at seeds 0 and 1 (``gradcheck``).
 
 Compare two checkouts on the same machine only: the hashes depend on the
@@ -113,6 +115,16 @@ def main(src: str) -> None:
             emit(f"adapt/{speaker}/{seed}/lin", lin.matrix().tobytes())
             emit(f"adapt/{speaker}/{seed}/report",
                  json.dumps(report, sort_keys=True).encode())
+
+    # adaptation utterances of T 1, 3, 5, 2, 1 and 2 in batches of 3: the
+    # LIN's padded edges and its dW order at the shortest lengths
+    short = dp.synth_corpus(seed=21, n_speakers=1, n_classes=10, n_utts=8,
+                            feat_dim=16, t_range=(1, 6), speaker_offset=60,
+                            utt_offset=2000)
+    lin, report = adapt_speaker(params, short.utts, iterations=2, epochs=2,
+                                lr=1e-3, batch_size=3, seed=13)
+    emit("adapt_short/lin", lin.matrix().tobytes())
+    emit("adapt_short/report", json.dumps(report, sort_keys=True).encode())
 
     for seed in (0, 1):
         emit(f"gradcheck/{seed}",
