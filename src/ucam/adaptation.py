@@ -42,10 +42,6 @@ class LinTransform:
     def matrix(self) -> np.ndarray:
         return self.w.data
 
-    def is_identity(self) -> bool:
-        return bool((self.w.data == np.eye(self.feat_dim,
-                                           dtype=np.float32)).all())
-
 
 def lin_batch(batch: Batch, lin: LinTransform) -> tc.Tensor:
     """The LIN on every plane of a ``batch_pad`` batch, as one graph node.
@@ -134,8 +130,7 @@ def adapt_speaker(params: ModelParams, utts, heldout=None,
         for it in range(1, iterations + 1):
             targets = pseudo_label(params, utts, lin, batch_size)
             lin = LinTransform(feat_dim, speaker)  # fresh identity
-            entry = {"iteration": it,
-                     "w_start_identity": lin.is_identity()}
+            entry = {"iteration": it}
             adam = AdamState([("lin.w", lin.w)])
             for ep in range(epochs):
                 order = keyed(seed, f"adapt-{speaker}-{it}",

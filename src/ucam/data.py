@@ -1,26 +1,26 @@
-"""Synthetic corpora, delta features, batching, and the feature-file format.
+"""Synthetic corpora, delta features, batching, and feature files.
 
 The synthetic task is frame classification with temporal structure: each
 class is a Gaussian bump in feature space, labels follow a sticky Markov
 chain, and every speaker observes the features through their own linear
 warp. That warp is what speaker adaptation later has to undo, and the
 Markov stickiness is what gives temporal context its value.
+
+A feature file is a ``serial`` container of kind "features": a header of
+feat_dim, n_classes and utts ([utt_id, speaker] pairs), then the records
+feats.{i} [F, T] and labels.{i} [T] of utterance i, labels as float32.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FileFormatError
+from . import serial
+from .errors import ConfigError, DataError, StructureError
 from .masking import SequenceMask
 from .rng import keyed
-from .serial import atomic_write, read_exact, read_text
-
-FEATURE_MAGIC = b"UCFD"
-FEATURE_VERSION = 1
 
 
 @dataclass
@@ -57,9 +57,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.utts)
 
-    def speakers(self) -> list[str]:
-        return sorted({u.speaker for u in self.utts})
-
     def for_speaker(self, speaker: str) -> "Corpus":
         return Corpus(utts=[u for u in self.utts if u.speaker == speaker],
                       feat_dim=self.feat_dim, n_classes=self.n_classes,
@@ -83,6 +80,9 @@ def synth_corpus(seed: int, n_speakers: int, n_classes: int, n_utts: int,
                     ("n_utts", n_utts), ("feat_dim", feat_dim)):
         if v < 1:
             raise ConfigError(f"{name} must be >= 1, got {v}")
+    if not np.isfinite([separation, warp_strength]).all():
+        raise ConfigError(f"separation and warp_strength must be finite, "
+                          f"got {separation} and {warp_strength}")
     t_min, t_max = t_range
     if not 1 <= t_min <= t_max:
         raise ConfigError(f"bad length range {t_range}")
@@ -204,54 +204,50 @@ def batch_pad(utts, batch_size: int = 4,
 
 
 # ---------------------------------------------------------------------------
-# feature file format
+# feature files
 
 
 def write_features(path, corpus: Corpus) -> None:
-    with atomic_write(path) as f:
-        f.write(FEATURE_MAGIC)
-        f.write(struct.pack("<IIII", FEATURE_VERSION, corpus.feat_dim,
-                            corpus.n_classes, len(corpus.utts)))
-        for u in corpus.utts:
-            for s in (u.utt_id, u.speaker):
-                sb = s.encode()
-                f.write(struct.pack("<I", len(sb)))
-                f.write(sb)
-            f.write(struct.pack("<I", u.length))
-            f.write(np.ascontiguousarray(u.feats, dtype="<f4").tobytes())
-            f.write(np.ascontiguousarray(u.labels, dtype="<u4").tobytes())
+    """A ``serial`` container of kind "features"; labels go as float32."""
+    header = {"kind": "features", "feat_dim": corpus.feat_dim,
+              "n_classes": corpus.n_classes,
+              "utts": [[u.utt_id, u.speaker] for u in corpus.utts]}
+    serial.write_container(path, header, (
+        rec for i, u in enumerate(corpus.utts)
+        for rec in ((f"feats.{i}", u.feats), (f"labels.{i}", u.labels))))
 
 
 def read_features(path) -> Corpus:
-    with open(path, "rb") as f:
-        magic = read_exact(f, 4, "magic")
-        if magic != FEATURE_MAGIC:
-            raise FileFormatError(
-                f"bad magic {magic!r}; expected {FEATURE_MAGIC!r}")
-        version, feat_dim, n_classes, count = struct.unpack(
-            "<IIII", read_exact(f, 16, "header"))
-        if version != FEATURE_VERSION:
-            raise FileFormatError(f"unsupported feature-file version "
-                                  f"{version}")
-        utts = []
-        for _ in range(count):
-            names = []
-            for what in ("utterance id", "speaker id"):
-                (n,) = struct.unpack("<I", read_exact(f, 4, what))
-                names.append(read_text(f, n, what))
-            (t,) = struct.unpack("<I", read_exact(f, 4, "frame count"))
-            raw = read_exact(f, 4 * feat_dim * t, "features")
-            feats = np.frombuffer(raw, dtype="<f4").reshape(feat_dim, t)
-            if not np.isfinite(feats).all():
-                raise DataError(
-                    f"utterance '{names[0]}': non-finite features in file")
-            raw = read_exact(f, 4 * t, "labels")
-            labels = np.frombuffer(raw, dtype="<u4").astype(np.int64)
-            if labels.size and labels.max() >= n_classes:
-                raise DataError(
-                    f"utterance '{names[0]}': label {labels.max()} out of "
-                    f"range [0, {n_classes})")
-            utts.append(UtteranceRecord(utt_id=names[0], speaker=names[1],
-                                        feats=feats.astype(np.float32),
-                                        labels=labels))
-        return Corpus(utts=utts, feat_dim=feat_dim, n_classes=n_classes)
+    header, tensors = serial.read_container(path)
+    if header.get("kind") != "features":
+        raise StructureError(
+            f"not a feature file (kind={header.get('kind')!r})")
+    feat_dim, n_classes, names = (header.get(k) for k in
+                                  ("feat_dim", "n_classes", "utts"))
+    if not (type(feat_dim) is type(n_classes) is int
+            and min(feat_dim, n_classes) >= 1 and isinstance(names, list)
+            and all(isinstance(n, list) and list(map(type, n)) == [str, str]
+                    for n in names)):
+        raise StructureError("feature-file header needs positive integers "
+                             "feat_dim and n_classes and a list of "
+                             "[utt_id, speaker] pairs in utts")
+    expected = {f"{r}.{i}" for i in range(len(names))
+                for r in ("feats", "labels")}
+    if tensors.keys() != expected:
+        raise StructureError(
+            f"feature file of {len(names)} utterances lacks records "
+            f"{sorted(expected - tensors.keys())} and has extra records "
+            f"{sorted(tensors.keys() - expected)}")
+    utts = []
+    for i, (utt_id, speaker) in enumerate(names):
+        feats, labels = tensors[f"feats.{i}"], tensors[f"labels.{i}"]
+        if feats.ndim != 2 or feats.shape[0] != feat_dim:
+            raise StructureError(f"utterance '{utt_id}': features have shape "
+                                 f"{feats.shape}, not [{feat_dim}, T]")
+        bad = (labels != np.floor(labels)) | (labels < 0) \
+            | (labels >= n_classes)
+        if bad.any():
+            raise DataError(f"utterance '{utt_id}': label {labels[bad][0]:g} "
+                            f"is not an integer in [0, {n_classes})")
+        utts.append(UtteranceRecord(utt_id, speaker, feats, labels))
+    return Corpus(utts=utts, feat_dim=feat_dim, n_classes=n_classes)

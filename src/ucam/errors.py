@@ -35,7 +35,7 @@ class DataError(UcamError, ValueError):
 
 
 class FileFormatError(UcamError, ValueError):
-    """A binary file does not start with the expected magic/version."""
+    """A binary file's magic, version, header or tensor names are bad."""
 
 
 class TruncatedFileError(FileFormatError):

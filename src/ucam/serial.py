@@ -5,9 +5,12 @@ Layout, all little-endian:
   repeated tensor records: name length u32 | name bytes | rank u32 |
   one u32 per dimension | raw float32 data.
 
+It is ucam's one binary format: the header's "kind" names what a file
+holds, "model", "lin" or "features", and each loader refuses the others.
 Every read is exact-length; a file that ends inside any field raises a
-truncation error distinct from a malformed-header error. Every write goes
-through ``atomic_write``, so an interrupted write leaves the old file.
+truncation error distinct from a malformed-header error, and a tensor
+name may appear once. Every write goes through ``atomic_write``, so an
+interrupted write leaves the old file.
 """
 
 from __future__ import annotations
@@ -105,6 +108,8 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
                 raise TruncatedFileError("file ends inside a tensor record")
             (nlen,) = struct.unpack("<I", lead)
             name = read_text(f, nlen, "tensor name")
+            if name in tensors:
+                raise FileFormatError(f"tensor '{name}' appears twice")
             (rank,) = struct.unpack(
                 "<I", read_exact(f, 4, f"rank of tensor '{name}'"))
             dims = struct.unpack(

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import tensor as tc
 from .data import Batch, batch_pad
-from .errors import ConfigError, DataError, DivergenceError, NumericError
+from .errors import (ConfigError, DataError, DivergenceError, NumericError,
+                     StructureError)
 from .masking import SequenceMask, apply_mask
 from .model import (AcousticModelConfig, Checkpoint, ModelParams,
                     config_to_dict, load_checkpoint, model_forward,
@@ -232,16 +233,13 @@ def check_lr(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
-def _batch_for_step(utts, step: int, cfg: TrainConfig, cache: dict) -> Batch:
+def _batch_for_step(utts, step: int, cfg: TrainConfig) -> Batch:
     # Epoch and position follow from the step alone, which is what makes
     # resumption reproduce the uninterrupted data order.
     per_epoch = (len(utts) + cfg.batch_size - 1) // cfg.batch_size
     epoch, pos = divmod(step - 1, per_epoch)
-    if cache.get("epoch") != epoch:
-        order = keyed(cfg.seed, "shuffle", epoch).permutation(len(utts))
-        cache["epoch"] = epoch
-        cache["order"] = order
-    idx = cache["order"][pos * cfg.batch_size:(pos + 1) * cfg.batch_size]
+    order = keyed(cfg.seed, "shuffle", epoch).permutation(len(utts))
+    idx = order[pos * cfg.batch_size:(pos + 1) * cfg.batch_size]
     return next(batch_pad([utts[i] for i in idx], batch_size=len(idx)))
 
 
@@ -274,8 +272,12 @@ class _TrainLog:
         if last_step is not None and os.path.exists(path):
             with open(path, "rb") as f:
                 for i, line in enumerate(f):
-                    if not line.endswith(b"\n") or (
-                            i and int(line.split(b",", 1)[0]) > last_step):
+                    complete = line.endswith(b"\n")
+                    step = line.split(b",", 1)[0]
+                    if i and complete and not step.isdigit():
+                        raise StructureError(f"{path} line {i + 1} does not "
+                                             f"start with a step number")
+                    if not complete or (i and int(step) > last_step):
                         break
                     keep += len(line)
             os.truncate(path, keep)
@@ -342,11 +344,10 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
 
     log = _TrainLog(os.path.join(out_dir, "train_log.csv"),
                     last_step=start - 1 if resume_from is not None else None)
-    cache: dict = {}
     history = []
     try:
         for step in range(start, cfg.steps + 1):
-            batch = _batch_for_step(train_utts, step, cfg, cache)
+            batch = _batch_for_step(train_utts, step, cfg)
             lr = sched.lr_at(step)
             value = _train_step(params, batch, adam, lr, cfg, step, named)
             dev = None
@@ -374,7 +375,7 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
             ema = EMAState(named, decay=cfg.ema_decay)
             for i in range(1, cfg.finetune_steps + 1):
                 step = cfg.steps + i
-                batch = _batch_for_step(train_utts, step, cfg, cache)
+                batch = _batch_for_step(train_utts, step, cfg)
                 value = _train_step(params, batch, ft_adam,
                                     FINETUNE_LR, cfg, step, named)
                 ema.update()

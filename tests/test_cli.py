@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 import subprocess
 import sys
 
@@ -65,8 +66,17 @@ def test_synth_offsets_reachable_from_flags(tmp_path):
     path = synth(tmp_path, "o.ucfd", speakers=1, speaker_offset=7,
                  utt_offset=100)
     corpus = dp.read_features(path)
-    assert corpus.speakers() == ["spk7"]
+    assert {u.speaker for u in corpus.utts} == {"spk7"}
     assert corpus.utts[0].utt_id == "utt00100"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_nonfinite_warp_strength_exits_2(tmp_path, capsys, value):
+    out = tmp_path / "w.ucfd"
+    assert run(["synth", "--out", str(out), "--warp-strength", value]) == 2
+    assert (f"config error: separation and warp_strength must be finite, "
+            f"got 4.0 and {value}" in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -126,6 +136,23 @@ def test_interrupted_config_rewrite_keeps_previous_file(tmp_path,
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert not list(out.glob("*.tmp"))
+
+
+def test_train_resume_corrupt_log_row_exits_3(tmp_path, capsys):
+    data, out = train(tmp_path)
+    log = out / "train_log.csv"
+    rows = log.read_bytes().splitlines(keepends=True)
+    rows[1] = b"x" + rows[1]  # a complete row whose step is no integer
+    log.write_bytes(b"".join(rows))
+    kept = ["train_log.csv", "best.ckpt", "last.ckpt"]
+    before = [(out / name).read_bytes() for name in kept]
+    assert run(["train", "--config", str(small_config(tmp_path)),
+                "--data", str(data), "--out-dir", str(out), "--steps", "6",
+                "--eval-every", "2", "--batch-size", "2",
+                "--resume", str(out / "last.ckpt")]) == 3
+    err = capsys.readouterr().err
+    assert f"io error: {log} line 2 does not start with a step" in err
+    assert [(out / name).read_bytes() for name in kept] == before
 
 
 def test_train_resume_continues_trace(tmp_path):
@@ -457,8 +484,8 @@ def test_eval_corrupt_checkpoint_exits_3(tmp_path):
 
 @pytest.mark.parametrize("target,name,field", [
     ("ckpt", b"head.b", "tensor name"),
-    ("data", b"utt00000", "utterance id"),
-    ("data", b"spk0", "speaker id")])
+    ("data", b"utt00000", "header"),   # ids live in the container header
+    ("data", b"spk0", "header")])
 def test_eval_non_utf8_name_exits_3(tmp_path, capsys, target, name, field):
     data, out = train(tmp_path, steps=2)
     paths = {"ckpt": out / "last.ckpt", "data": data}
@@ -468,6 +495,29 @@ def test_eval_non_utf8_name_exits_3(tmp_path, capsys, target, name, field):
     assert run(["eval", "--ckpt", str(paths["ckpt"]),
                 "--data", str(data)]) == 3
     assert f"{field} is not valid UTF-8" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_as_data_exits_3(tmp_path, capsys):
+    data, out = train(tmp_path, steps=2)
+    ckpt = str(out / "last.ckpt")
+    assert run(["eval", "--ckpt", ckpt, "--data", ckpt]) == 3
+    assert "not a feature file (kind='model')" in capsys.readouterr().err
+
+
+def test_eval_feature_file_as_checkpoint_exits_3(tmp_path, capsys):
+    data = str(synth(tmp_path))
+    assert run(["eval", "--ckpt", data, "--data", data]) == 3
+    assert ("not a model checkpoint (kind='features')"
+            in capsys.readouterr().err)
+
+
+def test_eval_ucfd_feature_file_exits_3(tmp_path, capsys):
+    data, out = train(tmp_path, steps=2)
+    # the earlier feature-file layout: magic, version, F, K, count, ...
+    data.write_bytes(b"UCFD" + struct.pack("<IIII", 1, 8, 10, 0))
+    assert run(["eval", "--ckpt", str(out / "last.ckpt"),
+                "--data", str(data)]) == 3
+    assert "bad magic b'UCFD'" in capsys.readouterr().err
 
 
 def test_eval_untrained_model_near_chance(tmp_path, capsys):
@@ -539,7 +589,8 @@ def test_adapt_zero_iterations_matches_plain_eval(tmp_path, capsys):
                 "--iterations", "0", "--out", str(lin_path)]) == 0
     text = capsys.readouterr().out
     assert "iteration" not in text.replace("iterations", "")
-    assert load_lin(lin_path).is_identity()
+    np.testing.assert_array_equal(load_lin(lin_path).matrix(),
+                                  np.eye(8, dtype=np.float32))
 
 
 @pytest.mark.parametrize("lr", ["-0.01", "0", "nan", "inf"])

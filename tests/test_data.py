@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ucam import data as dp
+from ucam import serial
 from ucam.errors import (ConfigError, DataError, FileFormatError,
-                         TruncatedFileError)
+                         StructureError, TruncatedFileError)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +41,7 @@ def test_synth_shapes_and_ranges():
     c = dp.synth_corpus(seed=3, n_speakers=3, n_classes=7, n_utts=12,
                         feat_dim=5, t_range=(9, 14))
     assert len(c) == 12 and c.feat_dim == 5 and c.n_classes == 7
-    assert c.speakers() == ["spk0", "spk1", "spk2"]
+    assert {u.speaker for u in c.utts} == {"spk0", "spk1", "spk2"}
     for u in c.utts:
         assert u.feats.shape == (5, u.length)
         assert 9 <= u.length <= 14
@@ -67,7 +69,7 @@ def test_synth_offsets_draw_fresh_material():
     moved = dp.synth_corpus(**kw, speaker_offset=10, utt_offset=100)
     # same class geometry, different everything speaker/utterance specific
     assert np.array_equal(base.class_means, moved.class_means)
-    assert moved.speakers() == ["spk10"]
+    assert {u.speaker for u in moved.utts} == {"spk10"}
     assert moved.utts[0].utt_id == "utt00100"
     assert not np.array_equal(base.warps["spk0"], moved.warps["spk10"])
     assert not np.array_equal(base.utts[0].labels, moved.utts[0].labels)
@@ -106,6 +108,16 @@ def test_synth_rejects_bad_config():
         dp.synth_corpus(**ok, t_range=(0, 3))
     with pytest.raises(ConfigError):
         dp.synth_corpus(**ok, self_loop=1.0)
+
+
+@pytest.mark.parametrize("key", ["separation", "warp_strength"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_synth_rejects_nonfinite_scale(key, value):
+    ok = dict(seed=0, n_speakers=1, n_classes=2, n_utts=1, feat_dim=2)
+    with pytest.raises(ConfigError, match="separation and warp_strength "
+                                          "must be finite") as e:
+        dp.synth_corpus(**ok, **{key: value})
+    assert str(value) in str(e.value)
 
 
 def test_synth_nearest_mean_learnability_floor():
@@ -276,41 +288,51 @@ def test_batch_pad_rejects_bad_batch_size():
 # feature files
 
 
-def corpus_for_io():
-    return dp.synth_corpus(seed=13, n_speakers=2, n_classes=5, n_utts=6,
+def corpus_for_io(n_utts=6):
+    return dp.synth_corpus(seed=13, n_speakers=2, n_classes=5, n_utts=n_utts,
                            feat_dim=4, t_range=(3, 8))
 
 
 def read_features_oracle(path):
-    """Second, independent decoder used to cross-check the writer."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    assert raw[:4] == b"UCFD"
-    version, feat_dim, n_classes, count = struct.unpack_from("<IIII", raw, 4)
+    """Second, independent decoder of the container layout in the README.
+
+    Returns the header and, per record name, the byte offset of its data
+    and the data as an array.
+    """
+    raw = path.read_bytes()
+    assert raw[:4] == b"UCAM"
+    version, hlen = struct.unpack_from("<II", raw, 4)
     assert version == 1
-    off = 20
-    utts = []
-    for _ in range(count):
-        names = []
-        for _ in range(2):
-            (n,) = struct.unpack_from("<I", raw, off)
-            off += 4
-            names.append(raw[off:off + n].decode())
-            off += n
-        (t,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        feats = np.frombuffer(raw, "<f4", feat_dim * t,
-                              off).reshape(feat_dim, t)
-        off += 4 * feat_dim * t
-        labels = np.frombuffer(raw, "<u4", t, off).astype(np.int64)
-        off += 4 * t
-        utts.append((names[0], names[1], feats, labels))
+    header = json.loads(raw[12:12 + hlen].decode())
+    off = 12 + hlen
+    records = {}
+    while off < len(raw):
+        (n,) = struct.unpack_from("<I", raw, off)
+        name = raw[off + 4:off + 4 + n].decode()
+        off += 4 + n
+        (rank,) = struct.unpack_from("<I", raw, off)
+        dims = struct.unpack_from(f"<{rank}I", raw, off + 4)
+        off += 4 + 4 * rank
+        count = int(np.prod(dims))
+        assert name not in records
+        records[name] = (off, np.frombuffer(raw, "<f4", count,
+                                            off).reshape(dims))
+        off += 4 * count
     assert off == len(raw)
-    return feat_dim, n_classes, utts
+    return header, records
+
+
+def rewrite_records(path, edit_header=None, edit_records=None):
+    """Rewrite a feature file's container with its header or records edited."""
+    header, tensors = serial.read_container(path)
+    records = list(tensors.items())
+    serial.write_container(
+        path, edit_header(header) if edit_header else header,
+        edit_records(records) if edit_records else records)
 
 
 def test_feature_file_round_trip(tmp_path):
-    c = corpus_for_io()
+    c = corpus_for_io(n_utts=16)
     path = tmp_path / "c.ucfd"
     dp.write_features(path, c)
     back = dp.read_features(path)
@@ -319,18 +341,18 @@ def test_feature_file_round_trip(tmp_path):
     for a, b in zip(c.utts, back.utts):
         assert a.utt_id == b.utt_id and a.speaker == b.speaker
         assert a.feats.tobytes() == b.feats.tobytes()
-        np.testing.assert_array_equal(a.labels, b.labels)
+        assert b.labels.dtype == np.int64
+        assert a.labels.tobytes() == b.labels.tobytes()
 
 
 class _Interrupt(Exception):
     pass
 
 
-class _BreaksAfterOne(list):
-    """Utterance list whose iteration stops with an error after one item."""
+class _Explodes:
+    """Array stand-in whose conversion fails, as a crash mid-write would."""
 
-    def __iter__(self):
-        yield self[0]
+    def __array__(self, *args, **kwargs):
         raise _Interrupt
 
 
@@ -339,7 +361,7 @@ def test_interrupted_feature_write_keeps_previous_file(tmp_path):
     dp.write_features(path, corpus_for_io())
     before = path.read_bytes()
     c = corpus_for_io()
-    c.utts = _BreaksAfterOne(c.utts)
+    c.utts[3].feats = _Explodes()  # three utterances in, the write fails
     with pytest.raises(_Interrupt):
         dp.write_features(path, c)
     assert path.read_bytes() == before
@@ -351,12 +373,16 @@ def test_feature_file_against_independent_decoder(tmp_path):
     c = corpus_for_io()
     path = tmp_path / "c.ucfd"
     dp.write_features(path, c)
-    feat_dim, n_classes, utts = read_features_oracle(path)
-    assert (feat_dim, n_classes) == (c.feat_dim, c.n_classes)
-    for a, (uid, spk, feats, labels) in zip(c.utts, utts):
-        assert (a.utt_id, a.speaker) == (uid, spk)
-        assert a.feats.tobytes() == feats.tobytes()
-        np.testing.assert_array_equal(a.labels, labels)
+    header, records = read_features_oracle(path)
+    assert header == {"kind": "features", "feat_dim": c.feat_dim,
+                      "n_classes": c.n_classes,
+                      "utts": [[u.utt_id, u.speaker] for u in c.utts]}
+    assert list(records) == [f"{r}.{i}" for i in range(len(c.utts))
+                             for r in ("feats", "labels")]
+    for i, a in enumerate(c.utts):
+        assert a.feats.tobytes() == records[f"feats.{i}"][1].tobytes()
+        labels = records[f"labels.{i}"][1]
+        assert labels.tobytes() == a.labels.astype("<f4").tobytes()
 
 
 def test_feature_file_bad_magic(tmp_path):
@@ -398,33 +424,79 @@ def test_feature_file_truncated_tail(tmp_path):
 
 
 def test_feature_file_nonfinite_payload(tmp_path):
-    c = corpus_for_io()
     path = tmp_path / "c.ucfd"
-    dp.write_features(path, c)
+    dp.write_features(path, corpus_for_io())
+    _, records = read_features_oracle(path)
     raw = bytearray(path.read_bytes())
-    # first float of the first utterance payload: header, then
-    # two length-prefixed names and the frame count
-    off = 20
-    for s in (c.utts[0].utt_id, c.utts[0].speaker):
-        off += 4 + len(s.encode())
-    off += 4
-    struct.pack_into("<f", raw, off, np.nan)
+    struct.pack_into("<f", raw, records["feats.0"][0], np.nan)
     path.write_bytes(bytes(raw))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="utt00000.*non-finite"):
         dp.read_features(path)
 
 
-def test_feature_file_label_out_of_range(tmp_path):
+@pytest.mark.parametrize("value,shown", [
+    (1000.0, "1000"), (5.0, "5"), (-1.0, "-1"), (2.5, "2.5"),
+    (np.nan, "nan")])
+def test_feature_file_bad_label(tmp_path, value, shown):
     c = corpus_for_io()
     path = tmp_path / "c.ucfd"
     dp.write_features(path, c)
+    _, records = read_features_oracle(path)
     raw = bytearray(path.read_bytes())
-    off = 20
-    for s in (c.utts[0].utt_id, c.utts[0].speaker):
-        off += 4 + len(s.encode())
-    t = c.utts[0].length
-    off += 4 + 4 * c.feat_dim * t  # skip frame count and features
-    struct.pack_into("<I", raw, off, 1000)
+    # the last frame of the second utterance
+    off = records["labels.1"][0] + 4 * (c.utts[1].length - 1)
+    struct.pack_into("<f", raw, off, value)
     path.write_bytes(bytes(raw))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=f"'utt00001': label {shown} is not "
+                                        r"an integer in \[0, 5\)"):
+        dp.read_features(path)
+
+
+@pytest.mark.parametrize("edit", [
+    {"feat_dim": None}, {"feat_dim": "4"}, {"feat_dim": 4.0},
+    {"feat_dim": 0}, {"n_classes": True}, {"n_classes": -5},
+    {"utts": "utt00000"}, {"utts": [["utt00000", "spk0", "x"]] * 6},
+    {"utts": [["utt00000", 0]] * 6}, {"utts": [{"id": "u"}] * 6}],
+    ids=lambda e: str(e)[:40])
+def test_feature_file_malformed_header(tmp_path, edit):
+    path = tmp_path / "c.ucfd"
+    dp.write_features(path, corpus_for_io())
+    rewrite_records(path, edit_header=lambda h: {**h, **edit})
+    with pytest.raises(StructureError, match="feature-file header"):
+        dp.read_features(path)
+
+
+@pytest.mark.parametrize("edit,names", [
+    (lambda rs: [r for r in rs if r[0] != "labels.2"], r"\['labels.2'\]"),
+    (lambda rs: rs + [("feats.6", rs[0][1])], r"\['feats.6'\]"),
+    (lambda rs: rs + [("note", np.zeros(1))], r"\['note'\]"),
+    (lambda rs: rs[:-2], r"\['feats.5', 'labels.5'\]")],
+    ids=["missing", "extra_utterance", "extra_name", "missing_utterance"])
+def test_feature_file_missing_or_extra_record(tmp_path, edit, names):
+    path = tmp_path / "c.ucfd"
+    dp.write_features(path, corpus_for_io())
+    rewrite_records(path, edit_records=edit)
+    with pytest.raises(StructureError, match=names):
+        dp.read_features(path)
+
+
+@pytest.mark.parametrize("reshape", [
+    lambda a: a[:3], lambda a: a.reshape(-1), lambda a: a[None]],
+    ids=["wrong_dim", "rank_1", "rank_3"])
+def test_feature_file_misshapen_features(tmp_path, reshape):
+    path = tmp_path / "c.ucfd"
+    dp.write_features(path, corpus_for_io())
+    rewrite_records(path, edit_records=lambda rs: [
+        (n, reshape(a) if n == "feats.1" else a) for n, a in rs])
+    with pytest.raises(StructureError, match=r"'utt00001': features have "
+                                             r"shape .*not \[4, T\]"):
+        dp.read_features(path)
+
+
+def test_feature_file_misaligned_labels(tmp_path):
+    path = tmp_path / "c.ucfd"
+    dp.write_features(path, corpus_for_io())
+    rewrite_records(path, edit_records=lambda rs: [
+        (n, a[:-1] if n == "labels.0" else a) for n, a in rs])
+    with pytest.raises(DataError, match="must align"):
         dp.read_features(path)

@@ -344,3 +344,11 @@ def test_container_truncated_tensor_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(TruncatedFileError):
         serial.read_container(path)
+
+
+def test_container_duplicate_name(tmp_path):
+    path = tmp_path / "c.bin"
+    w = np.ones((2, 2), np.float32)
+    serial.write_container(path, {}, [("w", w), ("v", w), ("w", w)])
+    with pytest.raises(FileFormatError, match="tensor 'w' appears twice"):
+        serial.read_container(path)
