@@ -35,7 +35,8 @@ from .errors import (ConfigError, DataError, DivergenceError,
 from .model import (AcousticModelConfig, ModelParams, config_from_dict,
                     config_to_dict, desk_config, load_checkpoint, overlay)
 from .rng import keyed
-from .training import TrainConfig, evaluate, fit, load_matching
+from .training import (TrainConfig, evaluate, fit, load_matching,
+                       resumed_log_bytes)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -147,8 +148,10 @@ def cmd_train(args) -> int:
 
     tcfg = TrainConfig(**cfg["train"])
     if args.resume is not None:  # check before effective_config.json
-        load_matching(args.resume, model_cfg, tcfg.steps)
+        ck = load_matching(args.resume, model_cfg, tcfg.steps)
         _check_resume_config(cfg, args.resume)
+        resumed_log_bytes(os.path.join(args.out_dir, "train_log.csv"),
+                          ck.step)
     os.makedirs(args.out_dir, exist_ok=True)
     with serial.atomic_write(
             os.path.join(args.out_dir, "effective_config.json")) as f:

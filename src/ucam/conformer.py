@@ -11,6 +11,7 @@ stays zero-padded; the ``masking`` module says where the masks go.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,10 +97,19 @@ def add_position(x: Tensor, mask: SequenceMask) -> Tensor:
     if x.ndim != 3:
         raise ShapeError(f"add_position expects [B, T, D], got {x.shape}")
     _, t, d = x.shape
-    pe = positional_encoding(t, d, dtype=x.data.dtype).data
-    scaled = (pe / np.sqrt(d)).astype(x.data.dtype, copy=False)
+    scaled = _scaled_position(t, d, x.data.dtype)
     return apply_mask(tc.add_const(x, scaled[None, :, :], op="add_position"),
                       mask)
+
+
+@functools.lru_cache(maxsize=16)
+def _scaled_position(t: int, d: int, dtype: np.dtype) -> np.ndarray:
+    """PE/sqrt(d) as a read-only [t, d] array, built once per key: every
+    block of every forward adds the same table."""
+    pe = positional_encoding(t, d, dtype=dtype).data
+    scaled = (pe / np.sqrt(d)).astype(dtype, copy=False)
+    scaled.flags.writeable = False
+    return scaled
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,10 @@ def compute_deltas(static: np.ndarray) -> np.ndarray:
     t = static.shape[1]
 
     def regress(x):
-        xp = np.pad(x, ((0, 0), (2, 2)), mode="edge")
+        xp = np.empty((x.shape[0], t + 4), dtype=x.dtype)  # edge-replicated
+        xp[:, 2:2 + t] = x
+        xp[:, :2] = x[:, :1]
+        xp[:, 2 + t:] = x[:, t - 1:]
         return ((xp[:, 3:3 + t] - xp[:, 1:1 + t])
                 + 2.0 * (xp[:, 4:4 + t] - xp[:, 0:t])) / 10.0
 

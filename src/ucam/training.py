@@ -260,6 +260,27 @@ def _train_step(params, batch: Batch, adam: AdamState, lr: float,
     return value
 
 
+def resumed_log_bytes(path, last_step: int) -> int:
+    """How many leading bytes of the train log at ``path`` a resume at
+    ``last_step`` keeps: the header and the complete rows up to that step.
+    A complete row whose step is no number is refused before anything is
+    written, so ``cmd_train`` calls this ahead of ``effective_config.json``.
+    """
+    keep = 0
+    if os.path.exists(path):
+        with open(path, "rb") as f:
+            for i, line in enumerate(f):
+                complete = line.endswith(b"\n")
+                step = line.split(b",", 1)[0]
+                if i and complete and not step.isdigit():
+                    raise StructureError(f"{path} line {i + 1} does not "
+                                         f"start with a step number")
+                if not complete or (i and int(step) > last_step):
+                    break
+                keep += len(line)
+    return keep
+
+
 class _TrainLog:
     """CSV trace: step, lr, train_loss and, on eval rows, dev columns.
 
@@ -268,18 +289,8 @@ class _TrainLog:
     """
 
     def __init__(self, path, last_step: int | None = None):
-        keep = 0
-        if last_step is not None and os.path.exists(path):
-            with open(path, "rb") as f:
-                for i, line in enumerate(f):
-                    complete = line.endswith(b"\n")
-                    step = line.split(b",", 1)[0]
-                    if i and complete and not step.isdigit():
-                        raise StructureError(f"{path} line {i + 1} does not "
-                                             f"start with a step number")
-                    if not complete or (i and int(step) > last_step):
-                        break
-                    keep += len(line)
+        keep = 0 if last_step is None else resumed_log_bytes(path, last_step)
+        if keep:
             os.truncate(path, keep)
         self.f = open(path, "a" if keep else "w")
         if not keep:

@@ -23,6 +23,9 @@ from .tensor import Tensor
 
 N_BLOCKS = 3
 N_PLANES = 3  # static, delta, delta-delta: what data.compute_deltas emits
+# im2col column bytes per utterance group in conv2d (see its docstring):
+# the fastest of 256 KB to 2 MB, and one utterance per group, at T 24-400
+COLS_BYTES = 1 << 19
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -52,8 +55,18 @@ def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
     No padded copy of ``x`` is made. The im2col columns [B, C, kf, kt,
     F', T] take, per tap (i, j), one strided span straight from ``x``:
     the outputs whose input lies inside it. Only the border strips whose
-    input lies in the padding are zeroed. dX adds the same spans back
-    into an unpadded array, tap by tap in (i, j) order from zeros.
+    input lies in the padding are zeroed.
+
+    The batch runs in groups of ``max(1, min(B, COLS_BYTES // bytes of one
+    utterance's columns))`` utterances: each group's columns are built and
+    at once multiplied into its slice of the output, while they are still
+    in cache. Without dW one group-sized column buffer serves every group,
+    its border strips zeroed once; with dW the groups fill the full
+    [B, K, N] columns that dW reads. dX runs the same groups: a group's
+    dcol matmul, then its spans added into an unpadded array, tap by tap
+    in (i, j) order from zeros. numpy's stacked matmul makes one gemm call
+    per utterance and every element gets the same copies and adds in the
+    same order, so the group size cannot change a bit.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects [B, C, F, T] and [O, C, kf, kt], "
@@ -74,25 +87,33 @@ def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
     tspans = _tap_spans(t, t, 1, (kt - 1) // 2, kt)
     taps = [(i, j, fo, to, fi, ti) for i, (fo, fi) in enumerate(fspans)
             for j, (to, ti) in enumerate(tspans)]
+    k, n = c * kf * kt, out_f * t
+    dtype = x.data.dtype
+    ub = max(1, min(bsz, COLS_BYTES // max(k * n * dtype.itemsize, 1)))
+    groups = [(b0, min(b0 + ub, bsz)) for b0 in range(0, bsz, ub)]
+    need_x = tc.needs_grad(x)
+    # only dW reads the columns after the forward; without it, one
+    # group-sized buffer is reused
+    keep = tc.needs_grad(w)
 
-    cols = np.empty((bsz, c, kf, kt, out_f, t), dtype=x.data.dtype)
+    cols = np.empty((bsz if keep else ub, c, kf, kt, out_f, t), dtype=dtype)
     for i, (fo, _) in enumerate(fspans):
         cols[:, :, i, :, :fo.start] = 0
         cols[:, :, i, :, fo.stop:] = 0
     for j, (to, _) in enumerate(tspans):
         cols[:, :, :, j, :, :to.start] = 0
         cols[:, :, :, j, :, to.stop:] = 0
-    for i, j, fo, to, fi, ti in taps:
-        cols[:, :, i, j, fo, to] = x.data[:, :, fi, ti]
-    cols = cols.reshape(bsz, c * kf * kt, out_f * t)
-    w2 = w.data.reshape(o, -1)
-    out = np.matmul(w2, cols).reshape(bsz, o, out_f, t)
-    need_x = tc.needs_grad(x)
-    # only dW reads the im2col buffer; keep it alive only when dW is needed
-    saved_cols = cols if tc.needs_grad(w) else None
+    w2 = w.data.reshape(o, k)
+    out = np.empty((bsz, o, n), dtype=dtype)
+    for b0, b1 in groups:
+        cg = cols[b0:b1] if keep else cols[:b1 - b0]
+        for i, j, fo, to, fi, ti in taps:
+            cg[:, :, i, j, fo, to] = x.data[b0:b1, :, fi, ti]
+        np.matmul(w2, cg.reshape(b1 - b0, k, n), out=out[b0:b1])
+    saved_cols = cols.reshape(bsz, k, n) if keep else None
 
     def bwd(g):
-        g2 = g.reshape(bsz, o, -1)
+        g2 = g.reshape(bsz, o, n)
         # one BLAS matmul per utterance (einsum would run a plain C loop),
         # summed in float64 and rounded once: dW ignores the batch order
         dw = (np.matmul(g2, saved_cols.transpose(0, 2, 1))
@@ -100,13 +121,16 @@ def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
               if saved_cols is not None else None)
         if not need_x:
             return None, dw
-        dcol = np.matmul(w2.T, g2).reshape(bsz, c, kf, kt, out_f, t)
-        dx = np.zeros(x.shape, dtype=x.data.dtype)
-        for i, j, fo, to, fi, ti in taps:
-            dx[:, :, fi, ti] += dcol[:, :, i, j, fo, to]
+        dcol = np.empty((ub, k, n), dtype=dtype)
+        dx = np.zeros(x.shape, dtype=dtype)
+        for b0, b1 in groups:
+            dg = np.matmul(w2.T, g2[b0:b1], out=dcol[:b1 - b0]).reshape(
+                b1 - b0, c, kf, kt, out_f, t)
+            for i, j, fo, to, fi, ti in taps:
+                dx[b0:b1, :, fi, ti] += dg[:, :, i, j, fo, to]
         return dx, dw
 
-    return tc.from_op(out, (x, w), bwd, "conv2d")
+    return tc.from_op(out.reshape(bsz, o, out_f, t), (x, w), bwd, "conv2d")
 
 
 def he_conv(rng: np.random.Generator, out_c: int, in_c: int, kf: int, kt: int,

@@ -144,7 +144,8 @@ def test_train_resume_corrupt_log_row_exits_3(tmp_path, capsys):
     rows = log.read_bytes().splitlines(keepends=True)
     rows[1] = b"x" + rows[1]  # a complete row whose step is no integer
     log.write_bytes(b"".join(rows))
-    kept = ["train_log.csv", "best.ckpt", "last.ckpt"]
+    kept = ["train_log.csv", "best.ckpt", "last.ckpt",
+            "effective_config.json"]
     before = [(out / name).read_bytes() for name in kept]
     assert run(["train", "--config", str(small_config(tmp_path)),
                 "--data", str(data), "--out-dir", str(out), "--steps", "6",

@@ -3,9 +3,10 @@ import pytest
 
 from ucam import tensor as tc
 from ucam.conformer import (ConformerBlockParams, ConvModuleParams, FFNParams,
-                            MHSAParams, add_position, conformer_block_forward,
-                            conv_module_forward, depthwise_conv1d, ffn_forward,
-                            mhsa_forward, positional_encoding)
+                            MHSAParams, _scaled_position, add_position,
+                            conformer_block_forward, conv_module_forward,
+                            depthwise_conv1d, ffn_forward, mhsa_forward,
+                            positional_encoding)
 from ucam.errors import ConfigError, ShapeError
 from ucam.masking import NormParams, SequenceMask, apply_mask, \
     utterance_layernorm
@@ -120,6 +121,28 @@ class TestAddPosition:
         want = (np.sqrt(6.0) * x + pe[None]) / np.sqrt(6.0)
         want *= m.indicator()[:, :, None]
         np.testing.assert_allclose(got, want, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["f32", "f64"])
+    def test_cached_table_is_bitwise_the_fresh_one(self, dtype):
+        rng = np.random.default_rng(8)
+        m = mask_of([7, 4])
+        pe = positional_encoding(7, 6, dtype=dtype).data
+        want_table = (pe / np.sqrt(6)).astype(dtype, copy=False)
+        for _ in range(2):  # the second call reads the cached table
+            x = rng.standard_normal((2, 7, 6)).astype(dtype)
+            got = add_position(tc.tensor(x), m).data
+            want = (x + want_table[None]) * m.indicator(dtype)[:, :, None]
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_cached_table_is_read_only(self):
+        x = tc.tensor(np.zeros((1, 3, 4), dtype=np.float32))
+        add_position(x, mask_of([3]))
+        table = _scaled_position(3, 4, np.dtype(np.float32))
+        assert table is _scaled_position(3, 4, np.dtype(np.float32))
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
 
     def test_scaling_factor_at_width_256_is_16(self):
         x = tc.tensor(np.zeros((1, 3, 256), dtype=np.float32))

@@ -162,6 +162,29 @@ def test_deltas_match_reference_loop():
         np.testing.assert_allclose(planes[2], delta_loop(d), atol=1e-12)
 
 
+def deltas_np_pad(static):
+    """compute_deltas with np.pad's edge mode building the +-2 window."""
+    t = static.shape[1]
+
+    def regress(x):
+        xp = np.pad(x, ((0, 0), (2, 2)), mode="edge")
+        return ((xp[:, 3:3 + t] - xp[:, 1:1 + t])
+                + 2.0 * (xp[:, 4:4 + t] - xp[:, 0:t])) / 10.0
+
+    d = regress(static)
+    return np.stack([static, d, regress(d)]).astype(static.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["f32", "f64"])
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6, 40])
+def test_deltas_match_np_pad_edge_bitwise(t, dtype):
+    x = np.random.default_rng(t).standard_normal((5, t)).astype(dtype)
+    got, want = dp.compute_deltas(x), deltas_np_pad(x)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_deltas_constant_and_single_frame_are_zero():
     planes = dp.compute_deltas(np.full((4, 9), 2.5))
     assert np.all(planes[1] == 0) and np.all(planes[2] == 0)

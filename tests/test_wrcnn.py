@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ucam import tensor as tc
+from ucam import wrcnn
 from ucam.errors import ConfigError, ShapeError
 from ucam.masking import NormParams, SequenceMask
 from ucam.model import walk_parameters
@@ -136,6 +139,76 @@ class TestConv2dEdgeGeometry:
             x, eye, np.zeros_like(got), s)
         assert got.tobytes() == want.tobytes()
         assert np.isfinite(got).all()
+
+
+def cols_bytes(x, kf, kt, stride_f):
+    """Bytes of one utterance's im2col columns in conv2d."""
+    _, c, f, t = x.shape
+    return c * kf * kt * -(-f // stride_f) * t * x.itemsize
+
+
+class TestConv2dGroups:
+    """Utterance groups of any size give the whole-batch result bitwise."""
+
+    # (x needs dX, w needs dW): a frozen kernel, a trained one, the stem
+    GRADS = {"frozen": (True, False), "trained": (True, True),
+             "stem": (False, True)}
+
+    @pytest.mark.parametrize("mode", sorted(GRADS))
+    @pytest.mark.parametrize("ub", [1, 2, 3, 5])  # B 5: 2 and 3 are ragged
+    @pytest.mark.parametrize("kernel,stride", [(3, 1), (3, 2), (1, 2)],
+                             ids=["3x3", "3x3-s2", "1x1-s2"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["f32", "f64"])
+    def test_matches_whole_batch(self, monkeypatch, dtype, kernel, stride,
+                                 ub, mode):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((5, 3, 7, 6)).astype(dtype)
+        w = rng.standard_normal((4, 3, kernel, kernel)).astype(dtype)
+        monkeypatch.setattr(wrcnn, "COLS_BYTES",
+                            ub * cols_bytes(x, kernel, kernel, stride))
+        need_x, need_w = self.GRADS[mode]
+        xt = tc.tensor(x, requires_grad=need_x)
+        wt = tc.tensor(w, requires_grad=need_w)
+        out = conv2d(xt, wt, stride_f=stride)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        tc.backward(tc.sum_all(tc.mul_const(out, g)))
+        want = conv2d_padded_windows(x, w, g, stride)
+        for got, ref, needed in zip((out.data, xt.grad, wt.grad), want,
+                                    (True, need_x, need_w)):
+            if not needed:
+                assert got is None
+                continue
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+    def test_no_grad_forward_never_holds_the_batch_columns(self,
+                                                           monkeypatch):
+        rng = np.random.default_rng(11)
+        x = tc.tensor(rng.standard_normal((8, 16, 16, 50)),
+                      dtype=np.float32)
+        w = tc.parameter(rng.standard_normal((16, 16, 3, 3)),
+                         dtype=np.float32)
+        per_utt = cols_bytes(x.data, 3, 3, 1)
+        monkeypatch.setattr(wrcnn, "COLS_BYTES", 2 * per_utt)
+
+        def peak_bytes(grad):
+            tracemalloc.start()
+            try:
+                if grad:
+                    conv2d(x, w)
+                else:
+                    with tc.no_grad():
+                        conv2d(x, w)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # with dW the full-batch columns are kept, and the count sees them
+        assert peak_bytes(grad=True) >= 8 * per_utt
+        # without, the output and one 2-utterance group are all it holds
+        peak = peak_bytes(grad=False)
+        assert peak < 8 * per_utt and peak < x.data.nbytes + 3 * per_utt
 
 
 class TestConv2d:

@@ -18,6 +18,11 @@ line), and exits 1 on any difference. The artifacts are:
 - ``adapt_speaker``'s LIN and the frame errors of its report for
   2 speakers x 2 seeds (``adapt``), and for a speaker whose utterances
   have T 1-6, in batches of 3 over 2 epochs (``adapt_short``);
+- one desk training loss (dropout on) and every parameter gradient of it
+  on a batch of 4 utterances of T 200-400, where conv2d runs in several
+  utterance groups (``grad_long/params``), and the LIN's gradient through
+  ``lin_batch`` on the same batch with the model frozen
+  (``grad_long/lin``);
 - ``run_gradcheck`` at seeds 0 and 1 (``gradcheck``).
 
 Compare two checkouts on the same machine only: the hashes depend on the
@@ -61,10 +66,12 @@ def main(src: str) -> None:
     sys.path.insert(0, str(src))
     import ucam
     from ucam import data as dp
+    from ucam import tensor as tc
     from ucam import training as tr
-    from ucam.adaptation import adapt_speaker
+    from ucam.adaptation import LinTransform, adapt_speaker, lin_batch
     from ucam.gradcheck import run_gradcheck
-    from ucam.model import ModelParams, desk_config, micro_config
+    from ucam.model import (ModelParams, desk_config, micro_config,
+                            model_forward)
     from ucam.rng import keyed
 
     if Path(ucam.__file__).resolve().parent != src / "ucam":
@@ -129,6 +136,23 @@ def main(src: str) -> None:
                                 lr=1e-3, batch_size=3, seed=13)
     emit("adapt_short/lin", lin.matrix().tobytes())
     emit("adapt_short/report", report_errors(report))
+
+    long = dp.synth_corpus(seed=23, n_speakers=1, n_classes=10, n_utts=4,
+                           feat_dim=16, t_range=(200, 400)).utts
+    batch = next(dp.batch_pad(long, batch_size=4))
+    named = list(params.named_parameters())
+    out = model_forward(tc.tensor(batch.feats), batch.mask, params,
+                        train=True, rng=keyed(23, "dropout"))
+    loss = tr.masked_cross_entropy(out, batch.labels, batch.mask)
+    tc.backward(loss)
+    emit("grad_long/params", b"".join(
+        [loss.data.tobytes()] + [t.grad.tobytes() for _, t in named]))
+    tc.zero_grad(named)
+    params.set_requires_grad(False)
+    lin = LinTransform(16)
+    out = model_forward(lin_batch(batch, lin), batch.mask, params)
+    tc.backward(tr.masked_cross_entropy(out, batch.labels, batch.mask))
+    emit("grad_long/lin", lin.w.grad.tobytes())
 
     for seed in (0, 1):
         emit(f"gradcheck/{seed}",
