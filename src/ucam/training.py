@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,15 +166,73 @@ def masked_cross_entropy(log_probs: tc.Tensor, labels: np.ndarray,
     return tc.scale(tc.sum_all(picked), -1.0 / mask.valid_frames())
 
 
+# padded frames the smaller half of a batch must hold before posteriors
+# scores the halves on two threads: a sweep over B 2-4 and T 40-400 broke
+# even at 160-200 and won from 200 on
+SPLIT_FRAMES = 200
+
+
+def _forward_rows(params: ModelParams, batch: Batch, lo: int,
+                  hi: int) -> np.ndarray:
+    """Log-posteriors of utterances [lo, hi) of a batch, at its padded T."""
+    mask = SequenceMask(batch.mask.lengths[lo:hi], batch.mask.max_len)
+    return model_forward(tc.tensor(batch.feats[lo:hi]), mask, params).data
+
+
+def _forward_halves(params: ModelParams, batch: Batch,
+                    cut: int) -> tc.Tensor:
+    """Score utterances [cut, B) on a second thread while this one scores
+    [0, cut); the thread is joined before anything returns or raises."""
+    second = {}
+
+    def run():
+        try:
+            second["out"] = _forward_rows(params, batch, cut,
+                                          batch.mask.batch)
+        except BaseException as e:  # re-raised in the calling thread
+            second["err"] = e
+
+    thread = threading.Thread(target=run, name="ucam-posteriors")
+    thread.start()
+    try:
+        first = _forward_rows(params, batch, 0, cut)
+    finally:
+        thread.join()
+    if "err" in second:
+        raise second["err"]
+    return tc.tensor(np.concatenate([first, second["out"]]))
+
+
 def posteriors(params: ModelParams, batches):
     """Yield (batch, log-posteriors) for each padded batch, in eval mode.
 
     Only the forward runs without graph recording, so a consumer that
     raises between batches leaves recording as it found it.
+
+    A batch of B utterances and padded length T is scored in two halves of
+    whole utterances, the first ``ceil(B / 2)`` on the calling thread and
+    the rest on a second thread, when at least two CPUs are usable and the
+    smaller half holds at least ``SPLIT_FRAMES`` padded frames
+    (``B // 2 * T``). numpy and BLAS release the interpreter lock for the
+    heavy work, so the halves overlap; below the floor the many small numpy
+    calls of a short batch hand the lock back and forth and the split costs
+    more than it saves. It cannot change a bit: every eval op computes an
+    utterance from that utterance's rows alone (one gemm per utterance in
+    conv2d, linear and attention, norm statistics per utterance, softmax
+    per row), and each half keeps the batch's T, which is what sets the
+    rounding. The second thread runs inside this thread's ``no_grad`` (and
+    any ``finite_checks``) and is joined before the batch is yielded; an
+    error it raised is raised here.
     """
     for batch in batches:
+        b, t = batch.mask.batch, batch.mask.max_len
         with tc.no_grad():
-            out = model_forward(tc.tensor(batch.feats), batch.mask, params)
+            if (b // 2 * t >= SPLIT_FRAMES
+                    and len(os.sched_getaffinity(0)) >= 2):
+                out = _forward_halves(params, batch, b - b // 2)
+            else:
+                out = model_forward(tc.tensor(batch.feats), batch.mask,
+                                    params)
         yield batch, out
 
 

@@ -11,6 +11,7 @@ read nothing but zeros in the padding.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,21 @@ def _tap_spans(n_in: int, n_out: int, stride: int, pad: int, k: int):
         src = lo * stride + i - pad
         spans.append((slice(lo, hi), slice(src, src + stride * (hi - lo),
                                            stride)))
-    return spans
+    return tuple(spans)
+
+
+@functools.lru_cache(maxsize=256)
+def _tap_geometry(f: int, t: int, kf: int, kt: int, stride_f: int):
+    """conv2d's output height, its frequency and time tap spans, and the
+    taps (i, j, out_f, out_t, in_f, in_t) in (i, j) order; built once per
+    shape and shared, so every part is a tuple."""
+    out_f = ceil_div(f, stride_f)
+    pad_f = max((out_f - 1) * stride_f + kf - f, 0)
+    fspans = _tap_spans(f, out_f, stride_f, pad_f // 2, kf)
+    tspans = _tap_spans(t, t, 1, (kt - 1) // 2, kt)
+    taps = tuple((i, j, fo, to, fi, ti) for i, (fo, fi) in enumerate(fspans)
+                 for j, (to, ti) in enumerate(tspans))
+    return out_f, fspans, tspans, taps
 
 
 def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
@@ -81,12 +96,7 @@ def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
         raise ConfigError(f"frequency stride must be >= 1, got {stride_f}")
     bsz, c, f, t = x.shape
     o, _, kf, kt = w.shape
-    out_f = ceil_div(f, stride_f)
-    pad_f = max((out_f - 1) * stride_f + kf - f, 0)
-    fspans = _tap_spans(f, out_f, stride_f, pad_f // 2, kf)
-    tspans = _tap_spans(t, t, 1, (kt - 1) // 2, kt)
-    taps = [(i, j, fo, to, fi, ti) for i, (fo, fi) in enumerate(fspans)
-            for j, (to, ti) in enumerate(tspans)]
+    out_f, fspans, tspans, taps = _tap_geometry(f, t, kf, kt, stride_f)
     k, n = c * kf * kt, out_f * t
     dtype = x.data.dtype
     ub = max(1, min(bsz, COLS_BYTES // max(k * n * dtype.itemsize, 1)))

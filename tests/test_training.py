@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from ucam import training as tr
 from ucam.errors import (ConfigError, DataError, DivergenceError,
                          NumericError)
 from ucam.masking import SequenceMask
-from ucam.model import ModelParams, load_checkpoint, micro_config
+from ucam.model import (ModelParams, desk_config, load_checkpoint,
+                        micro_config, model_forward)
 from ucam.rng import keyed
 
 
@@ -328,6 +330,109 @@ def test_evaluate_deterministic_and_batch_size_invariant():
     single = tr.evaluate(params, c.utts, batch_size=1)
     assert a[0] == pytest.approx(single[0], abs=1e-5)
     assert a[1] == single[1]
+
+
+# ---------------------------------------------------------------------------
+# posteriors: a long batch is scored in two halves on two threads
+
+
+def count_thread_starts(monkeypatch) -> list:
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(self):
+        started.append(self.name)
+        start(self)
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+def set_usable_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def split_batch(cfg, dtype, n_utts: int, t_max: int):
+    """A padded batch of ``n_utts`` utterances of T in [t_max // 2, t_max]
+    whose longest is ``t_max``, and the model to score it with. The
+    longest sits in the first half at 3 utterances and in the second at
+    2, 4 and 5, so the other half is padded beyond its own longest."""
+    utts = dp.synth_corpus(seed=n_utts * 1000 + t_max, n_speakers=2,
+                           n_classes=cfg.n_senones, n_utts=n_utts,
+                           feat_dim=cfg.feat_dim,
+                           t_range=(t_max // 2, t_max)).utts
+    utts[-1 - n_utts // 3] = dp.synth_corpus(
+        seed=1, n_speakers=1, n_classes=cfg.n_senones, n_utts=1,
+        feat_dim=cfg.feat_dim, t_range=(t_max, t_max)).utts[0]
+    batch = next(dp.batch_pad(utts, batch_size=n_utts))
+    assert batch.mask.max_len == t_max
+    batch = dp.Batch(batch.feats.astype(dtype), batch.labels, batch.mask)
+    return ModelParams.create(cfg, rng=keyed(t_max, "init"),
+                              dtype=dtype), batch
+
+
+def unsplit_forward(params, batch) -> np.ndarray:
+    with tc.no_grad():
+        return model_forward(tc.tensor(batch.feats), batch.mask,
+                             params).data
+
+
+@pytest.mark.parametrize("config", [desk_config, micro_config])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_utts", [2, 3, 4, 5])
+def test_posteriors_split_is_bitwise_the_unsplit_forward(
+        monkeypatch, config, dtype, n_utts):
+    set_usable_cpus(monkeypatch, 2)
+    started = count_thread_starts(monkeypatch)
+    floor, half = tr.SPLIT_FRAMES, n_utts // 2
+    # the smaller half's padded frames: just below, and at, the floor
+    for t_max, splits in ((floor // half - 1, False),
+                          (-(-floor // half), True)):
+        assert (half * t_max >= floor) == splits
+        params, batch = split_batch(config(), dtype, n_utts, t_max)
+        want = unsplit_forward(params, batch)
+        for forced in (False, True):
+            monkeypatch.setattr(tr, "SPLIT_FRAMES", 1 if forced else floor)
+            started.clear()
+            (got_batch, got), = tr.posteriors(params, [batch])
+            assert got_batch is batch
+            assert len(started) == int(splits or forced)
+            assert got.data.dtype == want.dtype
+            assert got.data.shape == want.shape
+            assert got.data.tobytes() == want.tobytes()
+            assert not got.requires_grad and got._parents is None
+
+
+def test_posteriors_on_one_cpu_starts_no_thread(monkeypatch):
+    # below the floor no thread starts either: see the test above
+    started = count_thread_starts(monkeypatch)
+    params, long = split_batch(desk_config(), np.float32, 4,
+                               tr.SPLIT_FRAMES // 2)
+    set_usable_cpus(monkeypatch, 1)
+    (_, out), = tr.posteriors(params, [long])
+    assert started == []
+    assert out.data.tobytes() == unsplit_forward(params, long).tobytes()
+    set_usable_cpus(monkeypatch, 2)
+    list(tr.posteriors(params, [long]))
+    assert started == ["ucam-posteriors"]
+
+
+def test_posteriors_raises_the_second_halfs_error_and_cleans_up(
+        monkeypatch):
+    set_usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(tr, "SPLIT_FRAMES", 1)
+    params, batch = split_batch(micro_config(), np.float32, 4, 12)
+    feats = batch.feats.copy()
+    feats[3, 0, 2, 5] = np.nan  # every T is >= 6: a valid frame
+    batch = dp.Batch(feats, batch.labels, batch.mask)
+    threads = threading.active_count()
+    with pytest.raises(NumericError, match="op 'apply_mask'"):
+        with tc.finite_checks():
+            list(tr.posteriors(params, [batch]))
+    assert tc.needs_grad(params.w_h2)
+    assert threading.active_count() == threads
+    # the first half alone is finite: the error came from the thread
+    with tc.finite_checks(), tc.no_grad():
+        tr._forward_rows(params, batch, 0, 2)
 
 
 def fit_once(tmp, steps=6, seed=0, resume_from=None, **kw):

@@ -140,6 +140,22 @@ class TestConv2dEdgeGeometry:
         assert got.tobytes() == want.tobytes()
         assert np.isfinite(got).all()
 
+    @pytest.mark.parametrize("geom", sorted(EDGE_GEOMETRY))
+    def test_cached_tap_geometry_is_fresh_and_immutable(self, geom):
+        f, t, kf, kt, s = EDGE_GEOMETRY[geom]
+        rng = np.random.default_rng(8)
+        conv2d(tc.tensor(rng.standard_normal((1, 2, f, t))),
+               tc.tensor(rng.standard_normal((3, 2, kf, kt))), stride_f=s)
+        cached = wrcnn._tap_geometry(f, t, kf, kt, s)
+        assert cached is wrcnn._tap_geometry(f, t, kf, kt, s)
+        assert cached == wrcnn._tap_geometry.__wrapped__(f, t, kf, kt, s)
+        out_f, fspans, tspans, taps = cached
+        assert len(taps) == kf * kt
+        for part in (cached, fspans, tspans, taps, fspans[0], taps[-1]):
+            assert isinstance(part, tuple)
+            with pytest.raises(TypeError):
+                part[0] = None
+
 
 def cols_bytes(x, kf, kt, stride_f):
     """Bytes of one utterance's im2col columns in conv2d."""

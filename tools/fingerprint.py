@@ -14,10 +14,16 @@ line), and exits 1 on any difference. The artifacts are:
 - every file of a desk-model fit with dropout 0.15 and a 3-step EMA
   fine-tune (``desk_ema``);
 - ``evaluate``'s loss and accuracy, and the posteriors at every frame,
-  padded ones included, at T 20-40 and T 200-400 (``eval_*``);
+  padded ones included, at T 20-40 and T 200-400 (``eval_*``), and the
+  posteriors of one batch each of 2, 3 and 5 utterances of T 200-400,
+  which ``posteriors`` scores in two halves on two threads
+  (``eval_200_400_b*``);
 - ``adapt_speaker``'s LIN and the frame errors of its report for
-  2 speakers x 2 seeds (``adapt``), and for a speaker whose utterances
-  have T 1-6, in batches of 3 over 2 epochs (``adapt_short``);
+  2 speakers x 2 seeds (``adapt``), for a speaker whose utterances
+  have T 1-6, in batches of 3 over 2 epochs (``adapt_short``), and for
+  one whose utterances have T 150-300, 1 iteration of 1 epoch, where
+  ``pseudo_label`` and ``frame_error`` split their batches
+  (``adapt_long``);
 - one desk training loss (dropout on) and every parameter gradient of it
   on a batch of 4 utterances of T 200-400, where conv2d runs in several
   utterance groups (``grad_long/params``), and the LIN's gradient through
@@ -115,6 +121,15 @@ def main(src: str) -> None:
         emit(f"{name}/posteriors",
              b"".join(out.data.tobytes() for _, out in tr.posteriors(
                  params, dp.batch_pad(utts, batch_size=4))))
+    # one batch each of 2, 3 and 5 long utterances: posteriors scores
+    # even and uneven halves on two threads
+    for n_utts in (2, 3, 5):
+        utts = dp.synth_corpus(seed=24 + n_utts, n_speakers=2, n_classes=10,
+                               n_utts=n_utts, feat_dim=16,
+                               t_range=(200, 400)).utts
+        emit(f"eval_200_400_b{n_utts}/posteriors",
+             b"".join(out.data.tobytes() for _, out in tr.posteriors(
+                 params, dp.batch_pad(utts, batch_size=n_utts))))
 
     unseen = dp.synth_corpus(seed=21, n_speakers=2, n_classes=10,
                              n_utts=16, feat_dim=16, t_range=(20, 40),
@@ -136,6 +151,16 @@ def main(src: str) -> None:
                                 lr=1e-3, batch_size=3, seed=13)
     emit("adapt_short/lin", lin.matrix().tobytes())
     emit("adapt_short/report", report_errors(report))
+
+    # utterances of T 150-300, so pseudo_label and frame_error score their
+    # batches in two halves
+    spk = dp.synth_corpus(seed=21, n_speakers=1, n_classes=10, n_utts=8,
+                          feat_dim=16, t_range=(150, 300), speaker_offset=80,
+                          utt_offset=3000)
+    lin, report = adapt_speaker(params, spk.utts, iterations=1, epochs=1,
+                                lr=1e-3, seed=14)
+    emit("adapt_long/lin", lin.matrix().tobytes())
+    emit("adapt_long/report", report_errors(report))
 
     long = dp.synth_corpus(seed=23, n_speakers=1, n_classes=10, n_utts=4,
                            feat_dim=16, t_range=(200, 400)).utts
