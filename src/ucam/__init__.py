@@ -2,6 +2,9 @@
 
 The package is organized bottom-up:
 
+- ``errors``: the exception types, one per kind of failure
+- ``rng``: random streams keyed by seed and purpose
+- ``serial``: the one binary container format and atomic writes
 - ``tensor``: minimal reverse-mode autodiff over numpy arrays
 - ``masking``: sequence masks and padding-aware normalization
 - ``conformer``: FFN / MHSA / convolution modules and the full block

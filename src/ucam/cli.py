@@ -166,15 +166,21 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def _checkpoint_and_utts(args):
+    """The --ckpt checkpoint and the --data utterances, of --speaker only
+    when it is given, once the model and the data are checked compatible."""
     ck = load_checkpoint(args.ckpt)
     corpus = dpipe.read_features(args.data)
     _check_compat(ck.params.cfg, corpus)
-    utts = corpus.utts
     if args.speaker is not None:
-        utts = corpus.for_speaker(args.speaker).utts
-        if not utts:
+        corpus = corpus.for_speaker(args.speaker)
+        if not corpus.utts:
             raise DataError(f"no utterances for speaker '{args.speaker}'")
+    return ck, corpus.utts
+
+
+def cmd_eval(args) -> int:
+    ck, utts = _checkpoint_and_utts(args)
     loss, acc = evaluate(ck.params, utts, batch_size=args.batch_size)
     print(f"checkpoint {args.ckpt} (step {ck.step}): "
           f"loss {loss:.6f}, frame_acc {acc:.4f}, "
@@ -197,12 +203,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    ck = load_checkpoint(args.ckpt)
-    corpus = dpipe.read_features(args.data)
-    _check_compat(ck.params.cfg, corpus)
-    utts = corpus.for_speaker(args.speaker).utts
-    if not utts:
-        raise DataError(f"no utterances for speaker '{args.speaker}'")
+    ck, utts = _checkpoint_and_utts(args)
     lin, report = adaptation.adapt_speaker(
         ck.params, utts, iterations=args.iterations, epochs=args.epochs,
         lr=args.lr, seed=args.seed)

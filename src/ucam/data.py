@@ -38,6 +38,8 @@ class UtteranceRecord:
             raise DataError(
                 f"utterance '{self.utt_id}': features [F, T] must align with "
                 f"labels [T], got {self.feats.shape} and {self.labels.shape}")
+        if not self.labels.shape[0]:
+            raise DataError(f"utterance '{self.utt_id}': no frames")
         if not np.isfinite(self.feats).all():
             raise DataError(f"utterance '{self.utt_id}': non-finite features")
 

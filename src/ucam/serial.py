@@ -7,16 +7,18 @@ Layout, all little-endian:
 
 It is ucam's one binary format: the header's "kind" names what a file
 holds, "model", "lin" or "features", and each loader refuses the others.
-Every read is exact-length; a file that ends inside any field raises a
-truncation error distinct from a malformed-header error, and a tensor
-name may appear once. Every write goes through ``atomic_write``, so an
-interrupted write leaves the old file.
+Every read is exact-length and checked against the file's size before it
+is made; a file that ends inside any field raises a truncation error
+distinct from a malformed-header error, and a tensor name may appear
+once. Every write goes through ``atomic_write``, so an interrupted write
+leaves the old file.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 from typing import Iterable
@@ -29,16 +31,17 @@ MAGIC = b"UCAM"
 VERSION = 1
 
 
-def read_exact(f, n: int, what: str) -> bytes:
-    b = f.read(n)
-    if len(b) != n:
+def read_exact(f, n: int, what: str, size: int) -> bytes:
+    """``n`` bytes of a file of ``size`` bytes, refused before reading when
+    fewer are left, so a corrupt length allocates nothing."""
+    if n > size - f.tell():
         raise TruncatedFileError(f"file ends inside {what}")
-    return b
+    return f.read(n)
 
 
-def read_text(f, n: int, what: str) -> str:
+def read_text(f, n: int, what: str, size: int) -> str:
     try:
-        return read_exact(f, n, what).decode()
+        return read_exact(f, n, what, size).decode()
     except UnicodeDecodeError as e:
         raise FileFormatError(f"{what} is not valid UTF-8: {e}") from None
 
@@ -81,18 +84,21 @@ def write_container(path, header: dict,
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as f:
-        magic = read_exact(f, 4, "magic")
+        size = os.fstat(f.fileno()).st_size
+        magic = read_exact(f, 4, "magic", size)
         if magic != MAGIC:
             raise FileFormatError(
                 f"bad magic {magic!r}; expected {MAGIC!r}")
-        (version,) = struct.unpack("<I", read_exact(f, 4, "format version"))
+        (version,) = struct.unpack(
+            "<I", read_exact(f, 4, "format version", size))
         if version != VERSION:
             raise FileFormatError(
                 f"unsupported format version {version}; this build reads "
                 f"version {VERSION}")
-        (hlen,) = struct.unpack("<I", read_exact(f, 4, "header length"))
+        (hlen,) = struct.unpack(
+            "<I", read_exact(f, 4, "header length", size))
         try:
-            header = json.loads(read_text(f, hlen, "header"))
+            header = json.loads(read_text(f, hlen, "header", size))
         except json.JSONDecodeError as e:
             raise FileFormatError(f"unreadable header: {e}") from None
         if not isinstance(header, dict):
@@ -100,23 +106,20 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
                                   f"{json.dumps(header)[:80]}")
 
         tensors: dict[str, np.ndarray] = {}
-        while True:
-            lead = f.read(4)
-            if not lead:
-                break
-            if len(lead) != 4:
-                raise TruncatedFileError("file ends inside a tensor record")
-            (nlen,) = struct.unpack("<I", lead)
-            name = read_text(f, nlen, "tensor name")
+        while f.tell() < size:
+            (nlen,) = struct.unpack(
+                "<I", read_exact(f, 4, "a tensor record", size))
+            name = read_text(f, nlen, "tensor name", size)
             if name in tensors:
                 raise FileFormatError(f"tensor '{name}' appears twice")
             (rank,) = struct.unpack(
-                "<I", read_exact(f, 4, f"rank of tensor '{name}'"))
+                "<I", read_exact(f, 4, f"rank of tensor '{name}'", size))
             dims = struct.unpack(
                 f"<{rank}I",
-                read_exact(f, 4 * rank, f"dims of tensor '{name}'"))
-            count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            raw = read_exact(f, 4 * count, f"data of tensor '{name}'")
+                read_exact(f, 4 * rank, f"dims of tensor '{name}'", size))
+            # a Python int: a numpy product of corrupt dims can overflow
+            raw = read_exact(f, 4 * math.prod(dims),
+                             f"data of tensor '{name}'", size)
             tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(
                 dims).astype(np.float32)
         return header, tensors

@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,13 +45,14 @@ class LRSchedule:
                 * min(step ** -0.5, step * self.warmup ** -1.5))
 
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.98, 1e-9  # Adam's decay rates and epsilon
+
+
 class AdamState:
     """Adam with bias correction; epsilon sits outside the square root."""
 
-    def __init__(self, named_params, beta1: float = 0.9, beta2: float = 0.98,
-                 eps: float = 1e-9):
+    def __init__(self, named_params):
         self.named = [(n, p) for n, p in named_params]
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step = 0
         # Moments live in the parameter dtype so a float32 checkpoint
         # round-trips them exactly and a resumed run stays bit-identical.
@@ -72,19 +72,17 @@ class AdamState:
                 raise NumericError(f"non-finite gradient for parameter "
                                    f"'{n}'; update step aborted")
         self.step += 1
-        c1 = 1.0 - self.beta1 ** self.step
-        c2 = 1.0 - self.beta2 ** self.step
+        c1 = 1.0 - BETA1 ** self.step
+        c2 = 1.0 - BETA2 ** self.step
         for n, p in live:
             dt = p.data.dtype
             g = p.grad.astype(np.float64)
-            m = self.beta1 * self.m[n].astype(np.float64) \
-                + (1.0 - self.beta1) * g
-            v = self.beta2 * self.v[n].astype(np.float64) \
-                + (1.0 - self.beta2) * g * g
+            m = BETA1 * self.m[n].astype(np.float64) + (1.0 - BETA1) * g
+            v = BETA2 * self.v[n].astype(np.float64) + (1.0 - BETA2) * g * g
             self.m[n] = m.astype(dt)
             self.v[n] = v.astype(dt)
             update = lr * (self.m[n].astype(np.float64) / c1) / (
-                np.sqrt(self.v[n].astype(np.float64) / c2) + self.eps)
+                np.sqrt(self.v[n].astype(np.float64) / c2) + ADAM_EPS)
             p.data = (p.data.astype(np.float64) - update).astype(dt)
 
     def state_tensors(self):
@@ -179,28 +177,11 @@ def _forward_rows(params: ModelParams, batch: Batch, lo: int,
     return model_forward(tc.tensor(batch.feats[lo:hi]), mask, params).data
 
 
-def _forward_halves(params: ModelParams, batch: Batch,
-                    cut: int) -> tc.Tensor:
-    """Score utterances [cut, B) on a second thread while this one scores
-    [0, cut); the thread is joined before anything returns or raises."""
-    second = {}
-
-    def run():
-        try:
-            second["out"] = _forward_rows(params, batch, cut,
-                                          batch.mask.batch)
-        except BaseException as e:  # re-raised in the calling thread
-            second["err"] = e
-
-    thread = threading.Thread(target=run, name="ucam-posteriors")
-    thread.start()
-    try:
-        first = _forward_rows(params, batch, 0, cut)
-    finally:
-        thread.join()
-    if "err" in second:
-        raise second["err"]
-    return tc.tensor(np.concatenate([first, second["out"]]))
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has ``os.sched_getaffinity`` (Linux), else ``os.cpu_count()``."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def posteriors(params: ModelParams, batches):
@@ -209,31 +190,37 @@ def posteriors(params: ModelParams, batches):
     Only the forward runs without graph recording, so a consumer that
     raises between batches leaves recording as it found it.
 
-    A batch of B utterances and padded length T is scored in two halves of
-    whole utterances, the first ``ceil(B / 2)`` on the calling thread and
-    the rest on a second thread, when at least two CPUs are usable and the
-    smaller half holds at least ``SPLIT_FRAMES`` padded frames
-    (``B // 2 * T``). numpy and BLAS release the interpreter lock for the
-    heavy work, so the halves overlap; below the floor the many small numpy
-    calls of a short batch hand the lock back and forth and the split costs
-    more than it saves. It cannot change a bit: every eval op computes an
-    utterance from that utterance's rows alone (one gemm per utterance in
-    conv2d, linear and attention, norm statistics per utterance, softmax
-    per row), and each half keeps the batch's T, which is what sets the
-    rounding. The second thread runs inside this thread's ``no_grad`` (and
-    any ``finite_checks``) and is joined before the batch is yielded; an
-    error it raised is raised here.
+    A batch of B utterances and padded length T is scored as two halves of
+    whole utterances when at least two CPUs are usable and the smaller half
+    holds at least ``SPLIT_FRAMES`` padded frames (``B // 2 * T``): the
+    first ``ceil(B / 2)`` on this thread, the rest on the one worker of a
+    ``ThreadPoolExecutor`` made for the batch. numpy and BLAS release the
+    interpreter lock for the heavy work, so the halves overlap; below the
+    floor a short batch's many small numpy calls hand the lock back and
+    forth and the split costs more than it saves. It cannot change a bit:
+    every eval op computes an utterance from its own rows alone (one gemm
+    per utterance in conv2d, linear and attention, norm statistics per
+    utterance, softmax per row), and each half keeps the batch's T, which
+    sets the rounding. The worker runs inside this thread's ``no_grad``
+    (and any ``finite_checks``). Leaving the executor's block joins it on
+    every exit path, before the batch is yielded, so an error in either
+    half is raised here with no thread left running.
     """
     for batch in batches:
         b, t = batch.mask.batch, batch.mask.max_len
         with tc.no_grad():
-            if (b // 2 * t >= SPLIT_FRAMES
-                    and len(os.sched_getaffinity(0)) >= 2):
-                out = _forward_halves(params, batch, b - b // 2)
+            if b // 2 * t >= SPLIT_FRAMES and _usable_cpus() >= 2:
+                # imported here, not at the top: concurrent.futures pulls
+                # in logging, which would lengthen every ucam import
+                from concurrent.futures import ThreadPoolExecutor
+                cut = b - b // 2
+                with ThreadPoolExecutor(1, "ucam-posteriors") as pool:
+                    second = pool.submit(_forward_rows, params, batch, cut, b)
+                    first = _forward_rows(params, batch, 0, cut)
+                out = np.concatenate([first, second.result()])
             else:
-                out = model_forward(tc.tensor(batch.feats), batch.mask,
-                                    params)
-        yield batch, out
+                out = _forward_rows(params, batch, 0, b)
+        yield batch, tc.tensor(out)
 
 
 def evaluate(params: ModelParams, utts,
@@ -241,9 +228,7 @@ def evaluate(params: ModelParams, utts,
     """Corpus-level (mean NLL, frame accuracy) in eval mode."""
     if not utts:
         raise ConfigError("evaluate needs at least one utterance, got none")
-    total_nll = 0.0
-    total_correct = 0
-    total_frames = 0
+    total_nll, total_correct, total_frames = 0.0, 0, 0
     for batch, out in posteriors(
             params, batch_pad(utts, batch_size=batch_size)):
         mask = batch.mask
@@ -434,7 +419,6 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
                 save("last.ckpt", step)
 
         report = {"steps": cfg.steps, "best_dev": best_dev,
-                  "final_train_loss": history[-1][2] if history else None,
                   "history": history}
 
         if cfg.finetune_steps > 0:

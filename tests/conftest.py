@@ -5,11 +5,11 @@ every thread of the process. With BLAS on one thread those bounds mean the
 same on a 2-core and a 64-core machine. BLAS reads these variables once,
 when numpy loads, so this file must run before anything imports numpy.
 
-``training.posteriors`` scores the second half of a long eval batch on a
-thread of its own, whose CPU time ``process_time()`` counts too. Neither
-gate crosses its floor of ``SPLIT_FRAMES`` padded frames a half: gate 01
-runs no eval, and gate 06 evaluates batches of 4 utterances of T <= 35,
-at most 70 padded frames a half, so both still count one thread.
+``training.posteriors`` scores the second half of a long eval batch on an
+executor's worker thread, whose CPU time ``process_time()`` counts too.
+Neither gate crosses its floor of ``SPLIT_FRAMES`` padded frames a half:
+gate 01 runs no eval, and gate 06 evaluates batches of 4 utterances of
+T <= 35, at most 70 padded frames a half, so both still count one thread.
 """
 
 import os

@@ -447,6 +447,21 @@ def test_train_bad_schedule_value_exits_2_before_writing(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_train_utterance_without_frames_exits_3_before_writing(tmp_path,
+                                                              capsys):
+    data = synth(tmp_path)
+    header, tensors = serial.read_container(data)
+    tensors["feats.3"] = tensors["feats.3"][:, :0]
+    tensors["labels.3"] = tensors["labels.3"][:0]
+    serial.write_container(data, header, tensors.items())
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(small_config(tmp_path)),
+                "--data", str(data), "--out-dir", str(out),
+                "--steps", "2"]) == 3
+    assert "utterance 'utt00003': no frames" in capsys.readouterr().err
+    assert not (out / "effective_config.json").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exits_4(tmp_path):
     data = synth(tmp_path)
@@ -481,6 +496,17 @@ def test_eval_corrupt_checkpoint_exits_3(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"XXXX" + bytes(32))
     assert run(["eval", "--ckpt", str(bad), "--data", str(data)]) == 3
+
+
+def test_eval_checkpoint_with_impossible_dims_exits_3(tmp_path, capsys):
+    data = synth(tmp_path)
+    bad = tmp_path / "bad.ckpt"
+    serial.write_container(bad, {"kind": "model"},
+                           [("w", np.ones((2, 2, 1), np.float32))])
+    bad.write_bytes(bad.read_bytes().replace(
+        struct.pack("<3I", 2, 2, 1), struct.pack("<3I", *[60000] * 3), 1))
+    assert run(["eval", "--ckpt", str(bad), "--data", str(data)]) == 3
+    assert "file ends inside data of tensor 'w'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("target,name,field", [

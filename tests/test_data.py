@@ -22,6 +22,11 @@ def test_record_validates_alignment():
         dp.UtteranceRecord("u", "s", np.zeros(7), np.zeros(7, np.int64))
 
 
+def test_record_rejects_an_utterance_without_frames():
+    with pytest.raises(DataError, match="utterance 'u': no frames"):
+        dp.UtteranceRecord("u", "s", np.zeros((4, 0)), np.zeros(0, np.int64))
+
+
 def test_record_rejects_nonfinite():
     feats = np.zeros((2, 3), np.float32)
     feats[1, 2] = np.nan
@@ -366,6 +371,16 @@ def test_feature_file_round_trip(tmp_path):
         assert a.feats.tobytes() == b.feats.tobytes()
         assert b.labels.dtype == np.int64
         assert a.labels.tobytes() == b.labels.tobytes()
+
+
+def test_feature_file_with_an_utterance_without_frames_is_refused(
+        tmp_path):
+    path = tmp_path / "c.ucfd"
+    dp.write_features(path, corpus_for_io())
+    rewrite_records(path, edit_records=lambda records: [
+        (n, a[..., :0] if n.endswith(".2") else a) for n, a in records])
+    with pytest.raises(DataError, match="utterance 'utt00002': no frames"):
+        dp.read_features(path)
 
 
 class _Interrupt(Exception):

@@ -1,4 +1,6 @@
 import hashlib
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +346,31 @@ def test_container_truncated_tensor_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(TruncatedFileError):
         serial.read_container(path)
+
+
+@pytest.mark.parametrize("field,declared,what", [
+    ("dims", (60000, 60000, 60000), "data of tensor 'w'"),
+    ("dims", (2 ** 31, 2 ** 31, 4), "data of tensor 'w'"),  # int64 wraps
+    ("header length", (2 ** 32 - 1,), "header")])
+def test_container_refuses_a_length_the_file_cannot_hold(tmp_path, field,
+                                                         declared, what):
+    path = tmp_path / "c.bin"
+    serial.write_container(path, {}, [("w", np.ones((2, 2, 1), np.float32))])
+    raw = path.read_bytes()
+    # the header length sits after magic and version, the dims before the
+    # 16 data bytes
+    at = 8 if field == "header length" else len(raw) - 16 - 12
+    path.write_bytes(raw[:at] + struct.pack(f"<{len(declared)}I", *declared)
+                     + raw[at + 4 * len(declared):])
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedFileError,
+                           match=f"file ends inside {what}$"):
+            serial.read_container(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before a read of the declared length
 
 
 def test_container_duplicate_name(tmp_path):

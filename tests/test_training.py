@@ -413,7 +413,20 @@ def test_posteriors_on_one_cpu_starts_no_thread(monkeypatch):
     assert out.data.tobytes() == unsplit_forward(params, long).tobytes()
     set_usable_cpus(monkeypatch, 2)
     list(tr.posteriors(params, [long]))
-    assert started == ["ucam-posteriors"]
+    assert len(started) == 1 and started[0].startswith("ucam-posteriors")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_posteriors_without_affinity_counts_cpus(monkeypatch, cpus):
+    # os.sched_getaffinity exists on Linux only
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    started = count_thread_starts(monkeypatch)
+    params, long = split_batch(desk_config(), np.float32, 4,
+                               tr.SPLIT_FRAMES // 2)
+    (_, out), = tr.posteriors(params, [long])
+    assert len(started) == cpus - 1
+    assert out.data.tobytes() == unsplit_forward(params, long).tobytes()
 
 
 def test_posteriors_raises_the_second_halfs_error_and_cleans_up(
@@ -433,6 +446,36 @@ def test_posteriors_raises_the_second_halfs_error_and_cleans_up(
     # the first half alone is finite: the error came from the thread
     with tc.finite_checks(), tc.no_grad():
         tr._forward_rows(params, batch, 0, 2)
+
+
+def test_posteriors_raises_the_first_halfs_error_after_the_join(
+        monkeypatch):
+    set_usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(tr, "SPLIT_FRAMES", 1)
+    params, batch = split_batch(micro_config(), np.float32, 4, 12)
+    feats = batch.feats.copy()
+    feats[0, 0, 2, 5] = np.nan  # every T is >= 6: a valid frame
+    batch = dp.Batch(feats, batch.labels, batch.mask)
+    forward_rows = tr._forward_rows
+    first_failed, second_done = threading.Event(), []
+
+    def rows(params, batch, lo, hi):
+        if lo:  # the worker's half finishes only after the first failed
+            assert first_failed.wait(10)
+            second_done.append(forward_rows(params, batch, lo, hi))
+            return second_done[-1]
+        try:
+            return forward_rows(params, batch, lo, hi)
+        finally:
+            first_failed.set()
+    monkeypatch.setattr(tr, "_forward_rows", rows)
+    threads = threading.active_count()
+    with pytest.raises(NumericError, match="op 'apply_mask'"):
+        with tc.finite_checks():
+            list(tr.posteriors(params, [batch]))
+    assert len(second_done) == 1
+    assert threading.active_count() == threads
+    assert tc.needs_grad(params.w_h2)
 
 
 def fit_once(tmp, steps=6, seed=0, resume_from=None, **kw):

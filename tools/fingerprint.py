@@ -17,13 +17,13 @@ line), and exits 1 on any difference. The artifacts are:
   padded ones included, at T 20-40 and T 200-400 (``eval_*``), and the
   posteriors of one batch each of 2, 3 and 5 utterances of T 200-400,
   which ``posteriors`` scores in two halves on two threads
-  (``eval_200_400_b*``);
+  (``eval_200_400_b*``), with the number of threads each started;
 - ``adapt_speaker``'s LIN and the frame errors of its report for
   2 speakers x 2 seeds (``adapt``), for a speaker whose utterances
   have T 1-6, in batches of 3 over 2 epochs (``adapt_short``), and for
   one whose utterances have T 150-300, 1 iteration of 1 epoch, where
-  ``pseudo_label`` and ``frame_error`` split their batches
-  (``adapt_long``);
+  ``pseudo_label`` and ``frame_error`` split their batches, with the
+  number of threads it started (``adapt_long``);
 - one desk training loss (dropout on) and every parameter gradient of it
   on a batch of 4 utterances of T 200-400, where conv2d runs in several
   utterance groups (``grad_long/params``), and the LIN's gradient through
@@ -31,9 +31,12 @@ line), and exits 1 on any difference. The artifacts are:
   (``grad_long/lin``);
 - ``run_gradcheck`` at seeds 0 and 1 (``gradcheck``).
 
-Compare two checkouts on the same machine only: the hashes depend on the
-BLAS build, so they are not pinned anywhere; BLAS runs on one thread so
-that its thread count cannot change a sum.
+The split cases report 2 usable CPUs whatever the machine has, so a
+change that stops splitting shows in their thread counts even when its
+posteriors stay the same. Compare two checkouts on the same machine
+only: the hashes depend on the BLAS build, so they are not pinned
+anywhere; BLAS runs on one thread so that its thread count cannot change
+a sum.
 """
 
 import os
@@ -42,11 +45,14 @@ import sys
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
+import threading  # noqa: E402
 from pathlib import Path  # noqa: E402
+from unittest import mock  # noqa: E402
 
 
 def digest(data: bytes) -> str:
@@ -65,6 +71,24 @@ def report_errors(report: dict) -> bytes:
 def emit_dir(name: str, path: Path) -> None:
     for f in sorted(path.iterdir()):
         emit(f"{name}/{f.name}", f.read_bytes())
+
+
+@contextlib.contextmanager
+def split_on_two_cpus(name: str):
+    """Run the block as if 2 CPUs were usable, then emit how many threads
+    it started as ``{name}/threads``."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1},
+                           create=True), \
+            mock.patch.object(os, "cpu_count", lambda: 2), \
+            mock.patch.object(threading.Thread, "start", counting_start):
+        yield
+    emit(f"{name}/threads", str(len(started)).encode())
 
 
 def main(src: str) -> None:
@@ -127,9 +151,11 @@ def main(src: str) -> None:
         utts = dp.synth_corpus(seed=24 + n_utts, n_speakers=2, n_classes=10,
                                n_utts=n_utts, feat_dim=16,
                                t_range=(200, 400)).utts
-        emit(f"eval_200_400_b{n_utts}/posteriors",
-             b"".join(out.data.tobytes() for _, out in tr.posteriors(
-                 params, dp.batch_pad(utts, batch_size=n_utts))))
+        name = f"eval_200_400_b{n_utts}"
+        with split_on_two_cpus(name):
+            emit(f"{name}/posteriors",
+                 b"".join(out.data.tobytes() for _, out in tr.posteriors(
+                     params, dp.batch_pad(utts, batch_size=n_utts))))
 
     unseen = dp.synth_corpus(seed=21, n_speakers=2, n_classes=10,
                              n_utts=16, feat_dim=16, t_range=(20, 40),
@@ -157,8 +183,9 @@ def main(src: str) -> None:
     spk = dp.synth_corpus(seed=21, n_speakers=1, n_classes=10, n_utts=8,
                           feat_dim=16, t_range=(150, 300), speaker_offset=80,
                           utt_offset=3000)
-    lin, report = adapt_speaker(params, spk.utts, iterations=1, epochs=1,
-                                lr=1e-3, seed=14)
+    with split_on_two_cpus("adapt_long"):
+        lin, report = adapt_speaker(params, spk.utts, iterations=1,
+                                    epochs=1, lr=1e-3, seed=14)
     emit("adapt_long/lin", lin.matrix().tobytes())
     emit("adapt_long/report", report_errors(report))
 
