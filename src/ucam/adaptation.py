@@ -7,9 +7,13 @@ utterances with its own argmax decisions, then only the LIN is trained to
 fit those labels while every model weight stays frozen. Re-labeling and
 retraining from a fresh identity repeats for a few iterations.
 
-A step's batch comes from ``batch_pad``, as in ``fit``, and ``lin_batch``
-warps its delta planes; pseudo-labels and held-out error warp the statics
-before the deltas, which agrees up to rounding only.
+Every batch comes from ``batch_pad``, as in ``fit``, and one function
+warps each of its planes (statics, deltas and delta-deltas) by the LIN,
+so a training step, a pseudo-label and a held-out error see the same bits
+for the same LIN. The delta regression is linear, so this equals warping
+the statics before it, up to rounding. A step runs the warp as a graph
+node through ``lin_batch``; scoring warps plain arrays and hands the
+batches to ``posteriors``.
 """
 
 from __future__ import annotations
@@ -43,19 +47,33 @@ class LinTransform:
         return self.w.data
 
 
+def _warp(w: np.ndarray, batch: Batch) -> np.ndarray:
+    """The LIN ``w`` [F, F] on every plane of a batch's feats [B, P, F, T].
+
+    Utterance b of n frames gets ``w @ feats[b, :, :, :n]`` and zeros
+    beyond n.
+    """
+    feats = batch.feats
+    f = feats.shape[-2]
+    if w.shape != (f, f):
+        raise ShapeError(f"a LIN of shape {w.shape} cannot warp planes "
+                         f"{feats.shape}: it must be [{f}, {f}]")
+    out = np.zeros_like(feats)
+    for b, n in enumerate(batch.mask.lengths):
+        out[b, ..., :n] = w @ feats[b, ..., :n]
+    return out
+
+
 def lin_batch(batch: Batch, lin: LinTransform) -> tc.Tensor:
     """The LIN on every plane of a ``batch_pad`` batch, as one graph node.
 
-    Utterance b of n frames gets ``w @ feats[b, :, :, :n]`` and zeros
-    beyond n; dW adds ``g @ plane.T`` over the valid frames utterance by
-    utterance, then plane by plane. The op name is "matmul".
+    The forward is ``_warp``; dW adds ``g @ plane.T`` over the valid frames
+    utterance by utterance, then plane by plane. The op name is "matmul".
     """
     w, feats, lengths = lin.w, batch.feats, batch.mask.lengths
     if feats.dtype != w.data.dtype:
         raise ShapeError(f"lin_batch: mixed dtypes {w.dtype}, {feats.dtype}")
-    out = np.zeros_like(feats)
-    for b, n in enumerate(lengths):
-        out[b, ..., :n] = w.data @ feats[b, ..., :n]
+    out = _warp(w.data, batch)
 
     def bwd(g):
         terms = [g[b, p, :, :n] @ feats[b, p, :, :n].T
@@ -64,16 +82,22 @@ def lin_batch(batch: Batch, lin: LinTransform) -> tc.Tensor:
     return tc.from_op(out, (w,), bwd, "matmul")
 
 
+def _decisions(params: ModelParams, utts, lin: LinTransform,
+               batch_size: int):
+    """(batch, frame argmax [B, T]) for each ``batch_pad`` batch of utts,
+    its planes warped by the LIN as a step warps them."""
+    warped = (Batch(_warp(lin.matrix(), b), b.labels, b.mask)
+              for b in batch_pad(utts, batch_size=batch_size))
+    for batch, post in posteriors(params, warped):
+        yield batch, post.data.argmax(-1)
+
+
 def pseudo_label(params: ModelParams, utts, lin: LinTransform,
                  batch_size: int = 4) -> list:
     """Frame-level argmax decisions under the current LIN, one [T] per utt."""
-    out = []
-    for batch, post in posteriors(
-            params, batch_pad(utts, batch_size=batch_size, lin=lin.matrix())):
-        pred = post.data.argmax(-1)
-        for i, n in enumerate(batch.mask.lengths):
-            out.append(pred[i, :n].astype(np.int64))
-    return out
+    return [pred[i, :n].astype(np.int64)
+            for batch, pred in _decisions(params, utts, lin, batch_size)
+            for i, n in enumerate(batch.mask.lengths)]
 
 
 def frame_error(params: ModelParams, utts, lin: LinTransform,
@@ -82,9 +106,7 @@ def frame_error(params: ModelParams, utts, lin: LinTransform,
     if not utts:
         raise ConfigError("frame_error needs at least one utterance, got none")
     wrong = 0
-    for batch, post in posteriors(
-            params, batch_pad(utts, batch_size=batch_size, lin=lin.matrix())):
-        pred = post.data.argmax(-1)
+    for batch, pred in _decisions(params, utts, lin, batch_size):
         ind = batch.mask.indicator(np.bool_)
         wrong += int((pred[ind] != batch.labels[ind]).sum())
     return wrong / sum(u.length for u in utts)
@@ -97,7 +119,9 @@ def adapt_speaker(params: ModelParams, utts, heldout=None,
 
     ``utts`` are the adaptation recordings; ``heldout`` (default: every
     fourth utterance, removed from the adaptation set) is only used to
-    report frame error per iteration. Returns (LinTransform, report).
+    report frame error per iteration. With fewer than 4 utterances the
+    default held-out set is the adaptation set itself, so its error is
+    measured on the data the LIN was fit to. Returns (LinTransform, report).
     Model parameters are frozen throughout and restored bit-identical.
     """
     utts = list(utts)
@@ -169,16 +193,23 @@ def load_lin(path) -> LinTransform:
     header, tensors = serial.read_container(path)
     if header.get("kind") != "lin":
         raise StructureError(f"not a LIN file (kind={header.get('kind')!r})")
-    speaker = header.get("speaker")
+    speaker, feat_dim = header.get("speaker"), header.get("feat_dim")
     if not isinstance(speaker, str):
         raise StructureError(f"LIN file header needs a speaker name, got "
                              f"{speaker!r}")
+    if type(feat_dim) is not int or feat_dim < 1:
+        raise StructureError(f"LIN file header needs a positive integer "
+                             f"feat_dim, got {feat_dim!r}")
     name = f"lin.{speaker}"
     if name not in tensors:
         raise StructureError(f"LIN file is missing tensor '{name}'")
     arr = tensors[name]
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise StructureError(f"LIN tensor must be square, got {arr.shape}")
-    lin = LinTransform(arr.shape[0], speaker)
+    if arr.shape != (feat_dim, feat_dim):
+        raise StructureError(f"LIN tensor must be square [{feat_dim}, "
+                             f"{feat_dim}] for the header's feat_dim, got "
+                             f"{arr.shape}")
+    if not np.isfinite(arr).all():
+        raise StructureError(f"LIN tensor '{name}' holds non-finite values")
+    lin = LinTransform(feat_dim, speaker)
     lin.w.data = arr
     return lin

@@ -6,6 +6,11 @@ chain, and every speaker observes the features through their own linear
 warp. That warp is what speaker adaptation later has to undo, and the
 Markov stickiness is what gives temporal context its value.
 
+The model reads three planes per utterance, the mean-normalized statics
+and their delta and delta-delta regressions, and ``batch_pad`` zero-pads
+them into batches. They depend on the utterance alone: a transform of
+them, such as speaker adaptation's input network, is its caller's.
+
 A feature file is a ``serial`` container of kind "features": a header of
 feat_dim, n_classes and utts ([utt_id, speaker] pairs), then the records
 feats.{i} [F, T] and labels.{i} [T] of utterance i, labels as float32.
@@ -161,13 +166,9 @@ def compute_deltas(static: np.ndarray) -> np.ndarray:
     return np.stack([static, d, regress(d)]).astype(static.dtype)
 
 
-def utterance_planes(utt: UtteranceRecord,
-                     lin: np.ndarray | None = None) -> np.ndarray:
-    """Model input planes [3, F, T]: mean-normalize, warp by LIN, deltas."""
-    x = mean_normalize(utt.feats)
-    if lin is not None:
-        x = (lin @ x).astype(np.float32)
-    return compute_deltas(x)
+def utterance_planes(utt: UtteranceRecord) -> np.ndarray:
+    """Model input planes [3, F, T]: mean-normalize, then deltas."""
+    return compute_deltas(mean_normalize(utt.feats))
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +192,7 @@ def pad_to_longest(arrays) -> np.ndarray:
     return out
 
 
-def batch_pad(utts, batch_size: int = 4,
-              lin: np.ndarray | None = None):
+def batch_pad(utts, batch_size: int = 4):
     """Group consecutive utterances into zero-padded batches.
 
     The final batch may be short. Shuffling is the caller's concern so the
@@ -203,7 +203,7 @@ def batch_pad(utts, batch_size: int = 4,
     for start in range(0, len(utts), batch_size):
         group = utts[start:start + batch_size]
         yield Batch(
-            feats=pad_to_longest([utterance_planes(u, lin) for u in group]),
+            feats=pad_to_longest([utterance_planes(u) for u in group]),
             labels=pad_to_longest([u.labels for u in group]),
             mask=SequenceMask.from_lengths([u.length for u in group]))
 

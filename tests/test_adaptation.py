@@ -55,25 +55,70 @@ def test_identity_lin_forward_matches_unadapted():
 def test_identity_lin_scoring_matches_unadapted():
     c = speaker_corpus()
     params = tiny_model()
-    eye = np.eye(8, dtype=np.float32)
-    for warped, plain in zip(dp.batch_pad(c.utts, lin=eye),
-                             dp.batch_pad(c.utts)):
-        assert np.array_equal(warped.feats, plain.feats)
+    unadapted = [post.data.argmax(-1)[i, :n]
+                 for b, post in tr.posteriors(params, dp.batch_pad(c.utts))
+                 for i, n in enumerate(b.mask.lengths)]
+    pseudo = ad.pseudo_label(params, c.utts, ad.LinTransform(8))
+    assert [p.tobytes() for p in pseudo] == [
+        u.astype(np.int64).tobytes() for u in unadapted]
     _, acc = tr.evaluate(params, c.utts)
     assert ad.frame_error(params, c.utts, ad.LinTransform(8)) \
         == pytest.approx(1.0 - acc, abs=1e-12)
 
 
+def noisy_lin(scale, seed, feat_dim=8):
+    lin = ad.LinTransform(feat_dim)
+    lin.w.data = (np.eye(feat_dim) + scale * np.random.default_rng(seed)
+                  .standard_normal((feat_dim, feat_dim))).astype(np.float32)
+    return lin
+
+
 def test_lin_batch_commutes_with_static_warp():
-    # warping the delta planes equals warping the statics before the
-    # delta regression; both batch paths must agree
+    # the delta regression is linear, so warping the delta planes equals
+    # warping the statics before the regression, up to rounding
     c = speaker_corpus(seed=2)
-    lin = ad.LinTransform(8)
-    lin.w.data = (np.eye(8) + 0.2 * np.random.default_rng(3)
-                  .standard_normal((8, 8))).astype(np.float32)
+    lin = noisy_lin(0.2, 3)
     x = ad.lin_batch(first_batch(c.utts[:4]), lin)
-    (plain,) = dp.batch_pad(c.utts[:4], batch_size=4, lin=lin.matrix())
-    np.testing.assert_allclose(x.data, plain.feats, atol=1e-4)
+    statics_first = dp.pad_to_longest([
+        dp.compute_deltas((lin.matrix() @ dp.mean_normalize(u.feats))
+                          .astype(np.float32)) for u in c.utts[:4]])
+    np.testing.assert_allclose(x.data, statics_first, atol=1e-4)
+
+
+def test_scoring_sees_the_step_planes_bitwise(monkeypatch):
+    # pseudo-labels and held-out error score exactly what a step feeds the
+    # model: the LIN warps the planes of plain batch_pad batches
+    c = speaker_corpus(seed=13, n_utts=7)
+    params = tiny_model()
+    lin = noisy_lin(0.075, 4)
+    scored = []
+    posteriors = ad.posteriors
+
+    def capture(params, batches):
+        for batch, post in posteriors(params, batches):
+            scored.append(post.data.tobytes())
+            yield batch, post
+    monkeypatch.setattr(ad, "posteriors", capture)
+    ad.pseudo_label(params, c.utts, lin)
+    ad.frame_error(params, c.utts, lin)
+    step = [model_forward(ad.lin_batch(b, lin), b.mask, params).data.tobytes()
+            for b in dp.batch_pad(c.utts)]
+    assert len(step) == 2
+    assert scored == step * 2
+
+
+@pytest.mark.parametrize("score", ["lin_batch", "pseudo_label",
+                                   "frame_error"])
+def test_wrong_sized_lin_is_a_shape_error(score):
+    c = speaker_corpus(n_utts=3)
+    lin = ad.LinTransform(6)
+    with pytest.raises(ShapeError, match=r"\(6, 6\) cannot warp planes "
+                                         r"\(3, 3, 8, \d+\): it must be "
+                                         r"\[8, 8\]"):
+        if score == "lin_batch":
+            ad.lin_batch(first_batch(c.utts), lin)
+        else:
+            getattr(ad, score)(tiny_model(), c.utts, lin)
 
 
 def lin_loop(batch, w, g):
@@ -213,27 +258,32 @@ def test_empty_heldout_is_a_config_error():
 
 
 def test_adapt_steps_take_batch_pad_batches(monkeypatch):
-    # batch_pad and lin_batch are looked up at call time, once per step,
-    # so a wrapper around either sees every adaptation step
+    # batch_pad, lin_batch and the two scoring functions are looked up at
+    # call time, so wrappers see every step: one batch_pad and one
+    # lin_batch each, while scoring fetches batches and calls no lin_batch
     c = speaker_corpus(seed=7, n_utts=8)
     params = tiny_model()
     lin1, rep1 = ad.adapt_speaker(params, c.utts, iterations=2, epochs=2,
                                   batch_size=4, seed=3)
     calls = []
-    batch_pad, lin_batch = ad.batch_pad, ad.lin_batch
-    monkeypatch.setattr(ad, "batch_pad", lambda utts, **kw: calls.append(
-        ("batch_pad", len(utts), kw.get("lin") is None))
-        or batch_pad(utts, **kw))
-    monkeypatch.setattr(ad, "lin_batch", lambda batch, lin: calls.append(
-        ("lin_batch", batch.mask.batch, True)) or lin_batch(batch, lin))
+
+    def record(name, fn, size):
+        return lambda *a, **kw: calls.append((name, size(*a))) or fn(*a, **kw)
+    for name, size in (("batch_pad", len),
+                       ("lin_batch", lambda b, lin: b.mask.batch),
+                       ("pseudo_label", lambda p, utts, lin, bs: len(utts)),
+                       ("frame_error", lambda p, utts, lin, bs: len(utts))):
+        monkeypatch.setattr(ad, name, record(name, getattr(ad, name), size))
     lin2, rep2 = ad.adapt_speaker(params, c.utts, iterations=2, epochs=2,
                                   batch_size=4, seed=3)
     assert lin1.w.data.tobytes() == lin2.w.data.tobytes()
     assert rep1 == rep2
-    # 6 adaptation utterances: two steps of 4 and 2 per epoch
-    steps = [k for k in calls if k[2]]
-    assert steps == [("batch_pad", 4, True), ("lin_batch", 4, True),
-                     ("batch_pad", 2, True), ("lin_batch", 2, True)] * 4
+    # 6 adaptation utterances: two steps of 4 and 2 per epoch; 2 held out
+    steps = [("batch_pad", 4), ("lin_batch", 4),
+             ("batch_pad", 2), ("lin_batch", 2)] * 2
+    heldout = [("frame_error", 2), ("batch_pad", 2)]
+    assert calls == heldout + (
+        [("pseudo_label", 6), ("batch_pad", 6)] + steps + heldout) * 2
 
 
 def test_adapt_report_structure():
@@ -380,4 +430,20 @@ def test_load_lin_rejects_missing_or_malformed_tensor(tmp_path):
                            {"kind": "lin", "speaker": "s", "feat_dim": 4},
                            [("lin.s", np.zeros((2, 3), np.float32))])
     with pytest.raises(StructureError, match="square"):
+        ad.load_lin(tmp_path / "b.ucam")
+
+
+def test_load_lin_rejects_an_empty_or_non_finite_matrix(tmp_path):
+    serial.write_container(tmp_path / "a.ucam",
+                           {"kind": "lin", "speaker": "s", "feat_dim": 0},
+                           [("lin.s", np.zeros((0, 0), np.float32))])
+    with pytest.raises(StructureError, match="positive integer feat_dim, "
+                                             "got 0"):
+        ad.load_lin(tmp_path / "a.ucam")
+    w = np.eye(4, dtype=np.float32)
+    w[1, 2] = np.nan
+    serial.write_container(tmp_path / "b.ucam",
+                           {"kind": "lin", "speaker": "s", "feat_dim": 4},
+                           [("lin.s", w)])
+    with pytest.raises(StructureError, match="'lin.s' holds non-finite"):
         ad.load_lin(tmp_path / "b.ucam")

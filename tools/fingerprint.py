@@ -24,6 +24,8 @@ line), and exits 1 on any difference. The artifacts are:
   one whose utterances have T 150-300, 1 iteration of 1 epoch, where
   ``pseudo_label`` and ``frame_error`` split their batches, with the
   number of threads it started (``adapt_long``);
+- ``pseudo_label``'s decisions and ``frame_error`` under a fixed LIN
+  away from identity, over utterances of T 20-400 (``adapt_scoring``);
 - one desk training loss (dropout on) and every parameter gradient of it
   on a batch of 4 utterances of T 200-400, where conv2d runs in several
   utterance groups (``grad_long/params``), and the LIN's gradient through
@@ -94,11 +96,13 @@ def split_on_two_cpus(name: str):
 def main(src: str) -> None:
     src = Path(src).resolve()
     sys.path.insert(0, str(src))
+    import numpy as np
     import ucam
     from ucam import data as dp
     from ucam import tensor as tc
     from ucam import training as tr
-    from ucam.adaptation import LinTransform, adapt_speaker, lin_batch
+    from ucam.adaptation import (LinTransform, adapt_speaker, frame_error,
+                                 lin_batch, pseudo_label)
     from ucam.gradcheck import run_gradcheck
     from ucam.model import (ModelParams, desk_config, micro_config,
                             model_forward)
@@ -188,6 +192,18 @@ def main(src: str) -> None:
                                     epochs=1, lr=1e-3, seed=14)
     emit("adapt_long/lin", lin.matrix().tobytes())
     emit("adapt_long/report", report_errors(report))
+
+    # a fixed LIN away from identity, so scoring's warp shows
+    spk = dp.synth_corpus(seed=21, n_speakers=1, n_classes=10, n_utts=8,
+                          feat_dim=16, t_range=(20, 400), speaker_offset=90,
+                          utt_offset=4000)
+    lin = LinTransform(16)
+    lin.w.data = (np.eye(16) + 0.05 * keyed(31, "scoring-lin")
+                  .standard_normal((16, 16))).astype(np.float32)
+    emit("adapt_scoring/labels", b"".join(
+        p.tobytes() for p in pseudo_label(params, spk.utts, lin)))
+    emit("adapt_scoring/error",
+         json.dumps(frame_error(params, spk.utts, lin)).encode())
 
     long = dp.synth_corpus(seed=23, n_speakers=1, n_classes=10, n_utts=4,
                            feat_dim=16, t_range=(200, 400)).utts
