@@ -271,6 +271,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise StructureError(f"checkpoint header 'best_dev' must be a finite "
                              f"number, got {json.dumps(best_dev)[:80]}")
     cfg = config_from_dict(header["config"])
+    for name, arr in tensors.items():
+        if not np.isfinite(arr).all():
+            raise StructureError(
+                f"checkpoint tensor '{name}' holds non-finite values")
     params = ModelParams.create(cfg)
     seen = set()
     for name, t in params.named_parameters():

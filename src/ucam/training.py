@@ -120,7 +120,9 @@ class EMAState:
     def update(self) -> None:
         d = self.decay
         for n, p in self.named:
-            self.shadow[n] = d * self.shadow[n] + (1.0 - d) * p.data
+            shadow = self.shadow[n]
+            shadow *= d
+            shadow += (1.0 - d) * p.data
 
     @contextlib.contextmanager
     def swapped(self):

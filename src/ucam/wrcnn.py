@@ -24,8 +24,9 @@ from .tensor import Tensor
 
 N_BLOCKS = 3
 N_PLANES = 3  # static, delta, delta-delta: what data.compute_deltas emits
-# im2col column bytes per utterance group in conv2d (see its docstring):
-# the fastest of 256 KB to 2 MB, and one utterance per group, at T 24-400
+# bytes of conv2d's one im2col column buffer, a group of utterances (see its
+# docstring), in every grad mode and again in dW's backward: the fastest
+# of 256 KB to 2 MB, and one utterance per group, at T 24-400
 COLS_BYTES = 1 << 19
 
 
@@ -75,9 +76,12 @@ def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
     The batch runs in groups of ``max(1, min(B, COLS_BYTES // bytes of one
     utterance's columns))`` utterances: each group's columns are built and
     at once multiplied into its slice of the output, while they are still
-    in cache. Without dW one group-sized column buffer serves every group,
-    its border strips zeroed once; with dW the groups fill the full
-    [B, K, N] columns that dW reads. dX runs the same groups: a group's
+    in cache. One group-sized column buffer serves every group, its border
+    strips zeroed once, in every grad mode, and no columns outlive the
+    forward. When dW is needed, backward rebuilds each group's columns
+    into a fresh group-sized buffer and multiplies them at once into
+    [B, O, K] per-utterance products (Chen et al. 2016, "Training Deep
+    Nets with Sublinear Memory Cost"). dX runs the same groups: a group's
     dcol matmul, then its spans added into an unpadded array, tap by tap
     in (i, j) order from zeros. numpy's stacked matmul makes one gemm call
     per utterance and every element gets the same copies and adds in the
@@ -98,37 +102,48 @@ def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
     o, _, kf, kt = w.shape
     out_f, fspans, tspans, taps = _tap_geometry(f, t, kf, kt, stride_f)
     k, n = c * kf * kt, out_f * t
-    dtype = x.data.dtype
+    xd, dtype = x.data, x.data.dtype
     ub = max(1, min(bsz, COLS_BYTES // max(k * n * dtype.itemsize, 1)))
     groups = [(b0, min(b0 + ub, bsz)) for b0 in range(0, bsz, ub)]
-    need_x = tc.needs_grad(x)
-    # only dW reads the columns after the forward; without it, one
-    # group-sized buffer is reused
-    keep = tc.needs_grad(w)
+    need_x, need_w = tc.needs_grad(x), tc.needs_grad(w)
 
-    cols = np.empty((bsz if keep else ub, c, kf, kt, out_f, t), dtype=dtype)
-    for i, (fo, _) in enumerate(fspans):
-        cols[:, :, i, :, :fo.start] = 0
-        cols[:, :, i, :, fo.stop:] = 0
-    for j, (to, _) in enumerate(tspans):
-        cols[:, :, :, j, :, :to.start] = 0
-        cols[:, :, :, j, :, to.stop:] = 0
+    def group_cols():
+        cols = np.empty((ub, c, kf, kt, out_f, t), dtype=dtype)
+        for i, (fo, _) in enumerate(fspans):
+            cols[:, :, i, :, :fo.start] = 0
+            cols[:, :, i, :, fo.stop:] = 0
+        for j, (to, _) in enumerate(tspans):
+            cols[:, :, :, j, :, :to.start] = 0
+            cols[:, :, :, j, :, to.stop:] = 0
+        return cols
+
+    def im2col(cols, b0, b1):
+        """Utterances b0:b1's columns, built in ``cols``, as [b, K, N]."""
+        cg = cols[:b1 - b0]
+        for i, j, fo, to, fi, ti in taps:
+            cg[:, :, i, j, fo, to] = xd[b0:b1, :, fi, ti]
+        return cg.reshape(b1 - b0, k, n)
+
+    def weight_grad(g2):
+        # one BLAS matmul per utterance (einsum would run a plain C loop),
+        # summed in float64 and rounded once: dW ignores the batch order
+        cols = group_cols()
+        prod = np.empty((bsz, o, k), dtype=dtype)
+        for b0, b1 in groups:
+            np.matmul(g2[b0:b1], im2col(cols, b0, b1).transpose(0, 2, 1),
+                      out=prod[b0:b1])
+        return (prod.sum(axis=0, dtype=np.float64).astype(dtype)
+                .reshape(w.shape))
+
+    cols = group_cols()
     w2 = w.data.reshape(o, k)
     out = np.empty((bsz, o, n), dtype=dtype)
     for b0, b1 in groups:
-        cg = cols[b0:b1] if keep else cols[:b1 - b0]
-        for i, j, fo, to, fi, ti in taps:
-            cg[:, :, i, j, fo, to] = x.data[b0:b1, :, fi, ti]
-        np.matmul(w2, cg.reshape(b1 - b0, k, n), out=out[b0:b1])
-    saved_cols = cols.reshape(bsz, k, n) if keep else None
+        np.matmul(w2, im2col(cols, b0, b1), out=out[b0:b1])
 
     def bwd(g):
         g2 = g.reshape(bsz, o, n)
-        # one BLAS matmul per utterance (einsum would run a plain C loop),
-        # summed in float64 and rounded once: dW ignores the batch order
-        dw = (np.matmul(g2, saved_cols.transpose(0, 2, 1))
-              .sum(axis=0, dtype=np.float64).astype(g.dtype).reshape(w.shape)
-              if saved_cols is not None else None)
+        dw = weight_grad(g2) if need_w else None
         if not need_x:
             return None, dw
         dcol = np.empty((ub, k, n), dtype=dtype)

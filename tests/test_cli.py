@@ -514,6 +514,24 @@ def test_eval_checkpoint_with_impossible_dims_exits_3(tmp_path, capsys):
     assert "file ends inside data of tensor 'w'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "adapt"])
+@pytest.mark.parametrize("name,value", [("head.w2", np.nan),
+                                        ("opt.v.head.w1", np.inf)])
+def test_non_finite_checkpoint_tensor_exits_3(tmp_path, capsys, command,
+                                              name, value):
+    data, out = train(tmp_path, steps=2)
+    ckpt = out / "last.ckpt"
+    header, tensors = serial.read_container(ckpt)
+    tensors[name] = tensors[name].copy()
+    tensors[name].flat[0] = value
+    serial.write_container(ckpt, header, list(tensors.items()))
+    extra = ["--speaker", "spk1"] if command == "adapt" else []
+    assert run([command, "--ckpt", str(ckpt), "--data", str(data),
+                *extra]) == 3
+    assert (f"checkpoint tensor '{name}' holds non-finite values"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("target,name,field", [
     ("ckpt", b"head.b", "tensor name"),
     ("data", b"utt00000", "header"),   # ids live in the container header

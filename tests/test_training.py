@@ -200,6 +200,25 @@ def test_ema_geometric_closed_form():
     assert abs(ema.shadow["w"][0] - expect) <= 1e-9
 
 
+def test_ema_updates_each_shadow_in_place():
+    rng = np.random.default_rng(5)
+    named = [("a", make_param(rng.standard_normal((3, 4)), dtype=np.float32)),
+             ("b", make_param(rng.standard_normal(5)))]
+    ema = tr.EMAState(named, decay=0.97)
+    shadows = {n: ema.shadow[n] for n, _ in named}
+    want = {n: ema.shadow[n].copy() for n, _ in named}
+    for _ in range(5):
+        for n, p in named:
+            p.data = (p.data + rng.standard_normal(p.shape)).astype(
+                p.data.dtype)
+            want[n] = 0.97 * want[n] + (1.0 - 0.97) * p.data
+        ema.update()
+        for n, _ in named:
+            assert ema.shadow[n] is shadows[n]
+            assert ema.shadow[n].dtype == np.float64
+            assert ema.shadow[n].tobytes() == want[n].tobytes()
+
+
 def test_ema_swapped_restores():
     p = make_param([1.5], dtype=np.float32)
     ema = tr.EMAState([("w", p)], decay=0.5)

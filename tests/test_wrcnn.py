@@ -1,4 +1,5 @@
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -198,33 +199,39 @@ class TestConv2dGroups:
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
 
-    def test_no_grad_forward_never_holds_the_batch_columns(self,
-                                                           monkeypatch):
+    def test_never_holds_the_batch_columns(self, monkeypatch):
         rng = np.random.default_rng(11)
-        x = tc.tensor(rng.standard_normal((8, 16, 16, 50)),
-                      dtype=np.float32)
-        w = tc.parameter(rng.standard_normal((16, 16, 3, 3)),
-                         dtype=np.float32)
-        per_utt = cols_bytes(x.data, 3, 3, 1)
+        x = rng.standard_normal((8, 16, 16, 50)).astype(np.float32)
+        w = rng.standard_normal((16, 16, 3, 3)).astype(np.float32)
+        per_utt = cols_bytes(x, 3, 3, 1)
         monkeypatch.setattr(wrcnn, "COLS_BYTES", 2 * per_utt)
 
-        def peak_bytes(grad):
+        def peak_bytes(run):
             tracemalloc.start()
             try:
-                if grad:
-                    conv2d(x, w)
-                else:
-                    with tc.no_grad():
-                        conv2d(x, w)
-                return tracemalloc.get_traced_memory()[1]
+                result = run()
+                return result, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        # with dW the full-batch columns are kept, and the count sees them
-        assert peak_bytes(grad=True) >= 8 * per_utt
-        # without, the output and one 2-utterance group are all it holds
-        peak = peak_bytes(grad=False)
-        assert peak < 8 * per_utt and peak < x.data.nbytes + 3 * per_utt
+        # a forward in any grad mode holds its output and one 2-utterance
+        # group of columns
+        outs = {}
+        for mode, (need_x, need_w) in [("no_grad", (True, True)),
+                                       *self.GRADS.items()]:
+            xt = tc.tensor(x, requires_grad=need_x)
+            wt = tc.tensor(w, requires_grad=need_w)
+            with tc.no_grad() if mode == "no_grad" else nullcontext():
+                outs[mode], peak = peak_bytes(lambda: conv2d(xt, wt))
+            assert peak < x.nbytes + 3 * per_utt, mode
+        # dW rebuilds the columns one group at a time, into [B, O, K]
+        # per-utterance products; dX's strided adds take numpy's buffers
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        (dx, dw), peak = peak_bytes(lambda: outs["trained"]._backward_fn(g))
+        prods = 8 * w.size * w.itemsize
+        ufunc_buffers = 3 * np.getbufsize() * x.itemsize
+        assert dx.shape == x.shape and dw.shape == w.shape
+        assert peak < 2 * per_utt + prods + x.nbytes + ufunc_buffers
 
 
 class TestConv2d:

@@ -31,6 +31,8 @@ line), and exits 1 on any difference. The artifacts are:
   utterance groups (``grad_long/params``), and the LIN's gradient through
   ``lin_batch`` on the same batch with the model frozen
   (``grad_long/lin``);
+- one trainable 3x3 conv2d's output, dX and dW over 5 utterances of
+  T 20-40, run in utterance groups of 2, 2 and 1 (``conv2d_groups``);
 - ``run_gradcheck`` at seeds 0 and 1 (``gradcheck``).
 
 The split cases report 2 usable CPUs whatever the machine has, so a
@@ -101,6 +103,7 @@ def main(src: str) -> None:
     from ucam import data as dp
     from ucam import tensor as tc
     from ucam import training as tr
+    from ucam import wrcnn
     from ucam.adaptation import (LinTransform, adapt_speaker, frame_error,
                                  lin_batch, pseudo_label)
     from ucam.gradcheck import run_gradcheck
@@ -221,6 +224,22 @@ def main(src: str) -> None:
     out = model_forward(lin_batch(batch, lin), batch.mask, params)
     tc.backward(tr.masked_cross_entropy(out, batch.labels, batch.mask))
     emit("grad_long/lin", lin.w.grad.tobytes())
+
+    # one trainable 3x3 conv over 5 utterances of T 20-40, zero past each
+    # length, in utterance groups of 2, 2 and 1
+    rng = keyed(41, "conv2d-groups")
+    lengths = rng.integers(20, 41, size=5)
+    x = rng.standard_normal((5, 16, 16, lengths.max())).astype(np.float32)
+    x *= np.arange(x.shape[-1]) < lengths[:, None, None, None]
+    w = rng.standard_normal((16, 16, 3, 3)).astype(np.float32)
+    with mock.patch.object(wrcnn, "COLS_BYTES", 2 * 3 * 3 * x[0].nbytes):
+        xt, wt = tc.parameter(x), tc.parameter(w)
+        out = wrcnn.conv2d(xt, wt)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        tc.backward(tc.sum_all(tc.mul_const(out, g)))
+    emit("conv2d_groups/out", out.data.tobytes())
+    emit("conv2d_groups/dx", xt.grad.tobytes())
+    emit("conv2d_groups/dw", wt.grad.tobytes())
 
     for seed in (0, 1):
         emit(f"gradcheck/{seed}",
