@@ -211,6 +211,9 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
     out[...] = acc
 
     need_x, need_w = tc.needs_grad(x), tc.needs_grad(w)
+    # xp is kept only for dW, the kernel only for dX
+    xp_shape, dtype = xp.shape, xp.dtype
+    xp, wd = xp if need_w else None, wd if need_x else None
 
     def bwd(g):
         # the [B, C, T, K] window view of xp holds every tap's input
@@ -218,7 +221,7 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
               if need_w else None)
         if not need_x:
             return None, dw
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros(xp_shape, dtype)
         gc = np.ascontiguousarray(g)  # one copy, then contiguous tap reads
         tap = np.empty_like(gc)
         for j in range(kk):

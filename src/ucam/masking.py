@@ -155,14 +155,15 @@ def _masked_norm(x: Tensor, m: np.ndarray, p: NormParams, axes: tuple,
     y *= m
     # every axis but the channel axis; all of them when there is one channel
     param_axes = tuple(a for a, n in enumerate(cshape) if n == 1)
+    dim = p.dim
     need_x, need_gamma, need_beta = (tc.needs_grad(x), tc.needs_grad(p.gamma),
                                      tc.needs_grad(p.beta))
 
     def bwd(g):
         gm = g * m
         gx = gm * xhat if need_gamma else None
-        dgamma = gx.sum(axis=param_axes).reshape(p.dim) if need_gamma else None
-        dbeta = gm.sum(axis=param_axes).reshape(p.dim) if need_beta else None
+        dgamma = gx.sum(axis=param_axes).reshape(dim) if need_gamma else None
+        dbeta = gm.sum(axis=param_axes).reshape(dim) if need_beta else None
         if not need_x:
             return None, dgamma, dbeta
         # dx = inv * (ghat - mean(ghat) - xhat * mean(ghat * xhat)) * m

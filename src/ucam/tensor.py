@@ -36,6 +36,18 @@ assignment, to spare full-size temporaries. A backward closure never writes
 into its incoming gradient, nor into any array it did not allocate in that
 call: :func:`add` hands one gradient array to both of its parents, and the
 forward arrays a closure reads may be another op's input or output.
+
+The graph holds only what backward reads (the saved-tensor design of
+Paszke et al. 2019, "PyTorch: An Imperative Style, High-Performance Deep
+Learning Library"). A tensor's graph node keeps its parents' nodes, a
+trainable leaf itself (backward sets its ``grad``), its backward closure
+and its op name, never an output array. So a closure captures, at forward
+time, the arrays it reads, and only those of the gradients it will
+compute; it never captures a parent ``Tensor``, not even to read its
+``shape`` or dtype later, since that would keep the parent's array alive.
+An op whose backward reads none of its inputs, such as :func:`add`, lets
+them be freed as soon as the caller drops them, and :func:`backward`
+releases each node as soon as its closure has run.
 """
 
 from __future__ import annotations
@@ -53,25 +65,54 @@ _GRAD_ENABLED = True
 _CHECK_FINITE = False
 
 
+class _Node:
+    """How one recorded op's output was made: all that backward needs.
+
+    ``_parents`` holds one entry per parent of the op: the parent's node,
+    the parent itself when it is a trainable leaf, or None for a constant.
+    """
+
+    __slots__ = ("_parents", "_backward_fn", "_op")
+
+    def __init__(self, parents: tuple, backward_fn: Callable, op: str):
+        self._parents = parents
+        self._backward_fn = backward_fn
+        self._op = op
+
+
 class Tensor:
     """An n-dimensional float array with an optional gradient slot.
 
     ``data`` is always a float32 or float64 ndarray. ``grad`` stays ``None``
     until a backward pass reaches this tensor; it then has the same shape
-    and dtype as ``data``.
+    and dtype as ``data``. The output of a recorded op has a graph node;
+    ``_parents``, ``_backward_fn`` and ``_op`` read it, and are None on a
+    leaf and once backward has released the node.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn",
-                 "_op", "_done")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = False):
         self.data = data
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] | None = None
-        self._backward_fn: Callable | None = None
-        self._op: str | None = None
-        self._done = False
+        self._node: _Node | None = None
+
+    @property
+    def _parents(self) -> tuple | None:
+        return None if self._node is None else self._node._parents
+
+    @property
+    def _backward_fn(self) -> Callable | None:
+        return None if self._node is None else self._node._backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn: Callable) -> None:
+        self._node._backward_fn = fn
+
+    @property
+    def _op(self) -> str | None:
+        return None if self._node is None else self._node._op
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -141,7 +182,15 @@ def needs_grad(t: Tensor) -> bool:
     True while graph recording is on and ``t`` is a trainable leaf or the
     output of a recorded op.
     """
-    return _GRAD_ENABLED and (t.requires_grad or t._parents is not None)
+    return _GRAD_ENABLED and t.requires_grad
+
+
+def _entry(t: Tensor):
+    """What a node records of parent ``t``: its node, ``t`` itself when it
+    is a trainable leaf, or None for a constant."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
 
 
 def from_op(data: np.ndarray, parents: Sequence[Tensor],
@@ -154,9 +203,12 @@ def from_op(data: np.ndarray, parents: Sequence[Tensor],
     parent's gradient only when ``needs_grad(parent)`` held at forward time;
     return None otherwise. ``backward`` may write only into arrays it
     allocated in that call, never into the output gradient, which
-    :func:`add` hands to two parents, nor into a forward array. When no
-    parent needs a gradient the node collapses to a constant, so eval-mode
-    code pays nothing for graph bookkeeping.
+    :func:`add` hands to two parents, nor into a forward array. It may
+    capture arrays only, and only those its needed gradients read; never a
+    parent ``Tensor``, whose array the graph would then keep (read shapes
+    and dtypes into locals at forward time). When no parent needs a
+    gradient the node collapses to a constant, so eval-mode code pays
+    nothing for graph bookkeeping.
     """
     if _CHECK_FINITE and not np.isfinite(data).all():
         raise NumericError(f"non-finite values produced by op '{op}'")
@@ -165,9 +217,7 @@ def from_op(data: np.ndarray, parents: Sequence[Tensor],
     out = Tensor(data)
     if track:
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward
-        out._op = op
+        out._node = _Node(tuple(map(_entry, parents)), backward, op)
     return out
 
 
@@ -195,8 +245,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype("mul", a, b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+    # each factor is kept only for the other's gradient
+    ad = a.data if needs_grad(b) else None
+    bd = b.data if needs_grad(a) else None
     return from_op(a.data * b.data, (a, b),
-                   lambda g: (g * b.data, g * a.data), "mul")
+                   lambda g: (None if bd is None else g * bd,
+                              None if ad is None else g * ad), "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -244,20 +298,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                          f"{a.shape} and {b.shape}")
 
     need_a, need_b = needs_grad(a), needs_grad(b)
+    # each operand is kept only for the other's gradient
+    ad, bd = a.data if need_b else None, b.data if need_a else None
     if b.ndim == 2:
         k, n = b.shape
 
         def bwd(g):
-            da = g @ b.data.swapaxes(-1, -2) if need_a else None
-            db = (a.data.reshape(-1, k).T @ g.reshape(-1, n) if need_b
-                  else None)
+            da = g @ bd.swapaxes(-1, -2) if need_a else None
+            db = ad.reshape(-1, k).T @ g.reshape(-1, n) if need_b else None
             return da, db
         return from_op(a.data @ b.data, (a, b), bwd, "matmul")
 
     if a.ndim == b.ndim and a.shape[:-2] == b.shape[:-2]:
         def bwd(g):
-            da = g @ b.data.swapaxes(-1, -2) if need_a else None
-            db = a.data.swapaxes(-1, -2) @ g if need_b else None
+            da = g @ bd.swapaxes(-1, -2) if need_a else None
+            db = ad.swapaxes(-1, -2) @ g if need_b else None
             return da, db
         return from_op(a.data @ b.data, (a, b), bwd, "matmul")
 
@@ -285,13 +340,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         y += b.data
     need_x, need_w = needs_grad(x), needs_grad(w)
-    need_b = b is not None and needs_grad(b)
+    has_b = b is not None
+    need_b = has_b and needs_grad(b)
+    # x is kept only for dW, w only for dX
+    xd, wd = x.data if need_w else None, w.data if need_x else None
 
     def bwd(g):
         g2 = g.reshape(-1, n)
-        dx = g @ w.data if need_x else None
-        dw = (x.data.reshape(-1, k).T @ g2).T if need_w else None
-        if b is None:
+        dx = g @ wd if need_x else None
+        dw = (xd.reshape(-1, k).T @ g2).T if need_w else None
+        if not has_b:
             return dx, dw
         return dx, dw, g2.sum(axis=0) if need_b else None
     return from_op(y, parents, bwd, "matmul")
@@ -312,10 +370,11 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum(), dtype=a.data.dtype)
+    shape, dtype = a.shape, a.data.dtype
+    out = np.asarray(a.data.sum(), dtype=dtype)
 
     def bwd(g):
-        return (np.full(a.shape, float(g), dtype=a.data.dtype),)
+        return (np.full(shape, float(g), dtype=dtype),)
     return from_op(out, (a,), bwd, "sum_all")
 
 
@@ -336,14 +395,15 @@ def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
 
 def swish(a: Tensor) -> Tensor:
     """x * sigmoid(x)."""
-    s = _sigmoid_raw(a.data)
+    x = a.data
+    s = _sigmoid_raw(x)
     # the backward reads s, so only a no-grad forward may overwrite it
-    out = np.multiply(a.data, s, out=None if needs_grad(a) else s)
+    out = np.multiply(x, s, out=None if needs_grad(a) else s)
 
     def bwd(g):
         # g * (s * (1 + x * (1 - s)))
         d = np.subtract(1.0, s)
-        d *= a.data
+        d *= x
         d += 1.0
         d *= s
         d *= g
@@ -352,34 +412,37 @@ def swish(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
-    return from_op(out, (a,), lambda g: (g * (a.data > 0),), "relu")
+    x = a.data
+    return from_op(np.maximum(x, 0.0), (a,), lambda g: (g * (x > 0),),
+                   "relu")
 
 
 def elu(a: Tensor) -> Tensor:
     """ELU with alpha = 1: x for x > 0, exp(x) - 1 otherwise."""
+    dtype = a.data.dtype
     pos = a.data > 0
     out = np.where(pos, a.data, np.expm1(np.minimum(a.data, 0.0)))
-    out = out.astype(a.data.dtype, copy=False)
+    out = out.astype(dtype, copy=False)
 
     def bwd(g):
         # exp(x) == out + 1 on the negative branch
-        return (g * np.where(pos, 1.0, out + 1.0).astype(a.data.dtype),)
+        return (g * np.where(pos, 1.0, out + 1.0).astype(dtype),)
     return from_op(out, (a,), bwd, "elu")
 
 
 def glu(a: Tensor, axis: int = -1) -> Tensor:
     """Gated linear unit: first half of ``axis`` gated by sigmoid of the second."""
-    c = a.shape[axis]
+    shape, dtype = a.shape, a.data.dtype
+    c = shape[axis]
     if c % 2 != 0:
-        raise ShapeError(f"glu: axis {axis} has odd extent {c} in shape {a.shape}")
+        raise ShapeError(f"glu: axis {axis} has odd extent {c} in shape {shape}")
     # halves in C order, whatever the input's layout
     v, u = np.split(np.ascontiguousarray(a.data), 2, axis=axis)
     s = _sigmoid_raw(u)
     out = np.multiply(v, s, out=None if needs_grad(a) else s)
 
     def bwd(g):
-        da = np.empty(a.shape, a.data.dtype)
+        da = np.empty(shape, dtype)
         dv, du = np.split(da, 2, axis=axis)
         # du = g * v * s * (1 - s); dv holds 1 - s until g * s is due
         np.multiply(g, v, out=du)
@@ -430,9 +493,10 @@ def take_along_last(a: Tensor, idx: np.ndarray) -> Tensor:
         pos = tuple(int(v) for v in np.argwhere(bad)[0])
         raise DataError(f"label {int(idx[pos])} out of range [0, {k}) at {pos}")
     out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
+    shape, dtype = a.shape, a.data.dtype
 
     def bwd(g):
-        da = np.zeros_like(a.data)
+        da = np.zeros(shape, dtype)
         np.put_along_axis(da, idx[..., None], g[..., None], axis=-1)
         return (da,)
     return from_op(out, (a,), bwd, "take_along_last")
@@ -442,10 +506,17 @@ def take_along_last(a: Tensor, idx: np.ndarray) -> Tensor:
 # backward pass
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    topo: list[Tensor] = []
+def _receives(p) -> bool:
+    """Whether backward passes a gradient on to graph entry ``p``: a node,
+    or a leaf that is still trainable."""
+    return p is not None and (not isinstance(p, Tensor) or p.requires_grad)
+
+
+def _toposort(root: Tensor) -> list:
+    """The graph entries that ``root`` reaches, each after its parents."""
+    topo: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[object, bool]] = [(_entry(root), False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -455,11 +526,13 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        if node._parents is not None:
-            for p in node._parents:
-                if id(p) not in visited and (p._parents is not None
-                                             or p.requires_grad):
-                    stack.append((p, False))
+        for p in node._parents or ():
+            if isinstance(p, _Node) and p._parents is None:
+                raise GraphError(f"op '{node._op}' reads a tensor whose graph "
+                                 "an earlier backward spent; build a fresh "
+                                 "graph")
+            if id(p) not in visited and _receives(p):
+                stack.append((p, False))
     return topo
 
 
@@ -467,46 +540,53 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every reachable requires_grad leaf.
 
     ``loss`` must be scalar. Gradients of a node used on several paths are
-    summed. Re-running backward on the same loss, or running it while some
-    leaf still holds a gradient, raises GraphError.
+    summed. Each node is released as soon as its closure has run, so the
+    arrays it alone kept are freed as the pass goes. Backward spends the
+    graph of ``loss``, its own node first: a second call on it raises
+    GraphError, as does a backward through any tensor of that graph, or
+    a call while some leaf still holds a gradient.
+
+    If the pass fails part-way (a closure raises, or under
+    :func:`finite_checks` a non-finite gradient reaches an op, and the
+    error names that op), the error propagates and the loss is spent all
+    the same: the nodes already run are released, and the leaves already
+    reached keep their gradients. Zero the gradients and build a fresh
+    graph to try again.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss._done:
+    node = loss._node
+    if node is not None and node._parents is None:
         raise GraphError("backward already ran for this loss; build a fresh graph")
-    if loss._parents is None and not loss.requires_grad:
+    if node is None and not loss.requires_grad:
         raise GraphError("loss is a constant: nothing requires a gradient")
 
     topo = _toposort(loss)
-    grads: dict[int, np.ndarray] = {
-        id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    grads: dict[int, np.ndarray] = {id(topo[-1]): np.ones_like(loss.data)}
+    while topo:
+        node = topo.pop()
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if _CHECK_FINITE and not np.isfinite(g).all():
+        if g is not None and _CHECK_FINITE and not np.isfinite(g).all():
             raise NumericError(
                 f"non-finite gradient flowing into op '{node._op or 'leaf'}'")
-        if node._parents is None:
-            if node.requires_grad:
-                if node.grad is not None:
-                    raise GraphError(
-                        "leaf already holds a gradient; call zero_grad before "
-                        "running backward again")
-                node.grad = g
+        if isinstance(node, Tensor):
+            if g is None:
+                continue
+            if node.grad is not None:
+                raise GraphError(
+                    "leaf already holds a gradient; call zero_grad before "
+                    "running backward again")
+            node.grad = g
             continue
-        parent_grads = node._backward_fn(g)
-        for p, pg in zip(node._parents, parent_grads):
-            if pg is None or not (p.requires_grad or p._parents is not None):
+        # released before it runs: its closure's arrays go when it returns
+        fn, parents = node._backward_fn, node._parents
+        node._parents = node._backward_fn = None
+        if g is None:
+            continue
+        for p, pg in zip(parents, fn(g)):
+            if pg is None or not _receives(p):
                 continue
             grads[id(p)] = grads[id(p)] + pg if id(p) in grads else pg
-
-    loss._done = True
-    # Release interior references so large intermediates can be collected.
-    for node in topo:
-        if node is not loss and node._parents is not None:
-            node._parents = None
-            node._backward_fn = None
 
 
 def zero_grad(params: Iterable) -> None:

@@ -78,10 +78,11 @@ def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
     at once multiplied into its slice of the output, while they are still
     in cache. One group-sized column buffer serves every group, its border
     strips zeroed once, in every grad mode, and no columns outlive the
-    forward. When dW is needed, backward rebuilds each group's columns
-    into a fresh group-sized buffer and multiplies them at once into
-    [B, O, K] per-utterance products (Chen et al. 2016, "Training Deep
-    Nets with Sublinear Memory Cost"). dX runs the same groups: a group's
+    forward. When dW is needed, and only then, the graph keeps ``x``, and
+    backward rebuilds each group's columns from it into a fresh
+    group-sized buffer and multiplies them at once into [B, O, K]
+    per-utterance products (Chen et al. 2016, "Training Deep Nets with
+    Sublinear Memory Cost"). dX runs the same groups: a group's
     dcol matmul, then its spans added into an unpadded array, tap by tap
     in (i, j) order from zeros. numpy's stacked matmul makes one gemm call
     per utterance and every element gets the same copies and adds in the
@@ -102,7 +103,7 @@ def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
     o, _, kf, kt = w.shape
     out_f, fspans, tspans, taps = _tap_geometry(f, t, kf, kt, stride_f)
     k, n = c * kf * kt, out_f * t
-    xd, dtype = x.data, x.data.dtype
+    dtype = x.data.dtype
     ub = max(1, min(bsz, COLS_BYTES // max(k * n * dtype.itemsize, 1)))
     groups = [(b0, min(b0 + ub, bsz)) for b0 in range(0, bsz, ub)]
     need_x, need_w = tc.needs_grad(x), tc.needs_grad(w)
@@ -117,12 +118,21 @@ def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
             cols[:, :, :, j, :, to.stop:] = 0
         return cols
 
-    def im2col(cols, b0, b1):
-        """Utterances b0:b1's columns, built in ``cols``, as [b, K, N]."""
+    def im2col(cols, src, b0, b1):
+        """Utterances b0:b1's columns of ``src``, built in ``cols``, as
+        [b, K, N]."""
         cg = cols[:b1 - b0]
         for i, j, fo, to, fi, ti in taps:
-            cg[:, :, i, j, fo, to] = xd[b0:b1, :, fi, ti]
+            cg[:, :, i, j, fo, to] = src[b0:b1, :, fi, ti]
         return cg.reshape(b1 - b0, k, n)
+
+    cols = group_cols()
+    w2 = w.data.reshape(o, k)
+    out = np.empty((bsz, o, n), dtype=dtype)
+    for b0, b1 in groups:
+        np.matmul(w2, im2col(cols, x.data, b0, b1), out=out[b0:b1])
+    # x is kept only for dW, the kernel only for dX
+    xd, w2 = x.data if need_w else None, w2 if need_x else None
 
     def weight_grad(g2):
         # one BLAS matmul per utterance (einsum would run a plain C loop),
@@ -130,16 +140,10 @@ def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
         cols = group_cols()
         prod = np.empty((bsz, o, k), dtype=dtype)
         for b0, b1 in groups:
-            np.matmul(g2[b0:b1], im2col(cols, b0, b1).transpose(0, 2, 1),
+            np.matmul(g2[b0:b1], im2col(cols, xd, b0, b1).transpose(0, 2, 1),
                       out=prod[b0:b1])
         return (prod.sum(axis=0, dtype=np.float64).astype(dtype)
-                .reshape(w.shape))
-
-    cols = group_cols()
-    w2 = w.data.reshape(o, k)
-    out = np.empty((bsz, o, n), dtype=dtype)
-    for b0, b1 in groups:
-        np.matmul(w2, im2col(cols, b0, b1), out=out[b0:b1])
+                .reshape(o, c, kf, kt))
 
     def bwd(g):
         g2 = g.reshape(bsz, o, n)
@@ -147,7 +151,7 @@ def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
         if not need_x:
             return None, dw
         dcol = np.empty((ub, k, n), dtype=dtype)
-        dx = np.zeros(x.shape, dtype=dtype)
+        dx = np.zeros((bsz, c, f, t), dtype=dtype)
         for b0, b1 in groups:
             dg = np.matmul(w2.T, g2[b0:b1], out=dcol[:b1 - b0]).reshape(
                 b1 - b0, c, kf, kt, out_f, t)

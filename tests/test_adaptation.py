@@ -182,10 +182,11 @@ def test_adaptation_step_records_one_lin_node():
     out = model_forward(ad.lin_batch(batch, lin), batch.mask, params)
     loss = tr.masked_cross_entropy(out, batch.labels, batch.mask)
     params.set_requires_grad(True)
+    # a node records a constant or frozen parent as None
     nodes, todo, seen = [], [loss], set()
     while todo:
         t = todo.pop()
-        if id(t) in seen or t._parents is None:
+        if t is None or id(t) in seen or t._parents is None:
             continue
         seen.add(id(t))
         nodes.append(t)

@@ -16,6 +16,7 @@ from ucam.model import (AcousticModelConfig, ModelParams, config_from_dict,
                         load_checkpoint, micro_config, model_forward,
                         save_checkpoint, walk_parameters)
 from ucam.rng import keyed
+from ucam.training import masked_cross_entropy
 from ucam.wrcnn import N_PLANES, WRCNNConfig
 
 
@@ -138,6 +139,28 @@ def test_desk_training_forward_records_150_nodes():
     ops = [n._op for n in tc._toposort(out) if n._parents is not None]
     assert len(ops) == 150
     assert ops.count("matmul") == 28 and ops.count("transpose") == 15
+
+
+def test_desk_train_step_backward_peak_stays_near_the_graph():
+    # the graph holds only the arrays backward reads, and backward releases
+    # each node once its closure has run, so the pass (parameter gradients
+    # included) peaks at most 5% above what the forward left allocated
+    params = make_model(cfg=desk_config())
+    rng = np.random.default_rng(3)
+    x, mask = random_input(rng, 4, 16, 40, [40, 33, 27, 20])
+    labels = rng.integers(0, params.cfg.n_senones, (4, 40))
+    tracemalloc.start()
+    try:
+        out = model_forward(x, mask, params, train=True, rng=keyed(7, "d"))
+        loss = masked_cross_entropy(out, labels, mask)
+        del out
+        graph = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tc.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * graph, (peak, graph)
 
 
 def test_forward_padding_invariance_end_to_end():

@@ -1,4 +1,5 @@
 import math
+import weakref
 import zlib
 
 import numpy as np
@@ -9,7 +10,8 @@ from ucam import conformer as cf
 from ucam import tensor as tc
 from ucam import wrcnn as wr
 from ucam.errors import ConfigError, DataError, GraphError, NumericError, ShapeError
-from ucam.masking import (NormParams, SequenceMask, utterance_batchnorm,
+from ucam.masking import (NormParams, SequenceMask, apply_mask,
+                          masked_softmax, utterance_batchnorm,
                           utterance_layernorm)
 
 
@@ -174,6 +176,16 @@ class TestBackward:
         tc.backward(loss)
         with pytest.raises(GraphError):
             tc.backward(loss)
+
+    def test_graph_spent_by_an_earlier_backward_is_an_error(self):
+        # the second loss would silently miss the gradient through h
+        x = tc.parameter(np.ones(3))
+        h = tc.scale(x, 2.0)
+        tc.backward(tc.sum_all(h))
+        tc.zero_grad([x])
+        with pytest.raises(GraphError, match="op 'scale' reads a tensor "
+                           "whose graph an earlier backward spent"):
+            tc.backward(tc.sum_all(tc.scale(h, 3.0)))
 
     def test_backward_without_reset_is_an_error(self):
         x = tc.parameter(np.ones(3))
@@ -463,6 +475,96 @@ def test_needs_grad():
     assert tc.needs_grad(tc.add(c, w)) and not tc.needs_grad(tc.add(c, c))
     with tc.no_grad():
         assert not tc.needs_grad(w)
+
+
+# ---------------------------------------------------------------------------
+# the graph keeps only the arrays backward reads
+
+
+MASK_43 = SequenceMask.from_lengths([4, 3])
+
+
+def _const(rng, *shape):
+    return tc.tensor(rand(rng, *shape))
+
+
+def _trained_norm(rng, dim):
+    return NormParams(tc.parameter(1.0 + rand(rng, dim)),
+                      tc.parameter(rand(rng, dim)))
+
+
+# op -> (input shape, the op on that input). A weight is a constant unless
+# the name says trained; the norms' gamma and beta are trained, and the
+# other operand of add and mul is an op output, as the input is
+GRAPH_OPS = {
+    "add": ((2, 4, 6), lambda x, r: tc.add(x, tc.scale(
+        tc.parameter(rand(r, 2, 4, 6)), 1.0))),
+    "scale": ((2, 4, 6), lambda x, r: tc.scale(x, 3.0)),
+    "apply_mask": ((2, 4, 6), lambda x, r: apply_mask(x, MASK_43)),
+    "add_position": ((2, 4, 6), lambda x, r: cf.add_position(x, MASK_43)),
+    "utterance_layernorm": ((2, 4, 6), lambda x, r: utterance_layernorm(
+        x, MASK_43, _trained_norm(r, 6))),
+    "utterance_batchnorm": ((2, 3, 5, 4), lambda x, r: utterance_batchnorm(
+        x, MASK_43, _trained_norm(r, 3))),
+    "masked_softmax": ((2, 2, 4, 4), lambda x, r: masked_softmax(x, MASK_43)),
+    "dropout": ((2, 4, 6), lambda x, r: tc.dropout(x, 0.5, r)),
+    "linear_frozen": ((2, 4, 6), lambda x, r: tc.linear(
+        x, _const(r, 5, 6), _const(r, 5))),
+    "conv2d_frozen": ((2, 3, 5, 4), lambda x, r: wr.conv2d(
+        x, _const(r, 4, 3, 3, 3), stride_f=2)),
+    "depthwise_conv1d_frozen": ((2, 3, 4), lambda x, r: cf.depthwise_conv1d(
+        x, _const(r, 3, 5))),
+    "mul": ((2, 4, 6), lambda x, r: tc.mul(x, tc.scale(
+        tc.parameter(rand(r, 2, 4, 6)), 1.0))),
+    "matmul": ((2, 4, 6), lambda x, r: tc.matmul(
+        x, tc.parameter(rand(r, 6, 5)))),
+    "swish": ((2, 4, 6), lambda x, r: tc.swish(x)),
+    "relu": ((2, 4, 6), lambda x, r: tc.relu(x)),
+    "linear_trained": ((2, 4, 6), lambda x, r: tc.linear(
+        x, tc.parameter(rand(r, 5, 6)), tc.parameter(rand(r, 5)))),
+    "conv2d_trained": ((2, 3, 5, 4), lambda x, r: wr.conv2d(
+        x, tc.parameter(rand(r, 4, 3, 3, 3)), stride_f=2)),
+}
+# the ops whose backward reads their input: dW of a trained weight, the
+# other factor of a product, an activation's derivative
+READS_INPUT = {"mul", "matmul", "swish", "relu", "linear_trained",
+               "conv2d_trained"}
+
+
+@pytest.mark.parametrize("name", list(GRAPH_OPS))
+def test_graph_keeps_an_input_array_only_if_backward_reads_it(name):
+    shape, op = GRAPH_OPS[name]
+    rng = np.random.default_rng(61)
+    leaf = tc.parameter(rand(rng, *shape))
+    x = tc.scale(leaf, 1.0)  # an op output that only this test holds
+    ref = weakref.ref(x.data)
+    y = op(x, rng)
+    del x
+    assert (ref() is not None) == (name in READS_INPUT)
+    loss = tc.sum_all(tc.mul_const(y, rand(rng, *y.shape)))
+    del y
+    tc.backward(loss)
+    assert ref() is None
+    assert leaf.grad is not None and leaf.grad.shape == shape
+
+
+def test_backward_failing_part_way_spends_the_loss():
+    x = tc.parameter(np.ones(3))
+    h = tc.scale(x, 2.0)
+    # an op whose backward hands its parent a NaN gradient
+    bad = tc.from_op(h.data.copy(), (h,), lambda g: (g * np.nan,), "inject")
+    loss = tc.sum_all(tc.swish(bad))
+    with tc.finite_checks():
+        with pytest.raises(NumericError, match="flowing into op 'scale'"):
+            tc.backward(loss)
+    # the nodes run before the failure are released; the rest still hold
+    # their closures, but the loss is spent
+    assert bad._parents is None and h._backward_fn is not None
+    with pytest.raises(GraphError, match="already ran"):
+        tc.backward(loss)
+    assert x.grad is None
+    tc.backward(tc.sum_all(tc.swish(tc.scale(x, 2.0))))
+    assert np.isfinite(x.grad).all()
 
 
 @settings(max_examples=25, deadline=None)
