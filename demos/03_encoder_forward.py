@@ -8,6 +8,8 @@ proper log-probability distribution, and padding length has no effect
 on the frames that matter.
 """
 
+import dataclasses
+
 import numpy as np
 
 from ucam import data as dp
@@ -17,8 +19,8 @@ from ucam.model import (ModelParams, count_params, desk_config,
                         micro_config, model_forward)
 from ucam.rng import keyed
 
-cfg = desk_config(feat_dim=16, n_senones=10, d_attn=32, heads=2,
-                  n_blocks=2, conv_kernel=8, head_hidden=64)
+cfg = dataclasses.replace(desk_config(), d_attn=32, conv_kernel=8,
+                          head_hidden=64)
 params = ModelParams.create(cfg, rng=keyed(0, "demo-encoder"))
 print(f"model: d_attn={cfg.d_attn}, {cfg.n_blocks} blocks, "
       f"{cfg.heads} heads, kernel {cfg.conv_kernel}")

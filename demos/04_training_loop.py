@@ -6,6 +6,7 @@ from the same seed, and checkpoint resume that lands on the exact same
 parameters as an uninterrupted run.
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -20,8 +21,9 @@ train, dev = corpus.utts[:40], corpus.utts[40:]
 print(f"corpus: {len(train)} train / {len(dev)} dev utterances, "
       f"{corpus.feat_dim} mel bins, {corpus.n_classes} senones")
 
-cfg = desk_config(feat_dim=8, n_senones=8, d_attn=16, heads=2,
-                  n_blocks=1, conv_kernel=4, head_hidden=32, dropout=0.1)
+cfg = dataclasses.replace(desk_config(), feat_dim=8, n_senones=8, d_attn=16,
+                          n_blocks=1, conv_kernel=4, head_hidden=32,
+                          dropout=0.1)
 
 
 def fresh():

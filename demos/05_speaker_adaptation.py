@@ -7,6 +7,7 @@ from the model's own pseudo-labels over a few iterations, absorbs most
 of the mismatch.
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -21,8 +22,8 @@ from ucam.rng import keyed
 base = dp.synth_corpus(seed=5, n_speakers=6, n_classes=10, n_utts=144,
                        feat_dim=12, t_range=(20, 35), separation=5.0,
                        warp_strength=0.02, self_loop=0.7)
-cfg = desk_config(feat_dim=12, n_senones=10, d_attn=24, heads=2,
-                  n_blocks=1, conv_kernel=6, head_hidden=48, dropout=0.1)
+cfg = dataclasses.replace(desk_config(), feat_dim=12, d_attn=24, n_blocks=1,
+                          conv_kernel=6, head_hidden=48, dropout=0.1)
 params = ModelParams.create(cfg, rng=keyed(5, "demo-adapt"))
 
 with tempfile.TemporaryDirectory() as tmp:

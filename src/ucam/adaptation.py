@@ -71,8 +71,7 @@ def lin_batch(batch: Batch, lin: LinTransform) -> tc.Tensor:
     utterance by utterance, then plane by plane. The op name is "matmul".
     """
     w, feats, lengths = lin.w, batch.feats, batch.mask.lengths
-    if feats.dtype != w.data.dtype:
-        raise ShapeError(f"lin_batch: mixed dtypes {w.dtype}, {feats.dtype}")
+    tc.check_same_dtype("lin_batch", w.data, feats)
     out = _warp(w.data, batch)
 
     def bwd(g):
@@ -190,9 +189,7 @@ def save_lin(lin: LinTransform, path) -> None:
 
 
 def load_lin(path) -> LinTransform:
-    header, tensors = serial.read_container(path)
-    if header.get("kind") != "lin":
-        raise StructureError(f"not a LIN file (kind={header.get('kind')!r})")
+    header, tensors = serial.read_container(path, "lin")
     speaker, feat_dim = header.get("speaker"), header.get("feat_dim")
     if not isinstance(speaker, str):
         raise StructureError(f"LIN file header needs a speaker name, got "
@@ -208,8 +205,6 @@ def load_lin(path) -> LinTransform:
         raise StructureError(f"LIN tensor must be square [{feat_dim}, "
                              f"{feat_dim}] for the header's feat_dim, got "
                              f"{arr.shape}")
-    if not np.isfinite(arr).all():
-        raise StructureError(f"LIN tensor '{name}' holds non-finite values")
     lin = LinTransform(feat_dim, speaker)
     lin.w.data = arr
     return lin

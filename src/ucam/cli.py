@@ -222,15 +222,10 @@ def cmd_adapt(args) -> int:
 # argument plumbing
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="ucam", description=__doc__,
-                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = argparse.ArgumentParser(
+        prog="ucam", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("synth", help="write a synthetic feature file")

@@ -191,9 +191,7 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
     if x.shape[1] != w.shape[0]:
         raise ShapeError(f"channel counts disagree: input {x.shape[1]}, "
                          f"kernel {w.shape[0]}")
-    if x.data.dtype != w.data.dtype:
-        raise ShapeError(f"depthwise conv: mixed dtypes {x.data.dtype} "
-                         f"and {w.data.dtype}")
+    tc.check_same_dtype("depthwise conv", x.data, w.data)
     b, c, t = x.shape
     kk = w.shape[1]
     pl = (kk - 1) // 2

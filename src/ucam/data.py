@@ -223,10 +223,7 @@ def write_features(path, corpus: Corpus) -> None:
 
 
 def read_features(path) -> Corpus:
-    header, tensors = serial.read_container(path)
-    if header.get("kind") != "features":
-        raise StructureError(
-            f"not a feature file (kind={header.get('kind')!r})")
+    header, tensors = serial.read_container(path, "features")
     feat_dim, n_classes, names = (header.get(k) for k in
                                   ("feat_dim", "n_classes", "utts"))
     if not (type(feat_dim) is type(n_classes) is int

@@ -113,19 +113,20 @@ def apply_mask(x: Tensor, mask: SequenceMask, time_axis: int = 1) -> Tensor:
     return tc.mul_const(x, m, op="apply_mask")
 
 
+NORM_EPS = 1e-5  # the norms' variance floor
+
+
 @dataclass
 class NormParams:
-    """Learnable affine transform (scale and shift) plus stability epsilon."""
+    """Learnable affine transform (scale and shift)."""
 
     gamma: Tensor
     beta: Tensor
-    eps: float = 1e-5
 
     @classmethod
-    def create(cls, dim: int, eps: float = 1e-5, dtype=np.float32) -> "NormParams":
+    def create(cls, dim: int, dtype=np.float32) -> "NormParams":
         return cls(gamma=tc.parameter(np.ones(dim), dtype=dtype),
-                   beta=tc.parameter(np.zeros(dim), dtype=dtype),
-                   eps=eps)
+                   beta=tc.parameter(np.zeros(dim), dtype=dtype))
 
     @property
     def dim(self) -> int:
@@ -147,7 +148,7 @@ def _masked_norm(x: Tensor, m: np.ndarray, p: NormParams, axes: tuple,
     sq = np.square(xc)
     sq *= m
     var = sq.sum(axis=axes, keepdims=True) / counts
-    inv = 1.0 / np.sqrt(var + np.asarray(p.eps, dtype=xc.dtype))
+    inv = 1.0 / np.sqrt(var + np.asarray(NORM_EPS, dtype=xc.dtype))
     xhat = np.multiply(xc, inv, out=xc)
     gamma, beta = p.gamma.data.reshape(cshape), p.beta.data.reshape(cshape)
     y = np.multiply(xhat, gamma, out=sq)

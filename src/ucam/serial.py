@@ -6,12 +6,13 @@ Layout, all little-endian:
   one u32 per dimension | raw float32 data.
 
 It is ucam's one binary format: the header's "kind" names what a file
-holds, "model", "lin" or "features", and each loader refuses the others.
-Every read is exact-length and checked against the file's size before it
-is made; a file that ends inside any field raises a truncation error
-distinct from a malformed-header error, and a tensor name may appear
-once. Every write goes through ``atomic_write``, so an interrupted write
-leaves the old file.
+holds, "model", "lin" or "features", and ``read_container`` refuses a
+file of another kind than its caller asks for, and any record that holds
+NaN or inf. Every read is exact-length and checked against the file's
+size before it is made; a file that ends inside any field raises a
+truncation error distinct from a malformed-header error, and a tensor
+name may appear once. Every write goes through ``atomic_write``, so an
+interrupted write leaves the old file.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import FileFormatError, TruncatedFileError
+from .errors import (DataError, FileFormatError, StructureError,
+                     TruncatedFileError)
 
 MAGIC = b"UCAM"
 VERSION = 1
@@ -82,7 +84,9 @@ def write_container(path, header: dict,
             f.write(a.tobytes())
 
 
-def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
+def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and the records of a container whose header's "kind" is
+    ``kind``; every record is finite."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         magic = read_exact(f, 4, "magic", size)
@@ -104,6 +108,9 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         if not isinstance(header, dict):
             raise FileFormatError(f"header must be a JSON object, got "
                                   f"{json.dumps(header)[:80]}")
+        if header.get("kind") != kind:
+            raise StructureError(f"expected a file of kind {kind!r}, got "
+                                 f"kind {header.get('kind')!r}")
 
         tensors: dict[str, np.ndarray] = {}
         while f.tell() < size:
@@ -120,6 +127,10 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             # a Python int: a numpy product of corrupt dims can overflow
             raw = read_exact(f, 4 * math.prod(dims),
                              f"data of tensor '{name}'", size)
-            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(
-                dims).astype(np.float32)
+            arr = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(
+                np.float32)
+            if not np.isfinite(arr).all():
+                raise DataError(f"{kind} file record '{name}' holds "
+                                f"non-finite values")
+            tensors[name] = arr
         return header, tensors

@@ -221,11 +221,12 @@ def from_op(data: np.ndarray, parents: Sequence[Tensor],
     return out
 
 
-def _check_same_dtype(op: str, *ts: Tensor):
-    d0 = ts[0].data.dtype
-    for t in ts[1:]:
-        if t.data.dtype != d0:
-            raise ShapeError(f"{op}: mixed dtypes {d0} and {t.data.dtype}")
+def check_same_dtype(op: str, *arrays: np.ndarray) -> None:
+    """Refuse operands of mixed dtype for ``op``: there is no promotion."""
+    d0 = arrays[0].dtype
+    for a in arrays[1:]:
+        if a.dtype != d0:
+            raise ShapeError(f"{op}: mixed dtypes {d0} and {a.dtype}")
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +235,7 @@ def _check_same_dtype(op: str, *ts: Tensor):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """a + b for identical shapes."""
-    _check_same_dtype("add", a, b)
+    check_same_dtype("add", a.data, b.data)
     if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     return from_op(a.data + b.data, (a, b), lambda g: (g, g), "add")
@@ -242,7 +243,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; shapes must match exactly."""
-    _check_same_dtype("mul", a, b)
+    check_same_dtype("mul", a.data, b.data)
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
     # each factor is kept only for the other's gradient
@@ -266,9 +267,7 @@ def _check_const(op: str, a: Tensor, arr: np.ndarray) -> None:
         bshape = None
     if bshape != a.shape:
         raise ShapeError(f"{op}: incompatible shapes {a.shape} and {arr.shape}")
-    if np.asarray(arr).dtype != a.data.dtype:
-        raise ShapeError(f"{op}: mixed dtypes {a.data.dtype} and "
-                         f"{np.asarray(arr).dtype}")
+    check_same_dtype(op, a.data, arr)
 
 
 def mul_const(a: Tensor, arr: np.ndarray, op: str = "mul_const") -> Tensor:
@@ -289,7 +288,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     Supported forms: 2-D @ 2-D, N-D @ 2-D (a linear map on the last axis),
     and N-D @ N-D with identical leading dimensions (stacked matmul).
     """
-    _check_same_dtype("matmul", a, b)
+    check_same_dtype("matmul", a.data, b.data)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-D, "
                          f"got {a.shape} and {b.shape}")
@@ -328,7 +327,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     of ``g`` over every leading axis backward. Its op name is "matmul".
     """
     parents = (x, w) if b is None else (x, w, b)
-    _check_same_dtype("linear", *parents)
+    check_same_dtype("linear", *(t.data for t in parents))
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear: input {x.shape} does not fit weight "
                          f"{w.shape} stored [out, in]")
@@ -412,9 +411,9 @@ def swish(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    x = a.data
-    return from_op(np.maximum(x, 0.0), (a,), lambda g: (g * (x > 0),),
-                   "relu")
+    # out > 0 is x > 0, NaN and -0.0 included, so backward keeps the output
+    out = np.maximum(a.data, 0.0)
+    return from_op(out, (a,), lambda g: (g * (out > 0),), "relu")
 
 
 def elu(a: Tensor) -> Tensor:

@@ -94,9 +94,7 @@ def conv2d(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"channel counts disagree: input {x.shape[1]}, "
                          f"kernel {w.shape[1]}")
-    if x.data.dtype != w.data.dtype:
-        raise ShapeError(f"conv2d: mixed dtypes {x.data.dtype} and "
-                         f"{w.data.dtype}")
+    tc.check_same_dtype("conv2d", x.data, w.data)
     if stride_f < 1:
         raise ConfigError(f"frequency stride must be >= 1, got {stride_f}")
     bsz, c, f, t = x.shape

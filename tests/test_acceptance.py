@@ -8,6 +8,7 @@ determinism, and the EMA fine-tune property. Each test prints a single
 PASS or FAIL line with the measured numbers behind the verdict.
 """
 
+import dataclasses
 import time
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from ucam import gradcheck as gc
 from ucam import tensor as tc
 from ucam import training as tr
 from ucam.conformer import positional_encoding
-from ucam.masking import (NormParams, SequenceMask, masked_softmax,
+from ucam.masking import (NORM_EPS, NormParams, SequenceMask, masked_softmax,
                           utterance_batchnorm, utterance_layernorm)
 from ucam.model import (ModelParams, count_params, desk_config, load_checkpoint,
                         micro_config, model_forward, save_checkpoint,
@@ -182,7 +183,7 @@ def test_gate_03_normalization_oracles():
 
         x = rng.standard_normal((b, t, d))
         got = utterance_layernorm(tc.tensor(x), mask, p).data
-        want = _layernorm_loop(x, lengths, gamma, beta, p.eps)
+        want = _layernorm_loop(x, lengths, gamma, beta, NORM_EPS)
         worst = max(worst, np.abs(got - want).max())
 
         if i % 2 == 0:
@@ -191,7 +192,7 @@ def test_gate_03_normalization_oracles():
             f = int(rng.integers(1, 5))
             xb = rng.standard_normal((b, d, f, t))
         got = utterance_batchnorm(tc.tensor(xb), mask, p).data
-        want = _batchnorm_loop(xb, lengths, gamma, beta, p.eps)
+        want = _batchnorm_loop(xb, lengths, gamma, beta, NORM_EPS)
         worst = max(worst, np.abs(got - want).max())
 
     ok = worst <= 1e-6
@@ -275,8 +276,8 @@ def test_gate_07_adaptation(tmp_path):
     corpus = dp.synth_corpus(seed=0, n_speakers=8, n_classes=10, n_utts=256,
                              feat_dim=16, t_range=(30, 50), separation=6.0,
                              warp_strength=0.02, self_loop=0.7)
-    cfg = desk_config(feat_dim=16, n_senones=10, d_attn=32, heads=2,
-                      n_blocks=1, conv_kernel=8, head_hidden=64, dropout=0.1)
+    cfg = dataclasses.replace(desk_config(), d_attn=32, n_blocks=1,
+                              conv_kernel=8, head_hidden=64, dropout=0.1)
     params = ModelParams.create(cfg, rng=keyed(0, "init"))
     tcfg = tr.TrainConfig(steps=2000, batch_size=4, eval_every=1000, seed=0)
     tr.fit(params, corpus.utts[:224], corpus.utts[224:], tcfg, tmp_path)
@@ -356,8 +357,8 @@ def test_gate_08_parameter_accounting():
     mhsa = sum(t.size for _, t in
                walk_parameters(cf.MHSAParams.create(256, 4, rng), "a"))
     configs = [micro_config(), desk_config(),
-               desk_config(feat_dim=32, n_senones=64, d_attn=128,
-                           heads=4, n_blocks=3)]
+               dataclasses.replace(desk_config(), feat_dim=32, n_senones=64,
+                                   d_attn=128, heads=4, n_blocks=3)]
     models = [(count_params(ModelParams.create(c)), _model_count(c))
               for c in configs]
     ok = (ffn == 526080 and mhsa == 262656

@@ -86,6 +86,16 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(["synth", "--out", str(tmp_path / "x"), "--utts", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv,cause", [
+    (["train", "--steps", "3"],
+     "the following arguments are required: --data, --out-dir"),
+    (["train", "--data", "d", "--out-dir", "o", "--steps", "abc"],
+     "argument --steps: invalid int value: 'abc'")])
+def test_usage_error_names_its_cause(capsys, argv, cause):
+    assert run(argv) == 2
+    assert f"ucam train: error: {cause}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -309,7 +319,7 @@ def test_eval_bad_checkpoint_step_or_best_dev_exits_3(tmp_path, capsys, key,
 
 def test_resume_with_bad_best_dev_exits_3_before_training(tmp_path, capsys):
     data, out = train(tmp_path, steps=2)
-    header, tensors = serial.read_container(out / "last.ckpt")
+    header, tensors = serial.read_container(out / "last.ckpt", "model")
     header["best_dev"] = "x"
     serial.write_container(out / "last.ckpt", header, list(tensors.items()))
     log = (out / "train_log.csv").read_bytes()
@@ -455,7 +465,7 @@ def test_train_bad_schedule_value_exits_2_before_writing(tmp_path, capsys,
 def test_train_utterance_without_frames_exits_3_before_writing(tmp_path,
                                                               capsys):
     data = synth(tmp_path)
-    header, tensors = serial.read_container(data)
+    header, tensors = serial.read_container(data, "features")
     tensors["feats.3"] = tensors["feats.3"][:, :0]
     tensors["labels.3"] = tensors["labels.3"][:0]
     serial.write_container(data, header, tensors.items())
@@ -514,22 +524,36 @@ def test_eval_checkpoint_with_impossible_dims_exits_3(tmp_path, capsys):
     assert "file ends inside data of tensor 'w'" in capsys.readouterr().err
 
 
+def exits_3_on_non_finite(tmp_path, capsys, command, kind, name, value):
+    data, out = train(tmp_path, steps=2)
+    ckpt = out / "last.ckpt"
+    path = ckpt if kind == "model" else data
+    header, tensors = serial.read_container(path, kind)
+    tensors[name] = tensors[name].copy()
+    tensors[name].flat[0] = value
+    serial.write_container(path, header, list(tensors.items()))
+    extra = ["--speaker", "spk1"] if command == "adapt" else []
+    assert run([command, "--ckpt", str(ckpt), "--data", str(data),
+                *extra]) == 3
+    assert (f"{kind} file record '{name}' holds non-finite values"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", ["eval", "adapt"])
 @pytest.mark.parametrize("name,value", [("head.w2", np.nan),
                                         ("opt.v.head.w1", np.inf)])
 def test_non_finite_checkpoint_tensor_exits_3(tmp_path, capsys, command,
                                               name, value):
-    data, out = train(tmp_path, steps=2)
-    ckpt = out / "last.ckpt"
-    header, tensors = serial.read_container(ckpt)
-    tensors[name] = tensors[name].copy()
-    tensors[name].flat[0] = value
-    serial.write_container(ckpt, header, list(tensors.items()))
-    extra = ["--speaker", "spk1"] if command == "adapt" else []
-    assert run([command, "--ckpt", str(ckpt), "--data", str(data),
-                *extra]) == 3
-    assert (f"checkpoint tensor '{name}' holds non-finite values"
-            in capsys.readouterr().err)
+    exits_3_on_non_finite(tmp_path, capsys, command, "model", name, value)
+
+
+@pytest.mark.parametrize("command", ["eval", "adapt"])
+@pytest.mark.parametrize("name,value", [("feats.1", -np.inf),
+                                        ("labels.2", np.nan)])
+def test_non_finite_feature_record_exits_3(tmp_path, capsys, command, name,
+                                           value):
+    exits_3_on_non_finite(tmp_path, capsys, command, "features", name,
+                          value)
 
 
 @pytest.mark.parametrize("target,name,field", [
@@ -551,13 +575,14 @@ def test_eval_checkpoint_as_data_exits_3(tmp_path, capsys):
     data, out = train(tmp_path, steps=2)
     ckpt = str(out / "last.ckpt")
     assert run(["eval", "--ckpt", ckpt, "--data", ckpt]) == 3
-    assert "not a feature file (kind='model')" in capsys.readouterr().err
+    assert ("expected a file of kind 'features', got kind 'model'"
+            in capsys.readouterr().err)
 
 
 def test_eval_feature_file_as_checkpoint_exits_3(tmp_path, capsys):
     data = str(synth(tmp_path))
     assert run(["eval", "--ckpt", data, "--data", data]) == 3
-    assert ("not a model checkpoint (kind='features')"
+    assert ("expected a file of kind 'model', got kind 'features'"
             in capsys.readouterr().err)
 
 

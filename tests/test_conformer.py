@@ -8,7 +8,7 @@ from ucam.conformer import (ConformerBlockParams, ConvModuleParams, FFNParams,
                             depthwise_conv1d, ffn_forward, mhsa_forward,
                             positional_encoding)
 from ucam.errors import ConfigError, ShapeError
-from ucam.masking import NormParams, SequenceMask, apply_mask, \
+from ucam.masking import NORM_EPS, NormParams, SequenceMask, apply_mask, \
     utterance_layernorm
 from ucam.model import walk_parameters
 
@@ -166,17 +166,17 @@ class TestMHSA:
         p = MHSAParams.create(4, 2, rng)
         x = rng.standard_normal((1, 1, 4)).astype(np.float32)
         out = mhsa_forward(tc.tensor(x), p, mask_of([1])).data
-        xn = ln_np(x, [1], eps=p.norm.eps)
+        xn = ln_np(x, [1], eps=NORM_EPS)
         want = x + (xn @ p.wv.data.T) @ p.wo.data.T
         np.testing.assert_allclose(out, want, atol=1e-6)
 
     def test_hand_worked_two_frame_example(self):
-        # d=2, one head, ln(x) = [[1,-1],[-1,1]] exactly (tiny eps);
-        # scores/sqrt(2) -> weights 1/(1+e^(2*sqrt(2))) and its complement;
-        # frozen from an explicit float64 evaluation of the formulas
+        # d=2, one head, ln(x) = a * [[1,-1],[-1,1]] with
+        # a = 0.5 / sqrt(0.25 + eps); scores/sqrt(2) = +-sqrt(2) a^2, so the
+        # weights are 1/(1+e^(2 sqrt(2) a^2)) and its complement, and each
+        # frame's second output moves by a * tanh(sqrt(2) a^2)
         norm = NormParams(gamma=tc.parameter(np.ones(2, dtype=np.float32)),
-                          beta=tc.parameter(np.zeros(2, dtype=np.float32)),
-                          eps=1e-12)
+                          beta=tc.parameter(np.zeros(2, dtype=np.float32)))
         p = MHSAParams(
             norm=norm,
             wq=tc.parameter(np.array([[1., 0.], [0., 1.]], dtype=np.float32)),
@@ -186,8 +186,9 @@ class TestMHSA:
             heads=1)
         x = tc.tensor(np.array([[[1., 0.], [0., 1.]]], dtype=np.float32))
         out = mhsa_forward(x, p, mask_of([2])).data
-        want = np.array([[[1.0, 0.888385561586],
-                          [0.0, 0.111614438414]]])
+        a = 0.5 / np.sqrt(0.25 + NORM_EPS)
+        moved = a * np.tanh(np.sqrt(2.0) * a * a)
+        want = np.array([[[1.0, moved], [0.0, 1.0 - moved]]])
         np.testing.assert_allclose(out, want, atol=1e-6)
 
     def test_scale_uses_full_model_dim(self):
@@ -201,7 +202,7 @@ class TestMHSA:
         lengths = [3, 2]
         out = mhsa_forward(tc.tensor(x), p, mask_of(lengths)).data
 
-        xn = ln_np(x, lengths, eps=p.norm.eps)
+        xn = ln_np(x, lengths, eps=NORM_EPS)
         branch = np.zeros_like(x)
         for b, L in enumerate(lengths):
             for h in range(heads):
@@ -356,14 +357,14 @@ class TestConvModule:
         out = conv_module_forward(tc.tensor(x), p, mask_of(lengths)).data
 
         # oracle in plain numpy, statistics from valid frames only
-        h = ln_np(x, lengths, eps=p.norm.eps)
+        h = ln_np(x, lengths, eps=NORM_EPS)
         h = h * 0.5  # gate half is zero, sigmoid(0) = 1/2
         bn = np.zeros_like(h)
         for b, L in enumerate(lengths):
             seg = h[b, :L]  # [L, d]
             mu = seg.mean(axis=0)
             var = seg.var(axis=0)
-            bn[b, :L] = (seg - mu) / np.sqrt(var + p.bn.eps)
+            bn[b, :L] = (seg - mu) / np.sqrt(var + NORM_EPS)
         branch = bn / (1.0 + np.exp(-bn))
         branch[~ind] = 0.0
         np.testing.assert_allclose(out, x + branch, atol=1e-6)

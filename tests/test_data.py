@@ -352,7 +352,7 @@ def read_features_oracle(path):
 
 def rewrite_records(path, edit_header=None, edit_records=None):
     """Rewrite a feature file's container with its header or records edited."""
-    header, tensors = serial.read_container(path)
+    header, tensors = serial.read_container(path, "features")
     records = list(tensors.items())
     serial.write_container(
         path, edit_header(header) if edit_header else header,
@@ -468,7 +468,8 @@ def test_feature_file_nonfinite_payload(tmp_path):
     raw = bytearray(path.read_bytes())
     struct.pack_into("<f", raw, records["feats.0"][0], np.nan)
     path.write_bytes(bytes(raw))
-    with pytest.raises(DataError, match="utt00000.*non-finite"):
+    with pytest.raises(DataError, match="features file record 'feats.0' "
+                                        "holds non-finite values"):
         dp.read_features(path)
 
 
@@ -485,8 +486,11 @@ def test_feature_file_bad_label(tmp_path, value, shown):
     off = records["labels.1"][0] + 4 * (c.utts[1].length - 1)
     struct.pack_into("<f", raw, off, value)
     path.write_bytes(bytes(raw))
-    with pytest.raises(DataError, match=f"'utt00001': label {shown} is not "
-                                        r"an integer in \[0, 5\)"):
+    # serial refuses a non-finite record before the label check reads it
+    cause = ("features file record 'labels.1' holds non-finite" if
+             np.isnan(value) else f"'utt00001': label {shown} is not an "
+             r"integer in \[0, 5\)")
+    with pytest.raises(DataError, match=cause):
         dp.read_features(path)
 
 

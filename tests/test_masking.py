@@ -6,8 +6,9 @@ from ucam import conformer as cf
 from ucam import tensor as tc
 from ucam import wrcnn as wr
 from ucam.errors import ConfigError, ShapeError
-from ucam.masking import (NormParams, SequenceMask, apply_mask, masked_softmax,
-                          utterance_batchnorm, utterance_layernorm)
+from ucam.masking import (NORM_EPS, NormParams, SequenceMask, apply_mask,
+                          masked_softmax, utterance_batchnorm,
+                          utterance_layernorm)
 from ucam.model import (ModelParams, micro_config, model_forward,
                         walk_parameters)
 from ucam.rng import keyed
@@ -160,7 +161,7 @@ class TestUtteranceLayerNorm:
         p.gamma.data[:] = rng.standard_normal(6)
         p.beta.data[:] = rng.standard_normal(6)
         got = utterance_layernorm(tc.tensor(x), mask_of(lengths), p).data
-        want = layernorm_loop(x, lengths, p.gamma.data, p.beta.data, p.eps)
+        want = layernorm_loop(x, lengths, p.gamma.data, p.beta.data, NORM_EPS)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_valid_frames_standardized(self):
@@ -257,7 +258,7 @@ class TestUtteranceBatchNorm:
         p.beta.data[:] = rng.standard_normal(shape[1])
         got = utterance_batchnorm(tc.tensor(x),
                                   mask_of(lengths, shape[-1]), p).data
-        want = batchnorm_loop(x, lengths, p.gamma.data, p.beta.data, p.eps)
+        want = batchnorm_loop(x, lengths, p.gamma.data, p.beta.data, NORM_EPS)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
     def test_padding_contamination(self):

@@ -1,15 +1,20 @@
+import dataclasses
 import hashlib
+import itertools
+import re
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from ucam import adaptation as ad
+from ucam import data as dp
 from ucam import serial
 from ucam import tensor as tc
 from ucam.conformer import FFNParams, MHSAParams
-from ucam.errors import (ConfigError, FileFormatError, StructureError,
-                         TruncatedFileError)
+from ucam.errors import (ConfigError, DataError, FileFormatError,
+                         StructureError, TruncatedFileError)
 from ucam.masking import SequenceMask
 from ucam.model import (AcousticModelConfig, ModelParams, config_from_dict,
                         config_to_dict, count_params, desk_config,
@@ -58,7 +63,8 @@ def micro_config_with(**kw):
 
 
 def test_config_dict_round_trip():
-    cfg = desk_config(feat_dim=24, n_senones=12, d_attn=32)
+    cfg = dataclasses.replace(desk_config(), feat_dim=24, n_senones=12,
+                              d_attn=32)
     back = config_from_dict(config_to_dict(cfg))
     assert back == cfg
 
@@ -230,7 +236,8 @@ def model_count(cfg):
 @pytest.mark.parametrize("cfg", [
     micro_config(),
     desk_config(),
-    desk_config(feat_dim=32, n_senones=64, d_attn=128, heads=4, n_blocks=3),
+    dataclasses.replace(desk_config(), feat_dim=32, n_senones=64, d_attn=128,
+                        heads=4, n_blocks=3),
 ], ids=["micro", "desk", "wide"])
 def test_count_whole_model_closed_form(cfg):
     assert count_params(ModelParams.create(cfg)) == model_count(cfg)
@@ -265,12 +272,6 @@ def test_checkpoint_reload_reproduces_outputs(tmp_path):
     save_checkpoint(params, tmp_path / "m.ckpt")
     after = model_forward(x, mask, load_checkpoint(tmp_path / "m.ckpt").params)
     assert before.data.tobytes() == after.data.tobytes()
-
-
-def test_checkpoint_rejects_wrong_kind(tmp_path):
-    serial.write_container(tmp_path / "x.ckpt", {"kind": "lin"}, [])
-    with pytest.raises(StructureError, match="kind"):
-        load_checkpoint(tmp_path / "x.ckpt")
 
 
 def test_checkpoint_rejects_missing_tensor(tmp_path):
@@ -315,7 +316,7 @@ def test_container_round_trip(tmp_path):
     tensors = [("a", np.arange(6, dtype=np.float32).reshape(2, 3)),
                ("nested.name", np.zeros((1, 1, 4), np.float32))]
     serial.write_container(path, {"kind": "test", "note": "hi"}, tensors)
-    header, back = serial.read_container(path)
+    header, back = serial.read_container(path, "test")
     assert header == {"kind": "test", "note": "hi"}
     assert set(back) == {"a", "nested.name"}
     np.testing.assert_array_equal(back["a"], tensors[0][1])
@@ -324,32 +325,32 @@ def test_container_round_trip(tmp_path):
 
 def test_container_bad_magic(tmp_path):
     path = tmp_path / "c.bin"
-    serial.write_container(path, {}, [])
+    serial.write_container(path, {"kind": "test"}, [])
     raw = bytearray(path.read_bytes())
     raw[0] = 0
     path.write_bytes(bytes(raw))
     with pytest.raises(FileFormatError, match="magic"):
-        serial.read_container(path)
+        serial.read_container(path, "test")
 
 
 def test_container_bad_version(tmp_path):
     path = tmp_path / "c.bin"
-    serial.write_container(path, {}, [])
+    serial.write_container(path, {"kind": "test"}, [])
     raw = bytearray(path.read_bytes())
     raw[4:8] = (99).to_bytes(4, "little")
     path.write_bytes(bytes(raw))
     with pytest.raises(FileFormatError, match="version"):
-        serial.read_container(path)
+        serial.read_container(path, "test")
 
 
 def test_container_corrupt_header(tmp_path):
     path = tmp_path / "c.bin"
-    serial.write_container(path, {"k": 1}, [])
+    serial.write_container(path, {"kind": "test"}, [])
     raw = bytearray(path.read_bytes())
     raw[12] = ord("!")
     path.write_bytes(bytes(raw))
     with pytest.raises(FileFormatError, match="header"):
-        serial.read_container(path)
+        serial.read_container(path, "test")
 
 
 @pytest.mark.parametrize("keep", [2, 6, 10, 14, 30])
@@ -359,16 +360,16 @@ def test_container_truncation(tmp_path, keep):
                            [("w", np.ones((4, 4), np.float32))])
     path.write_bytes(path.read_bytes()[:keep])
     with pytest.raises(TruncatedFileError):
-        serial.read_container(path)
+        serial.read_container(path, "test")
 
 
 def test_container_truncated_tensor_payload(tmp_path):
     path = tmp_path / "c.bin"
-    serial.write_container(path, {},
+    serial.write_container(path, {"kind": "test"},
                            [("w", np.ones((4, 4), np.float32))])
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(TruncatedFileError):
-        serial.read_container(path)
+        serial.read_container(path, "test")
 
 
 @pytest.mark.parametrize("field,declared,what", [
@@ -378,7 +379,8 @@ def test_container_truncated_tensor_payload(tmp_path):
 def test_container_refuses_a_length_the_file_cannot_hold(tmp_path, field,
                                                          declared, what):
     path = tmp_path / "c.bin"
-    serial.write_container(path, {}, [("w", np.ones((2, 2, 1), np.float32))])
+    serial.write_container(path, {"kind": "test"},
+                           [("w", np.ones((2, 2, 1), np.float32))])
     raw = path.read_bytes()
     # the header length sits after magic and version, the dims before the
     # 16 data bytes
@@ -389,7 +391,7 @@ def test_container_refuses_a_length_the_file_cannot_hold(tmp_path, field,
     try:
         with pytest.raises(TruncatedFileError,
                            match=f"file ends inside {what}$"):
-            serial.read_container(path)
+            serial.read_container(path, "test")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -399,6 +401,49 @@ def test_container_refuses_a_length_the_file_cannot_hold(tmp_path, field,
 def test_container_duplicate_name(tmp_path):
     path = tmp_path / "c.bin"
     w = np.ones((2, 2), np.float32)
-    serial.write_container(path, {}, [("w", w), ("v", w), ("w", w)])
+    serial.write_container(path, {"kind": "test"},
+                           [("w", w), ("v", w), ("w", w)])
     with pytest.raises(FileFormatError, match="tensor 'w' appears twice"):
-        serial.read_container(path)
+        serial.read_container(path, "test")
+
+
+# each loader and the kind it asks serial for
+LOADERS = {"model": load_checkpoint, "lin": ad.load_lin,
+           "features": dp.read_features}
+
+
+def write_kind(path, kind):
+    if kind == "model":
+        save_checkpoint(make_model(), path,
+                        extra={"opt.v.head.b2": np.ones(5, np.float32)})
+    elif kind == "lin":
+        ad.save_lin(ad.LinTransform(4, "s"), path)
+    else:
+        dp.write_features(path, dp.synth_corpus(
+            seed=0, n_speakers=1, n_classes=3, n_utts=2, feat_dim=4,
+            t_range=(3, 5)))
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+def test_loaders_refuse_a_non_finite_value_in_any_record(tmp_path, kind):
+    path = tmp_path / "f.bin"
+    write_kind(path, kind)
+    header, tensors = serial.read_container(path, kind)
+    for i, name in enumerate(tensors):  # labels and extras included
+        bad = dict(tensors)
+        bad[name] = tensors[name].copy()
+        bad[name].flat[i % bad[name].size] = (np.nan, np.inf, -np.inf)[i % 3]
+        serial.write_container(path, header, bad.items())
+        with pytest.raises(DataError, match=re.escape(
+                f"{kind} file record '{name}' holds non-finite values")):
+            LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("kind,other", list(
+    itertools.permutations(LOADERS, 2)))
+def test_loaders_refuse_a_file_of_another_kind(tmp_path, kind, other):
+    path = tmp_path / "f.bin"
+    write_kind(path, other)
+    with pytest.raises(StructureError, match=re.escape(
+            f"expected a file of kind '{kind}', got kind '{other}'")):
+        LOADERS[kind](path)

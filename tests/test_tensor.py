@@ -526,9 +526,11 @@ GRAPH_OPS = {
         x, tc.parameter(rand(r, 4, 3, 3, 3)), stride_f=2)),
 }
 # the ops whose backward reads their input: dW of a trained weight, the
-# other factor of a product, an activation's derivative
-READS_INPUT = {"mul", "matmul", "swish", "relu", "linear_trained",
-               "conv2d_trained"}
+# other factor of a product, swish's derivative
+READS_INPUT = {"mul", "matmul", "swish", "linear_trained", "conv2d_trained"}
+# the ops whose backward reads their output: the softmax's, and relu's
+# derivative, since out > 0 wherever x > 0
+READS_OUTPUT = {"masked_softmax", "relu"}
 
 
 @pytest.mark.parametrize("name", list(GRAPH_OPS))
@@ -542,9 +544,11 @@ def test_graph_keeps_an_input_array_only_if_backward_reads_it(name):
     del x
     assert (ref() is not None) == (name in READS_INPUT)
     loss = tc.sum_all(tc.mul_const(y, rand(rng, *y.shape)))
+    out_ref = weakref.ref(y.data)
     del y
+    assert (out_ref() is not None) == (name in READS_OUTPUT)
     tc.backward(loss)
-    assert ref() is None
+    assert ref() is None and out_ref() is None
     assert leaf.grad is not None and leaf.grad.shape == shape
 
 

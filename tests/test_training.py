@@ -580,6 +580,71 @@ def test_fit_resume_after_crash_matches_uninterrupted_run(
         assert (run / name).read_bytes() == (full / name).read_bytes(), name
 
 
+def _raise_after(records, k):
+    """``records`` up to the k-th, then a crash: the write's header and k
+    records are out, none of the rest."""
+    for i, rec in enumerate(records):
+        if i == k:
+            raise _Crash
+        yield rec
+    raise _Crash
+
+
+def test_fit_crashed_in_every_step_and_every_write_matches_uninterrupted(
+        tmp_path, monkeypatch):
+    """A fit with a 2-step EMA fine-tune is crashed in each of its steps and
+    inside each checkpoint write, after none, half and all of its records,
+    and resumed from last.ckpt each time (from scratch while there is none);
+    every file it leaves is the uninterrupted run's."""
+    kw = {"steps": 6, "finetune_steps": 2}
+    train_step, write = tr._train_step, serial.write_container
+    points = []  # the crash points of an uninterrupted run, in run order
+
+    def recording_step(*args):
+        points.append(("step", args[5]))
+        return train_step(*args)
+
+    def recording_write(path, header, tensors):
+        tensors = list(tensors)
+        points.extend(("write", os.path.basename(path), header["step"], k)
+                      for k in sorted({0, len(tensors) // 2, len(tensors)}))
+        write(path, header, tensors)
+
+    monkeypatch.setattr(tr, "_train_step", recording_step)
+    monkeypatch.setattr(serial, "write_container", recording_write)
+    fit_once(tmp_path / "full", **kw)
+    monkeypatch.undo()
+    # 8 steps; best and last at steps 3 and 6 (best when dev improves),
+    # final and ema
+    assert len(points) >= 8 + 3 * 5
+
+    run = tmp_path / "run"
+    for point in points:
+        def crashing_step(*args, point=point):
+            if point == ("step", args[5]):
+                raise _Crash
+            return train_step(*args)
+
+        def crashing_write(path, header, tensors, point=point):
+            if point[:3] == ("write", os.path.basename(path),
+                             header["step"]):
+                tensors = _raise_after(tensors, point[3])
+            write(path, header, tensors)
+
+        monkeypatch.setattr(tr, "_train_step", crashing_step)
+        monkeypatch.setattr(serial, "write_container", crashing_write)
+        last = run / "last.ckpt"
+        with pytest.raises(_Crash):
+            fit_once(run, resume_from=last if last.exists() else None, **kw)
+        monkeypatch.undo()
+    fit_once(run, resume_from=run / "last.ckpt", **kw)
+    names = sorted(p.name for p in (tmp_path / "full").iterdir())
+    assert sorted(p.name for p in run.iterdir()) == names
+    for name in names:
+        assert (run / name).read_bytes() \
+            == (tmp_path / "full" / name).read_bytes(), name
+
+
 def test_interrupted_checkpoint_write_keeps_previous_file(
         tmp_path, monkeypatch):
     fit_once(tmp_path, steps=3)

@@ -7,7 +7,7 @@ import pytest
 from ucam import tensor as tc
 from ucam import wrcnn
 from ucam.errors import ConfigError, ShapeError
-from ucam.masking import NormParams, SequenceMask
+from ucam.masking import NORM_EPS, NormParams, SequenceMask
 from ucam.model import walk_parameters
 from ucam.wrcnn import (ResidualBlockParams, WRCNNConfig, WRCNNParams, conv2d,
                         residual_block_forward, wrcnn_forward)
@@ -441,7 +441,7 @@ class TestWRCNNForward:
             seg = x[b, :, :, :L]
             mu = seg.mean(axis=(1, 2), keepdims=True)
             var = seg.var(axis=(1, 2), keepdims=True)
-            bn[b, :, :, :L] = (seg - mu) / np.sqrt(var + p.bn.eps)
+            bn[b, :, :, :L] = (seg - mu) / np.sqrt(var + NORM_EPS)
         flat = bn.transpose(0, 3, 1, 2).reshape(2, 5, 12)
         lin = flat @ p.w_out.data.T + p.b_out.data
         lin *= mask_of(lengths).indicator()[:, :, None]
