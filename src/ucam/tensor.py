@@ -48,6 +48,14 @@ compute; it never captures a parent ``Tensor``, not even to read its
 An op whose backward reads none of its inputs, such as :func:`add`, lets
 them be freed as soon as the caller drops them, and :func:`backward`
 releases each node as soon as its closure has run.
+
+What a closure keeps is the narrowest exact form of what it reads (Chen
+et al. 2016, "Training Deep Nets with Sublinear Memory Cost": keep what is
+costly to rebuild, recompute what is cheap). A 0/1 draw is kept as a
+boolean: :func:`dropout` keeps its draw and rebuilds its scaled factor. A
+value that backward can rebuild bit for bit from arrays it keeps anyway is
+rebuilt: :func:`swish` and :func:`glu` keep their input and compute its
+sigmoid again, so their forwards write the product over the sigmoid.
 """
 
 from __future__ import annotations
@@ -206,7 +214,9 @@ def from_op(data: np.ndarray, parents: Sequence[Tensor],
     :func:`add` hands to two parents, nor into a forward array. It may
     capture arrays only, and only those its needed gradients read; never a
     parent ``Tensor``, whose array the graph would then keep (read shapes
-    and dtypes into locals at forward time). When no parent needs a
+    and dtypes into locals at forward time). Of those arrays it keeps the
+    narrowest exact form: a 0/1 draw as a boolean, and nothing it can
+    rebuild bit for bit from arrays it keeps anyway. When no parent needs a
     gradient the node collapses to a constant, so eval-mode code pays
     nothing for graph bookkeeping.
     """
@@ -396,11 +406,11 @@ def swish(a: Tensor) -> Tensor:
     """x * sigmoid(x)."""
     x = a.data
     s = _sigmoid_raw(x)
-    # the backward reads s, so only a no-grad forward may overwrite it
-    out = np.multiply(x, s, out=None if needs_grad(a) else s)
+    out = np.multiply(x, s, out=s)
 
     def bwd(g):
-        # g * (s * (1 + x * (1 - s)))
+        # g * (s * (1 + x * (1 - s))), s rebuilt from x
+        s = _sigmoid_raw(x)
         d = np.subtract(1.0, s)
         d *= x
         d += 1.0
@@ -438,9 +448,10 @@ def glu(a: Tensor, axis: int = -1) -> Tensor:
     # halves in C order, whatever the input's layout
     v, u = np.split(np.ascontiguousarray(a.data), 2, axis=axis)
     s = _sigmoid_raw(u)
-    out = np.multiply(v, s, out=None if needs_grad(a) else s)
+    out = np.multiply(v, s, out=s)
 
     def bwd(g):
+        s = _sigmoid_raw(u)
         da = np.empty(shape, dtype)
         dv, du = np.split(da, 2, axis=axis)
         # du = g * v * s * (1 - s); dv holds 1 - s until g * s is due
@@ -460,9 +471,16 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     if rng is None:
         raise ConfigError("dropout with p > 0 needs an explicit rng")
-    keep = (rng.random(a.shape) >= p).astype(a.data.dtype)
-    keep /= 1.0 - p
-    return mul_const(a, keep, op="dropout")
+    dtype = a.data.dtype
+    # the graph keeps the boolean draw, one byte an element
+    keep = rng.random(a.shape) >= p
+
+    def factor():
+        k = keep.astype(dtype)
+        k /= 1.0 - p
+        return k
+    return from_op(a.data * factor(), (a,), lambda g: (g * factor(),),
+                   "dropout")
 
 
 def log_softmax(a: Tensor) -> Tensor:

@@ -331,7 +331,9 @@ class _TrainLog:
     """CSV trace: step, lr, train_loss and, on eval rows, dev columns.
 
     Resuming at ``last_step`` keeps the header and the complete rows up to
-    that step, so rows a crashed run wrote past its checkpoint go.
+    that step, so rows a crashed run wrote past its checkpoint go. Each row
+    is fsynced as it is written, so a checkpoint, which is written after its
+    step's row, is never durable ahead of the log.
     """
 
     def __init__(self, path, last_step: int | None = None):
@@ -348,6 +350,7 @@ class _TrainLog:
             line += f",{dev[0]:.17g},{dev[1]:.17g}"
         self.f.write(line + "\n")
         self.f.flush()
+        os.fsync(self.f.fileno())
 
     def close(self):
         self.f.close()

@@ -169,6 +169,35 @@ def test_desk_train_step_backward_peak_stays_near_the_graph():
     assert peak <= 1.05 * graph, (peak, graph)
 
 
+def traced_graph_bytes(forward) -> int:
+    """Bytes still allocated once ``forward()`` has built its loss."""
+    tracemalloc.start()
+    try:
+        loss = forward()  # noqa: F841 (alive while it is measured)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_desk_step_graphs_keep_no_float_backward_can_rebuild():
+    # dropout keeps its draw as a boolean, and swish and glu keep their
+    # input, not its sigmoid: the graphs were 7.84 and 4.94 MB with them
+    params = make_model(cfg=desk_config())
+    rng = np.random.default_rng(3)
+    x, mask = random_input(rng, 4, 16, 40, [40, 33, 27, 20])
+    labels = rng.integers(0, params.cfg.n_senones, (4, 40))
+    train = traced_graph_bytes(lambda: masked_cross_entropy(
+        model_forward(x, mask, params, train=True, rng=keyed(7, "d")),
+        labels, mask))
+    assert train <= 6.5e6, train
+    params.set_requires_grad(False)
+    lin = ad.LinTransform(16)
+    batch = dp.Batch(x.data, labels, mask)
+    frozen = traced_graph_bytes(lambda: masked_cross_entropy(
+        model_forward(ad.lin_batch(batch, lin), mask, params), labels, mask))
+    assert frozen <= 4.4e6, frozen
+
+
 def test_forward_padding_invariance_end_to_end():
     params = make_model()
     rng = np.random.default_rng(3)

@@ -13,6 +13,7 @@ from ucam.errors import ConfigError, DataError, GraphError, NumericError, ShapeE
 from ucam.masking import (NormParams, SequenceMask, apply_mask,
                           masked_softmax, utterance_batchnorm,
                           utterance_layernorm)
+from ucam.rng import keyed
 
 
 def rand(rng, *shape):
@@ -316,6 +317,52 @@ class TestDropout:
         np.testing.assert_array_equal(x.grad, y.data)
 
 
+# dropout keeps its boolean draw and rebuilds its factor; swish and glu keep
+# their input and rebuild its sigmoid. Outputs and gradients must be the
+# closed forms over the forward's own arrays, byte for byte, here too.
+SPECIAL = [0.0, -0.0, 88.0, -88.0, 1e4, -1e4, np.nan, 1.0, -1.0, 0.5]
+
+
+def _special_input(dtype):
+    """[2, 20] with every special value in both halves of the last axis."""
+    x = np.concatenate([SPECIAL, 3 * np.random.default_rng(41).standard_normal(
+        10)]).astype(dtype)
+    return np.stack([x, x[::-1]])
+
+
+def _assert_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rebuilt_kernels_match_closed_forms_bitwise(dtype):
+    x = _special_input(dtype)
+    g = np.random.default_rng(42).standard_normal(x.shape).astype(dtype)
+    half = g[:, :10]
+
+    s = tc._sigmoid_raw(x)
+    y = tc.swish(tc.parameter(x))
+    _assert_bytes(y.data, x * s)
+    _assert_bytes(y._backward_fn(g)[0], g * (s * (1.0 + x * (1.0 - s))))
+
+    v, u = x[:, :10], x[:, 10:]
+    s = tc._sigmoid_raw(u)
+    y = tc.glu(tc.parameter(x))
+    _assert_bytes(y.data, v * s)
+    _assert_bytes(y._backward_fn(half)[0], np.concatenate(
+        [half * s, half * v * s * (1.0 - s)], axis=-1))
+
+    rng, ref = keyed(5, "dropout", 1), keyed(5, "dropout", 1)
+    y = tc.dropout(tc.parameter(x), 0.15, rng)
+    k = (ref.random(x.shape) >= 0.15).astype(dtype)
+    k /= 1.0 - 0.15
+    _assert_bytes(y.data, x * k)
+    _assert_bytes(y._backward_fn(g)[0], g * k)
+    # the draw takes exactly what rng.random(shape) takes from the stream
+    assert rng.random(4).tobytes() == ref.random(4).tobytes()
+
+
 class TestGradCheck:
     def test_quadratic(self):
         rng = np.random.default_rng(41)
@@ -519,6 +566,7 @@ GRAPH_OPS = {
     "matmul": ((2, 4, 6), lambda x, r: tc.matmul(
         x, tc.parameter(rand(r, 6, 5)))),
     "swish": ((2, 4, 6), lambda x, r: tc.swish(x)),
+    "glu": ((2, 4, 6), lambda x, r: tc.glu(x)),
     "relu": ((2, 4, 6), lambda x, r: tc.relu(x)),
     "linear_trained": ((2, 4, 6), lambda x, r: tc.linear(
         x, tc.parameter(rand(r, 5, 6)), tc.parameter(rand(r, 5)))),
@@ -526,8 +574,9 @@ GRAPH_OPS = {
         x, tc.parameter(rand(r, 4, 3, 3, 3)), stride_f=2)),
 }
 # the ops whose backward reads their input: dW of a trained weight, the
-# other factor of a product, swish's derivative
-READS_INPUT = {"mul", "matmul", "swish", "linear_trained", "conv2d_trained"}
+# other factor of a product, swish's and glu's derivatives
+READS_INPUT = {"mul", "matmul", "swish", "glu", "linear_trained",
+               "conv2d_trained"}
 # the ops whose backward reads their output: the softmax's, and relu's
 # derivative, since out > 0 wherever x > 0
 READS_OUTPUT = {"masked_softmax", "relu"}

@@ -685,6 +685,34 @@ def test_fit_resume_keeps_only_complete_rows_up_to_checkpoint(tmp_path):
         == (tmp_path / "full" / "train_log.csv").read_bytes()
 
 
+def test_fit_fsyncs_the_log_before_each_checkpoint(tmp_path, monkeypatch):
+    # after an OS crash a durable last.ckpt at step k must find the log's
+    # rows up to k on disk too, or a resume writes a log of its own
+    log = tmp_path / "train_log.csv"
+    fsync = os.fsync
+    synced = []  # (file's inode, log size) at each fsync, in run order
+
+    def recording_fsync(fd):
+        fsync(fd)
+        synced.append((os.fstat(fd).st_ino, os.path.getsize(log)))
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    fit_once(tmp_path, steps=6, finetune_steps=2)
+    monkeypatch.undo()
+    log_ino = log.stat().st_ino
+    n_ckpt = 0
+    log_synced = 0  # log bytes on disk at the last fsync of the log
+    for ino, size in synced:
+        if ino == log_ino:
+            log_synced = size
+        else:
+            n_ckpt += 1
+            assert log_synced == size > 0
+    # best and last at steps 3 and 6 at most, then final and ema
+    assert 4 <= n_ckpt <= 6
+    assert log_synced == log.stat().st_size
+
+
 def test_fit_resume_rejects_config_mismatch(tmp_path):
     fit_once(tmp_path / "a", steps=3)
     c = tiny_corpus()
