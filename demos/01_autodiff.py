@@ -24,7 +24,8 @@ tc.backward(loss)
 print(f"dL/dw1 has shape {w1.grad.shape}, "
       f"|grad| max {np.abs(w1.grad).max():.4f}")
 
-# gradients accumulate, so clear them before the next backward
+# tc.backward raises GraphError while a leaf still holds a gradient, so
+# clear them before the next backward
 tc.zero_grad([("x", x), ("w1", w1), ("w2", w2)])
 
 # the same graph as a closure, checked against finite differences
@@ -33,7 +34,7 @@ def build(_):
     y = tc.matmul(h, w2)
     return tc.sum_all(tc.mul(y, y))
 
-err = tc.grad_check(build, [("x", x), ("w1", w1), ("w2", w2)])
+err = tc.grad_check(build, {"x": x, "w1": w1, "w2": w2})
 print(f"grad_check max relative error: {err:.3e}")
 assert err < 1e-4
 

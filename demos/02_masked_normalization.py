@@ -18,7 +18,7 @@ rng = np.random.default_rng(7)
 lengths = [11, 7, 4]
 t_max = max(lengths)
 d = 6
-mask = SequenceMask.from_lengths(lengths, t_max)
+mask = SequenceMask(lengths, t_max)
 print(f"batch of {len(lengths)} utterances, lengths {lengths}, "
       f"padded to {t_max}")
 

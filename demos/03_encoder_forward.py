@@ -54,7 +54,7 @@ print(f"utterance alone vs padded in a batch: max drift {drift:.2e}")
 t_max = batch.feats.shape[-1]
 wide = np.zeros(batch.feats.shape[:-1] + (t_max + 16,), np.float32)
 wide[..., :t_max] = batch.feats
-wide_mask = SequenceMask.from_lengths(mask.lengths, t_max + 16)
+wide_mask = SequenceMask(mask.lengths, t_max + 16)
 wider = model_forward(tc.tensor(wide), wide_mask, params)
 drift = max(np.abs(wider.data[i, :k] - out.data[i, :k]).max()
             for i, k in enumerate(mask.lengths))

@@ -2,9 +2,11 @@
 
 Trains a small base model on a handful of speakers, then meets a new
 speaker whose features arrive through an unknown per-channel warp. The
-model itself stays frozen; a single trainable input matrix, estimated
-from the model's own pseudo-labels over a few iterations, absorbs most
-of the mismatch.
+model itself stays frozen; a single trainable input matrix is estimated
+from the model's own pseudo-labels over a few iterations. On this warp
+the estimate does not yet pay: the held-out error after adaptation ends
+close to the unadapted error (0.207 against 0.205), so the demo shows
+the procedure and the saved transform's round trip, not a gain.
 """
 
 import dataclasses

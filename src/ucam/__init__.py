@@ -29,20 +29,20 @@ from .model import (AcousticModelConfig, ModelParams, count_params,
                     model_forward, save_checkpoint)
 from .data import (Corpus, UtteranceRecord, batch_pad, compute_deltas,
                    read_features, synth_corpus, write_features)
-from .training import (AdamState, EMAState, LRSchedule, TrainConfig,
-                       evaluate, fit, masked_cross_entropy)
+from .training import (AdamState, EMAState, TrainConfig, evaluate, fit,
+                       masked_cross_entropy)
 from .adaptation import LinTransform, adapt_speaker, load_lin, save_lin
 from .gradcheck import run_gradcheck
 
 __all__ = [
     "AcousticModelConfig", "AdamState", "ConfigError", "Corpus",
     "DataError", "DivergenceError", "EMAState", "FileFormatError",
-    "GraphError", "LRSchedule", "LinTransform", "ModelParams",
-    "NumericError", "SequenceMask", "ShapeError", "StructureError",
-    "TrainConfig", "TruncatedFileError", "UcamError", "UtteranceRecord",
-    "adapt_speaker", "apply_mask", "batch_pad", "compute_deltas",
-    "count_params", "desk_config", "evaluate", "fit", "load_checkpoint",
-    "load_lin", "masked_cross_entropy", "masked_softmax", "micro_config",
+    "GraphError", "LinTransform", "ModelParams", "NumericError",
+    "SequenceMask", "ShapeError", "StructureError", "TrainConfig",
+    "TruncatedFileError", "UcamError", "UtteranceRecord", "adapt_speaker",
+    "apply_mask", "batch_pad", "compute_deltas", "count_params",
+    "desk_config", "evaluate", "fit", "load_checkpoint", "load_lin",
+    "masked_cross_entropy", "masked_softmax", "micro_config",
     "model_forward", "read_features", "run_gradcheck", "save_checkpoint",
     "save_lin", "synth_corpus", "utterance_batchnorm",
     "utterance_layernorm", "write_features",

@@ -168,7 +168,7 @@ def adapt_speaker(params: ModelParams, utts, heldout=None,
                     loss = masked_cross_entropy(out, labels, batch.mask)
                     tc.backward(loss)
                     adam.apply(lr)
-                    tc.zero_grad([lin.w])
+                    tc.zero_grad(adam.named)
             entry["error"] = frame_error(params, heldout, lin, batch_size)
             report["iterations"].append(entry)
     finally:

@@ -6,13 +6,14 @@ under "wrcnn"), "train" the TrainConfig fields, and "data" only dev_every
 (every n-th utterance goes to the dev split). Any flag overrides the
 matching key. Unknown keys and values of the wrong JSON type exit 2: int
 keys take no floats or booleans, float keys also take ints, list keys need
-lists. A checkpoint header's model config is held to the same rules, so
-``eval``, ``adapt`` and ``train --resume`` exit 2 on a bad header. The
-merged result is written to effective_config.json in the output directory,
-and passing that file back as --config replays the run. A --resume keeps
-the "train" and "data" values of the effective_config.json beside its
-checkpoint, except train.steps, finetune_steps and ema_decay; a rejected
---resume leaves the file as it was.
+lists. A checkpoint header's model config is held to the same rules and
+must also state every key, so ``eval``, ``adapt`` and ``train --resume``
+exit 2 on a bad header. The merged result is written to
+effective_config.json in the output directory, and passing that file back
+as --config replays the run. A --resume keeps the "train" and "data"
+values of the effective_config.json beside its checkpoint, except
+train.steps, finetune_steps and ema_decay; a rejected --resume leaves the
+file as it was.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 IO error,
 4 numeric divergence.
@@ -56,6 +57,10 @@ DATA_DEFAULTS = {
     "speaker_offset": 0,
     "utt_offset": 0,
 }
+
+# `ucam train`'s flags, each overriding the run config key it names
+TRAIN_FLAGS = ("train.seed", "train.steps", "train.batch_size",
+               "train.eval_every", "train.finetune_steps", "data.dev_every")
 
 
 def default_run_config() -> dict:
@@ -135,11 +140,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    overrides = {"train.seed": args.seed, "train.steps": args.steps,
-                 "train.batch_size": args.batch_size,
-                 "train.eval_every": args.eval_every,
-                 "train.finetune_steps": args.finetune_steps,
-                 "data.dev_every": args.dev_every}
+    overrides = {dotted: getattr(args, dotted.split(".")[1])
+                 for dotted in TRAIN_FLAGS}
     cfg = load_run_config(args.config, overrides)
     model_cfg = config_from_dict(cfg["model"])
     corpus = dpipe.read_features(args.data)
@@ -240,12 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True)
     t.add_argument("--out-dir", dest="out_dir", required=True)
     t.add_argument("--resume", default=None)
-    t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--steps", type=int, default=None)
-    t.add_argument("--batch-size", type=int, default=None)
-    t.add_argument("--eval-every", type=int, default=None)
-    t.add_argument("--finetune-steps", type=int, default=None)
-    t.add_argument("--dev-every", dest="dev_every", type=int, default=None)
+    for dotted in TRAIN_FLAGS:
+        key = dotted.split(".")[1]
+        t.add_argument("--" + key.replace("_", "-"), dest=key, type=int,
+                       default=None)
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="frame error of a checkpoint")

@@ -293,8 +293,8 @@ class ConformerBlockParams:
     final_norm: NormParams
 
     @classmethod
-    def create(cls, d_attn: int, rng: np.random.Generator, heads: int = 4,
-               kernel: int = 16, dtype=np.float32) -> "ConformerBlockParams":
+    def create(cls, d_attn: int, rng: np.random.Generator, heads: int,
+               kernel: int, dtype=np.float32) -> "ConformerBlockParams":
         return cls(ffn1=FFNParams.create(d_attn, rng, dtype),
                    mhsa=MHSAParams.create(d_attn, heads, rng, dtype),
                    conv=ConvModuleParams.create(d_attn, kernel, rng, dtype),

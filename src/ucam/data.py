@@ -205,7 +205,7 @@ def batch_pad(utts, batch_size: int = 4):
         yield Batch(
             feats=pad_to_longest([utterance_planes(u) for u in group]),
             labels=pad_to_longest([u.labels for u in group]),
-            mask=SequenceMask.from_lengths([u.length for u in group]))
+            mask=SequenceMask([u.length for u in group]))
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,6 @@ F64 = np.float64
 THRESHOLD = 1e-4
 
 
-def _mask(lengths):
-    return SequenceMask.from_lengths(np.array(lengths))
-
-
 def _p(rng, *shape):
     return tc.parameter(rng.standard_normal(shape))
 
@@ -59,7 +55,7 @@ def check_tensor_ops(seed: int) -> float:
 
 def check_layernorm(seed: int) -> float:
     rng = keyed(seed, "gc-ln")
-    mask = _mask([5, 3])
+    mask = SequenceMask([5, 3])
     x = _p(rng, 2, 5, 4)
     pn = NormParams.create(4, dtype=F64)
     pn.gamma.data = 1.0 + 0.2 * rng.standard_normal(4)
@@ -75,7 +71,7 @@ def check_layernorm(seed: int) -> float:
 
 def check_batchnorm(seed: int) -> float:
     rng = keyed(seed, "gc-bn")
-    mask = _mask([6, 4])
+    mask = SequenceMask([6, 4])
     x3 = _p(rng, 2, 3, 6)
     x4 = _p(rng, 2, 3, 2, 6)
     p3 = NormParams.create(3, dtype=F64)
@@ -97,7 +93,7 @@ def check_batchnorm(seed: int) -> float:
 
 def check_masked_softmax(seed: int) -> float:
     rng = keyed(seed, "gc-sm")
-    mask = _mask([5, 3])
+    mask = SequenceMask([5, 3])
     scores = _p(rng, 2, 2, 5, 5)
 
     def f(p):
@@ -111,7 +107,7 @@ def check_masked_softmax(seed: int) -> float:
 def _branch_check(seed: int, tag: str, make, forward,
                   x_shape=(2, 6, 8)) -> float:
     rng = keyed(seed, tag)
-    mask = _mask([6, 4])
+    mask = SequenceMask([6, 4])
     block = make(rng)
     x = _p(rng, *x_shape)
     params = dict(walk_parameters(block, "m"))
@@ -164,7 +160,7 @@ def check_full_model(seed: int) -> float:
     rng = keyed(seed, "gc-model")
     cfg = micro_config()
     model = ModelParams.create(cfg, rng=rng, dtype=F64)
-    mask = _mask([6, 4])
+    mask = SequenceMask([6, 4])
     x = _p(rng, 2, wr.N_PLANES, cfg.feat_dim, 6)
     labels = keyed(seed, "gc-labels").integers(
         cfg.n_senones, size=(2, 6))

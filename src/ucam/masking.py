@@ -44,10 +44,10 @@ from .tensor import Tensor
 @dataclass
 class SequenceMask:
     """Valid-frame indicator for a padded batch: frame t of utterance b is
-    valid iff t < lengths[b]."""
+    valid iff t < lengths[b]. ``max_len`` None means the longest length."""
 
     lengths: np.ndarray
-    max_len: int
+    max_len: int | None = None
     _indicators: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
@@ -55,18 +55,13 @@ class SequenceMask:
         self.lengths = np.asarray(self.lengths, dtype=np.int64)
         if self.lengths.ndim != 1:
             raise ShapeError(f"lengths must be 1-D, got shape {self.lengths.shape}")
+        if self.max_len is None:
+            self.max_len = int(self.lengths.max(initial=0))
         if self.max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
         if (self.lengths < 1).any() or (self.lengths > self.max_len).any():
             raise ConfigError(
                 f"lengths must lie in [1, {self.max_len}], got {self.lengths.tolist()}")
-
-    @classmethod
-    def from_lengths(cls, lengths, max_len: int | None = None) -> "SequenceMask":
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if max_len is None:
-            max_len = int(lengths.max())
-        return cls(lengths, max_len)
 
     @property
     def batch(self) -> int:

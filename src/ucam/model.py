@@ -119,14 +119,25 @@ def overlay(base: dict, user, prefix: str = "") -> dict:
     return out
 
 
+def _leaf_keys(d: dict, prefix: str = ""):
+    """The dotted path of every value in ``d`` that is no group."""
+    for k, v in d.items():
+        yield from (_leaf_keys(v, f"{prefix}{k}.") if isinstance(v, dict)
+                    else [prefix + k])
+
+
 def config_from_dict(d: dict) -> AcousticModelConfig:
-    """The defaults overlaid with ``d``, a run config's "model" group or a
-    checkpoint header's "config", under :func:`overlay`'s type rules."""
-    d = overlay(config_to_dict(AcousticModelConfig()), d)
-    w = d.pop("wrcnn")
+    """The config that ``d``, a run config's "model" group or a checkpoint
+    header's "config", states in full under :func:`overlay`'s type rules;
+    all missing keys in one error."""
+    full = overlay(config_to_dict(AcousticModelConfig()), d)
+    missing = sorted(set(_leaf_keys(full)) - set(_leaf_keys(d)))
+    if missing:
+        raise ConfigError(f"config lacks keys: {', '.join(missing)}")
+    w = full.pop("wrcnn")
     w["multipliers"] = tuple(w["multipliers"])
     w["strides"] = tuple(w["strides"])
-    return AcousticModelConfig(**d, wrcnn=WRCNNConfig(**w))
+    return AcousticModelConfig(**full, wrcnn=WRCNNConfig(**w))
 
 
 @dataclass

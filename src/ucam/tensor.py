@@ -606,10 +606,9 @@ def backward(loss: Tensor) -> None:
             grads[id(p)] = grads[id(p)] + pg if id(p) in grads else pg
 
 
-def zero_grad(params: Iterable) -> None:
-    """Clear gradients; accepts tensors or (name, tensor) pairs."""
-    for p in params:
-        t = p[1] if isinstance(p, tuple) else p
+def zero_grad(named: Iterable) -> None:
+    """Clear the gradients of (name, tensor) pairs."""
+    for _, t in named:
         t.grad = None
 
 
@@ -617,11 +616,13 @@ def zero_grad(params: Iterable) -> None:
 # gradient checking
 
 
-def grad_check(f: Callable, params, eps: float = 1e-4,
+def grad_check(f: Callable, params: dict, eps: float = 1e-4,
                samples_per_tensor: int = 25,
                rng: np.random.Generator | None = None,
                floor: float = 0.0) -> float:
     """Compare analytic gradients of ``f(params)`` against central differences.
+
+    ``params`` maps each name to its tensor and is passed to ``f`` as it is.
 
     ``f`` must be deterministic (dropout off) and return a scalar Tensor
     rebuilt from the same parameter tensors on every call. All parameters
@@ -637,10 +638,7 @@ def grad_check(f: Callable, params, eps: float = 1e-4,
     nothing. A missing gradient path still fails: its numeric side is
     large while the analytic side is zero.
     """
-    named = list(params.items()) if isinstance(params, dict) else [
-        p if isinstance(p, tuple) else (f"p{i}", p)
-        for i, p in enumerate(params)]
-    for name, t in named:
+    for name, t in params.items():
         if t.data.dtype != np.float64:
             raise ConfigError(f"grad_check requires float64 parameters; "
                               f"'{name}' is {t.data.dtype}")
@@ -649,21 +647,21 @@ def grad_check(f: Callable, params, eps: float = 1e-4,
 
     def run() -> Tensor:
         with finite_checks():
-            out = f(dict(named) if isinstance(params, dict) else params)
+            out = f(params)
         if out.data.size != 1:
             raise GraphError("grad_check objective must be scalar")
         return out
 
-    zero_grad(named)
+    zero_grad(params.items())
     loss = run()
     backward(loss)
     analytic = {name: (t.grad.copy() if t.grad is not None
                        else np.zeros_like(t.data))
-                for name, t in named}
-    zero_grad(named)
+                for name, t in params.items()}
+    zero_grad(params.items())
 
     max_rel = 0.0
-    for name, t in named:
+    for name, t in params.items():
         n = t.data.size
         coords = (np.arange(n) if n <= samples_per_tensor
                   else rng.choice(n, size=samples_per_tensor, replace=False))

@@ -1,4 +1,4 @@
-"""Optimization: warmup schedule, Adam, EMA, masked loss, and the fit loop.
+"""Optimization: Adam, EMA, masked loss, and the fit loop.
 
 Everything here is deterministic given the config seed. Dropout draws come
 from a stream keyed by step and shuffling from a stream keyed by epoch, so
@@ -24,25 +24,6 @@ from .model import (AcousticModelConfig, Checkpoint, ModelParams,
                     config_to_dict, load_checkpoint, model_forward,
                     save_checkpoint)
 from .rng import keyed
-
-
-@dataclass(frozen=True)
-class LRSchedule:
-    """Inverse-sqrt schedule with linear warmup, scaled by model width."""
-    d_attn: int
-    warmup: int = 20000
-    factor: float = 5.0
-
-    def __post_init__(self):
-        if self.d_attn < 1 or self.warmup < 1:
-            raise ConfigError("d_attn and warmup must be >= 1")
-
-    def lr_at(self, step: int) -> float:
-        if step < 1:
-            raise ConfigError(f"schedule is defined for steps >= 1, "
-                              f"got {step}")
-        return (self.factor * self.d_attn ** -0.5
-                * min(step ** -0.5, step * self.warmup ** -1.5))
 
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.98, 1e-9  # Adam's decay rates and epsilon
@@ -110,7 +91,7 @@ class AdamState:
 class EMAState:
     """Exponential moving average of parameters, kept in float64."""
 
-    def __init__(self, named_params, decay: float = 0.999):
+    def __init__(self, named_params, decay: float):
         if not 0.0 <= decay < 1.0:
             raise ConfigError(f"EMA decay must be in [0, 1), got {decay}")
         self.decay = decay
@@ -273,6 +254,14 @@ class TrainConfig:
             raise ConfigError(f"ema_decay must be in [0, 1), got "
                               f"{self.ema_decay}")
 
+    def lr_at(self, step: int, d_attn: int) -> float:
+        """Inverse-sqrt schedule with linear warmup, scaled by model width."""
+        if step < 1:
+            raise ConfigError(f"schedule is defined for steps >= 1, "
+                              f"got {step}")
+        return (self.lr_factor * d_attn ** -0.5
+                * min(step ** -0.5, step * self.warmup ** -1.5))
+
 
 def check_lr(name: str, value: float) -> None:
     if not 0 < value < math.inf:
@@ -290,7 +279,7 @@ def _batch_for_step(utts, step: int, cfg: TrainConfig) -> Batch:
 
 
 def _train_step(params, batch: Batch, adam: AdamState, lr: float,
-                cfg: TrainConfig, step: int, named) -> float:
+                cfg: TrainConfig, step: int) -> float:
     mask = batch.mask
     rng = keyed(cfg.seed, "dropout", step)
     out = model_forward(tc.tensor(batch.feats), mask, params,
@@ -302,7 +291,7 @@ def _train_step(params, batch: Batch, adam: AdamState, lr: float,
                               f"the last saved checkpoint is still good")
     tc.backward(loss)
     adam.apply(lr)
-    tc.zero_grad(named)
+    tc.zero_grad(adam.named)
     return value
 
 
@@ -379,8 +368,6 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
     """
     os.makedirs(out_dir, exist_ok=True)
     named = list(params.named_parameters())
-    sched = LRSchedule(params.cfg.d_attn, warmup=cfg.warmup,
-                       factor=cfg.lr_factor)
     adam = AdamState(named)
     start = 1
     best_dev = math.inf
@@ -408,8 +395,8 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
     try:
         for step in range(start, cfg.steps + 1):
             batch = _batch_for_step(train_utts, step, cfg)
-            lr = sched.lr_at(step)
-            value = _train_step(params, batch, adam, lr, cfg, step, named)
+            lr = cfg.lr_at(step, params.cfg.d_attn)
+            value = _train_step(params, batch, adam, lr, cfg, step)
             dev = None
             if step % cfg.eval_every == 0 or step == cfg.steps:
                 dev = evaluate(params, dev_utts,
@@ -431,12 +418,12 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
             if os.path.exists(best_path):
                 restore(best_path)
             ft_adam = AdamState(named)
-            ema = EMAState(named, decay=cfg.ema_decay)
+            ema = EMAState(named, cfg.ema_decay)
             for i in range(1, cfg.finetune_steps + 1):
                 step = cfg.steps + i
                 batch = _batch_for_step(train_utts, step, cfg)
                 value = _train_step(params, batch, ft_adam,
-                                    FINETUNE_LR, cfg, step, named)
+                                    FINETUNE_LR, cfg, step)
                 ema.update()
                 dev = None
                 if i % cfg.eval_every == 0 or i == cfg.finetune_steps:

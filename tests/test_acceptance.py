@@ -115,7 +115,7 @@ def test_gate_02_padding_invariance():
             if pad == "garbage":
                 feats[..., n:] = 100.0 * rng.standard_normal(
                     feats[..., n:].shape)
-            mask = SequenceMask.from_lengths([n], n + k)
+            mask = SequenceMask([n], n + k)
             lab = np.zeros((1, n + k), np.int64)
             lab[0, :n] = utt.labels
             out, grads = _forward_grads(params, feats, mask, lab, 0, n)
@@ -174,7 +174,7 @@ def test_gate_03_normalization_oracles():
         t = int(rng.integers(2, 12))
         d = int(rng.integers(1, 9))
         lengths = rng.integers(1, t + 1, size=b)
-        mask = SequenceMask.from_lengths(lengths, t)
+        mask = SequenceMask(lengths, t)
         gamma = 1.0 + 0.3 * rng.standard_normal(d)
         beta = 0.3 * rng.standard_normal(d)
         p = NormParams.create(d, dtype=np.float64)
@@ -211,7 +211,7 @@ def test_gate_04_pe_scaling_identity():
     for d in (8, 64, 256):
         t = 50
         lengths = [50, 37]
-        mask = SequenceMask.from_lengths(lengths, t)
+        mask = SequenceMask(lengths, t)
         x = rng.standard_normal((2, t, d))
         got = cf.add_position(tc.tensor(x), mask).data
         pe = positional_encoding(t, d, dtype=np.float64).data
@@ -231,11 +231,11 @@ def test_gate_04_pe_scaling_identity():
 
 
 def test_gate_05_schedule():
-    sched = tr.LRSchedule(d_attn=256, warmup=20000, factor=5.0)
+    cfg = tr.TrainConfig(warmup=20000, lr_factor=5.0)
     want = 5.0 * 256.0 ** -0.5 * 20000.0 ** -0.5
-    peak = sched.lr_at(20000)
+    peak = cfg.lr_at(20000, 256)
     err = abs(peak - want)
-    lrs = [sched.lr_at(s) for s in range(1, 60001)]
+    lrs = [cfg.lr_at(s, 256) for s in range(1, 60001)]
     up = all(a < b for a, b in zip(lrs[:19999], lrs[1:20000]))
     down = all(a > b for a, b in zip(lrs[19999:-1], lrs[20000:]))
     ok = err <= 1e-9 and abs(peak - 2.2097e-3) < 1e-6 and up and down
@@ -248,6 +248,7 @@ def test_gate_05_schedule():
 # 6. overfit a small corpus
 
 
+@pytest.mark.slow
 def test_gate_06_overfit(tmp_path):
     # the bound is on this process's CPU time, which other jobs sharing the
     # cores do not inflate; wall time is reported beside it
@@ -272,6 +273,7 @@ def test_gate_06_overfit(tmp_path):
 # 7. speaker adaptation beats the unadapted model
 
 
+@pytest.mark.slow
 def test_gate_07_adaptation(tmp_path):
     corpus = dp.synth_corpus(seed=0, n_speakers=8, n_classes=10, n_utts=256,
                              feat_dim=16, t_range=(30, 50), separation=6.0,

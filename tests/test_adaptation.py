@@ -393,7 +393,7 @@ def test_w_gradient_check_float64():
     params.set_requires_grad(False)
     w = tc.parameter(np.eye(8) + 0.01 * np.random.default_rng(0)
                      .standard_normal((8, 8)))
-    err = tc.grad_check(lambda _: lin_path_loss(c, params, w), [("w", w)],
+    err = tc.grad_check(lambda _: lin_path_loss(c, params, w), {"w": w},
                         eps=1e-5, samples_per_tensor=25)
     assert err < 1e-5
     params.set_requires_grad(True)

@@ -244,14 +244,21 @@ def test_config_float_key_takes_an_int(tmp_path):
     assert value == 2.0 and type(value) is float
 
 
+DROP = object()  # checkpoint_with_config's value for a key left out
+
+
 def checkpoint_with_config(tmp_path, path, value):
-    """A micro checkpoint whose header config sets ``path`` to ``value``."""
+    """A micro checkpoint whose header config sets ``path`` to ``value``,
+    or lacks it when ``value`` is DROP."""
     params = ModelParams.create(micro_config())
     header = config_to_dict(params.cfg)
     group = header
     for key in path[:-1]:
         group = group[key]
-    group[path[-1]] = value
+    if value is DROP:
+        del group[path[-1]]
+    else:
+        group[path[-1]] = value
     ckpt = tmp_path / "bad.ckpt"
     serial.write_container(
         ckpt, {"kind": "model", "config": header, "step": 0},
@@ -264,6 +271,17 @@ def test_eval_checkpoint_with_removed_config_keys_exits_2(tmp_path, capsys):
     data = synth(tmp_path, classes=5)
     assert run(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 2
     assert "wrcnn.in_freq" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", [
+    ("dropout",), ("n_blocks",), ("wrcnn", "kernel")])
+def test_eval_checkpoint_missing_config_key_exits_2(tmp_path, capsys, path):
+    # it would load with AcousticModelConfig()'s paper-scale value
+    ckpt = checkpoint_with_config(tmp_path, path, DROP)
+    data = synth(tmp_path, classes=5)
+    assert run(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 2
+    assert (f"config error: config lacks keys: {'.'.join(path)}\n"
+            == capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("path,value", [

@@ -14,7 +14,7 @@ from ucam.model import walk_parameters
 
 
 def mask_of(lengths, max_len=None):
-    return SequenceMask.from_lengths(lengths, max_len)
+    return SequenceMask(lengths, max_len)
 
 
 def zero_weights(params):

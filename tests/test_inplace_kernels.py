@@ -23,7 +23,7 @@ from ucam import tensor as tc
 from ucam.masking import (NormParams, SequenceMask, masked_softmax,
                           utterance_batchnorm, utterance_layernorm)
 
-MASK = SequenceMask.from_lengths([7, 4, 6])
+MASK = SequenceMask([7, 4, 6])
 
 
 # ---------------------------------------------------------------------------

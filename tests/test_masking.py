@@ -15,7 +15,7 @@ from ucam.rng import keyed
 
 
 def mask_of(lengths, max_len=None):
-    return SequenceMask.from_lengths(lengths, max_len)
+    return SequenceMask(lengths, max_len)
 
 
 def write_garbage(x, mask, time_axis, rng, scale=100.0):

@@ -22,7 +22,7 @@ from ucam.model import (AcousticModelConfig, ModelParams, config_from_dict,
                         save_checkpoint, walk_parameters)
 from ucam.rng import keyed
 from ucam.training import masked_cross_entropy
-from ucam.wrcnn import N_PLANES, WRCNNConfig
+from ucam.wrcnn import N_PLANES
 
 
 def make_model(seed=0, cfg=None):
@@ -32,7 +32,7 @@ def make_model(seed=0, cfg=None):
 
 def random_input(rng, b, f, t_max, lengths):
     x = rng.standard_normal((b, 3, f, t_max)).astype(np.float32)
-    mask = SequenceMask.from_lengths(lengths, t_max)
+    mask = SequenceMask(lengths, t_max)
     ind = mask.indicator(bool)
     for i in range(b):
         x[i, :, :, ~ind[i]] = 0.0
@@ -54,6 +54,8 @@ def test_config_validation():
         micro_config_with(conv_kernel=0)
     with pytest.raises(ConfigError):
         micro_config_with(d_attn=6, heads=4)
+    with pytest.raises(ConfigError, match="d_attn must be positive"):
+        micro_config_with(d_attn=0)
 
 
 def micro_config_with(**kw):
@@ -69,10 +71,16 @@ def test_config_dict_round_trip():
     assert back == cfg
 
 
-def test_config_from_dict_fills_defaults():
-    cfg = config_from_dict({"feat_dim": 80, "wrcnn": {"kernel": 5}})
-    assert cfg.d_attn == 256 and cfg.n_senones == 2042
-    assert cfg.wrcnn == WRCNNConfig(kernel=5)
+def test_config_from_dict_rejects_missing_keys():
+    # a key left out would silently take the paper-scale default
+    d = config_to_dict(desk_config())
+    del d["dropout"], d["n_blocks"], d["wrcnn"]["kernel"]
+    with pytest.raises(ConfigError, match="config lacks keys: dropout, "
+                       "n_blocks, wrcnn.kernel$"):
+        config_from_dict(d)
+    with pytest.raises(ConfigError, match="lacks keys: wrcnn.base_channels, "
+                       "wrcnn.kernel, wrcnn.multipliers, wrcnn.strides$"):
+        config_from_dict(config_to_dict(desk_config()) | {"wrcnn": {}})
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -203,13 +211,13 @@ def test_forward_padding_invariance_end_to_end():
     rng = np.random.default_rng(3)
     t = 11
     x = rng.standard_normal((1, 3, 8, t)).astype(np.float32)
-    alone = model_forward(tc.tensor(x), SequenceMask.from_lengths([t]),
+    alone = model_forward(tc.tensor(x), SequenceMask([t]),
                           params)
     for extra in (1, 5, 16):
         padded = np.zeros((1, 3, 8, t + extra), dtype=np.float32)
         padded[:, :, :, :t] = x
         out = model_forward(tc.tensor(padded),
-                            SequenceMask.from_lengths([t], t + extra),
+                            SequenceMask([t], t + extra),
                             params)
         np.testing.assert_allclose(out.data[0, :t], alone.data[0],
                                    atol=1e-5)

@@ -183,7 +183,7 @@ class TestBackward:
         x = tc.parameter(np.ones(3))
         h = tc.scale(x, 2.0)
         tc.backward(tc.sum_all(h))
-        tc.zero_grad([x])
+        tc.zero_grad([("x", x)])
         with pytest.raises(GraphError, match="op 'scale' reads a tensor "
                            "whose graph an earlier backward spent"):
             tc.backward(tc.sum_all(tc.scale(h, 3.0)))
@@ -193,7 +193,7 @@ class TestBackward:
         tc.backward(tc.sum_all(x))
         with pytest.raises(GraphError, match="zero_grad"):
             tc.backward(tc.sum_all(tc.scale(x, 2.0)))
-        tc.zero_grad([x])
+        tc.zero_grad([("x", x)])
         tc.backward(tc.sum_all(tc.scale(x, 2.0)))
         np.testing.assert_allclose(x.grad, np.full(3, 2.0))
 
@@ -394,7 +394,7 @@ class TestGradCheck:
 def _needs_grad_cases():
     """(operand arrays, op) on micro_config shapes, float64, lengths 6 and 4."""
     rng = np.random.default_rng(51)
-    mask = SequenceMask.from_lengths(np.array([6, 4]))
+    mask = SequenceMask(np.array([6, 4]))
     return {
         "conv2d": ({"x": rand(rng, 2, 2, 8, 6), "w": rand(rng, 4, 2, 3, 3)},
                    lambda p: wr.conv2d(p["x"], p["w"], stride_f=2)),
@@ -528,7 +528,7 @@ def test_needs_grad():
 # the graph keeps only the arrays backward reads
 
 
-MASK_43 = SequenceMask.from_lengths([4, 3])
+MASK_43 = SequenceMask([4, 3])
 
 
 def _const(rng, *shape):

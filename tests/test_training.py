@@ -22,29 +22,29 @@ from ucam.rng import keyed
 
 
 def test_schedule_peak_closed_form():
-    sched = tr.LRSchedule(d_attn=256, warmup=20000, factor=5.0)
+    cfg = tr.TrainConfig(warmup=20000, lr_factor=5.0)
     expect = 5.0 * 256.0 ** -0.5 * 20000.0 ** -0.5
-    assert abs(sched.lr_at(20000) - expect) <= 1e-9
+    assert abs(cfg.lr_at(20000, 256) - expect) <= 1e-9
     assert abs(expect - 2.2097e-3) < 1e-6
 
 
 def test_schedule_linear_during_warmup():
-    sched = tr.LRSchedule(d_attn=64, warmup=100, factor=2.0)
+    cfg = tr.TrainConfig(warmup=100, lr_factor=2.0)
     for k in (1, 7, 50, 100):
-        assert sched.lr_at(k) == pytest.approx(
+        assert cfg.lr_at(k, 64) == pytest.approx(
             k * 2.0 * 64.0 ** -0.5 * 100.0 ** -1.5, abs=1e-15)
 
 
 def test_schedule_inverse_sqrt_after_warmup():
-    sched = tr.LRSchedule(d_attn=64, warmup=100, factor=2.0)
+    cfg = tr.TrainConfig(warmup=100, lr_factor=2.0)
     for k in (101, 400, 10000):
-        assert sched.lr_at(k) == pytest.approx(
+        assert cfg.lr_at(k, 64) == pytest.approx(
             2.0 * 64.0 ** -0.5 * k ** -0.5, abs=1e-15)
 
 
 def test_schedule_monotone_around_peak():
-    sched = tr.LRSchedule(d_attn=32, warmup=50, factor=1.0)
-    values = [sched.lr_at(k) for k in range(1, 201)]
+    cfg = tr.TrainConfig(warmup=50, lr_factor=1.0)
+    values = [cfg.lr_at(k, 32) for k in range(1, 201)]
     peak = values.index(max(values)) + 1
     assert peak == 50
     assert all(b > a for a, b in zip(values[:49], values[1:50]))
@@ -52,13 +52,11 @@ def test_schedule_monotone_around_peak():
 
 
 def test_schedule_rejects_bad_input():
+    # d_attn comes from an AcousticModelConfig, which refuses d_attn < 1
     with pytest.raises(ConfigError):
-        tr.LRSchedule(d_attn=0)
-    with pytest.raises(ConfigError):
-        tr.LRSchedule(d_attn=8, warmup=0)
-    sched = tr.LRSchedule(d_attn=8)
-    with pytest.raises(ConfigError):
-        sched.lr_at(0)
+        tr.TrainConfig(warmup=0)
+    with pytest.raises(ConfigError, match="steps >= 1"):
+        tr.TrainConfig().lr_at(0, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +247,7 @@ def test_masked_ce_uniform_is_log_k():
     k = 7
     lp = tc.tensor(np.full((2, 5, k), -math.log(k)))
     labels = np.zeros((2, 5), dtype=np.int64)
-    loss = tr.masked_cross_entropy(lp, labels, SequenceMask.from_lengths(
+    loss = tr.masked_cross_entropy(lp, labels, SequenceMask(
         [5, 3]))
     assert loss.item() == pytest.approx(math.log(k), abs=1e-12)
 
@@ -258,7 +256,7 @@ def test_masked_ce_matches_manual_mean():
     rng = np.random.default_rng(3)
     lp = log_probs_tensor(rng, 2, 6, 4)
     labels = rng.integers(0, 4, (2, 6))
-    mask = SequenceMask.from_lengths([6, 2])
+    mask = SequenceMask([6, 2])
     loss = tr.masked_cross_entropy(lp, labels, mask)
     manual = -(sum(lp.data[0, t, labels[0, t]] for t in range(6))
                + sum(lp.data[1, t, labels[1, t]] for t in range(2))) / 8
@@ -273,7 +271,7 @@ def test_masked_ce_ignores_padded_labels_bitwise():
     garbage = labels.copy()
     garbage[0, 4:] = 999999
     garbage[1, 2:] = -5
-    mask = SequenceMask.from_lengths([4, 2], 6)
+    mask = SequenceMask([4, 2], 6)
     a = tr.masked_cross_entropy(lp1, labels, mask)
     b = tr.masked_cross_entropy(lp2, garbage, mask)
     assert a.item() == b.item()
@@ -286,7 +284,7 @@ def test_masked_ce_gradient_zero_at_padding():
     rng = np.random.default_rng(5)
     lp = log_probs_tensor(rng, 2, 5, 3)
     labels = rng.integers(0, 3, (2, 5))
-    mask = SequenceMask.from_lengths([3, 5])
+    mask = SequenceMask([3, 5])
     loss = tr.masked_cross_entropy(lp, labels, mask)
     tc.backward(loss)
     assert np.all(lp.grad[0, 3:] == 0)
@@ -298,7 +296,7 @@ def test_masked_ce_names_offending_frame():
     labels = np.zeros((2, 4), dtype=np.int64)
     labels[1, 2] = 3
     with pytest.raises(DataError, match=r"batch 1, frame 2"):
-        tr.masked_cross_entropy(lp, labels, SequenceMask.from_lengths(
+        tr.masked_cross_entropy(lp, labels, SequenceMask(
             [4, 4]))
 
 
@@ -306,7 +304,7 @@ def test_masked_ce_rejects_shape_mismatch():
     lp = tc.tensor(np.zeros((2, 4, 3)))
     with pytest.raises(DataError):
         tr.masked_cross_entropy(lp, np.zeros((2, 5), np.int64),
-                                SequenceMask.from_lengths([4, 4]))
+                                SequenceMask([4, 4]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from ucam.wrcnn import (ResidualBlockParams, WRCNNConfig, WRCNNParams, conv2d,
 
 
 def mask_of(lengths, max_len=None):
-    return SequenceMask.from_lengths(lengths, max_len)
+    return SequenceMask(lengths, max_len)
 
 
 def conv2d_loops(x, w, stride_f=1):
