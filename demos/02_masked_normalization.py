@@ -23,7 +23,7 @@ print(f"batch of {len(lengths)} utterances, lengths {lengths}, "
       f"padded to {t_max}")
 
 x = rng.standard_normal((3, t_max, d)).astype(np.float32)
-ind = mask.indicator(bool)
+ind = mask.indicator()
 for b, n in enumerate(lengths):
     x[b, n:] = 0.0
 

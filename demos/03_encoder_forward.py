@@ -38,7 +38,7 @@ print(f"log-probs {out.data.shape}")
 
 # each valid frame carries a proper distribution over senones
 probs = np.exp(out.data)
-sums = probs[mask.indicator(bool)].sum(axis=-1)
+sums = probs[mask.indicator()].sum(axis=-1)
 print(f"prob mass per valid frame: min {sums.min():.6f}, "
       f"max {sums.max():.6f}")
 

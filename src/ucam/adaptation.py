@@ -106,7 +106,7 @@ def frame_error(params: ModelParams, utts, lin: LinTransform,
         raise ConfigError("frame_error needs at least one utterance, got none")
     wrong = 0
     for batch, pred in _decisions(params, utts, lin, batch_size):
-        ind = batch.mask.indicator(np.bool_)
+        ind = batch.mask.indicator()
         wrong += int((pred[ind] != batch.labels[ind]).sum())
     return wrong / sum(u.length for u in utts)
 

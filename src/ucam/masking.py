@@ -21,9 +21,10 @@ input, and per-frame ops (linear layers, activations, dropout) never move
 a value between frames, so finite junk in front of them needs no mask: it
 stays in its padded frame, and the next mask gives it a zero gradient.
 
-A mask builds its [B, T] indicator once per dtype and hands every caller
-the same read-only array, so the dozens of masks and norms in one forward
-share it; a caller that needs to change it must copy it first.
+A mask is its lengths. Ops clear padding by slicing: each utterance's
+padded frames, ``a[b, n:]`` or ``a[b, ..., n:]``, are multiplied by zero
+in place (:meth:`SequenceMask.zero_padding`), so they hold what a 0/1
+multiply gives: -0.0 under a negative value, NaN under a non-finite one.
 
 BatchNorm here keeps no running statistics: train and eval both normalize
 with per-utterance statistics, so results do not depend on how a batch was
@@ -32,7 +33,7 @@ assembled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +44,11 @@ from .tensor import Tensor
 
 @dataclass
 class SequenceMask:
-    """Valid-frame indicator for a padded batch: frame t of utterance b is
-    valid iff t < lengths[b]. ``max_len`` None means the longest length."""
+    """Valid frames of a padded batch: frame t of utterance b is valid iff
+    t < lengths[b]. ``max_len`` None means the longest length."""
 
     lengths: np.ndarray
     max_len: int | None = None
-    _indicators: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
 
     def __post_init__(self):
         self.lengths = np.asarray(self.lengths, dtype=np.int64)
@@ -67,45 +66,42 @@ class SequenceMask:
     def batch(self) -> int:
         return int(self.lengths.shape[0])
 
-    def indicator(self, dtype=np.float32) -> np.ndarray:
-        """0/1 array of shape [B, T], built once per dtype and read-only."""
-        dtype = np.dtype(dtype)
-        m = self._indicators.get(dtype)
-        if m is None:
-            t = np.arange(self.max_len)
-            m = (t[None, :] < self.lengths[:, None]).astype(dtype)
-            m.flags.writeable = False
-            self._indicators[dtype] = m
-        return m
+    def indicator(self) -> np.ndarray:
+        """Boolean [B, T] map of the valid frames, built on each call."""
+        return np.arange(self.max_len) < self.lengths[:, None]
 
     def valid_frames(self) -> int:
         return int(self.lengths.sum())
 
+    def _padded(self, a: np.ndarray, time_axis: int) -> list:
+        """Views of each utterance's padded frames in ``a`` (batch on axis
+        0, time on ``time_axis``, 1 or -1)."""
+        if time_axis not in (1, -1):
+            raise ConfigError(f"time_axis must be 1 or -1, got {time_axis}")
+        if a.shape[0] != self.batch or a.shape[time_axis] != self.max_len:
+            raise ShapeError(
+                f"mask for B={self.batch}, T={self.max_len} does not match "
+                f"input shape {a.shape} with time_axis={time_axis}")
+        return [a[b, n:] if time_axis == 1 else a[b, ..., n:]
+                for b, n in enumerate(self.lengths) if n < self.max_len]
 
-def _expand_indicator(x: Tensor, mask: SequenceMask, time_axis: int) -> np.ndarray:
-    """Indicator broadcastable against x, with time on the given axis."""
-    if time_axis not in (1, -1):
-        raise ConfigError(f"time_axis must be 1 or -1, got {time_axis}")
-    b = x.shape[0]
-    t = x.shape[1] if time_axis == 1 else x.shape[-1]
-    if b != mask.batch or t != mask.max_len:
-        raise ShapeError(
-            f"mask for B={mask.batch}, T={mask.max_len} does not match input "
-            f"shape {x.shape} with time_axis={time_axis}")
-    m = mask.indicator(x.data.dtype)
-    if time_axis == 1:
-        return m.reshape(b, t, *([1] * (x.ndim - 2)))
-    return m.reshape(b, *([1] * (x.ndim - 2)), t)
+    def zero_padding(self, a: np.ndarray, time_axis: int) -> np.ndarray:
+        """Multiply ``a``'s padded frames by zero in place; returns ``a``."""
+        for view in self._padded(a, time_axis):
+            view *= 0
+        return a
 
 
 def apply_mask(x: Tensor, mask: SequenceMask, time_axis: int = 1) -> Tensor:
     """Zero every padded frame; gradients through padding are exactly zero.
 
     ``time_axis=1`` handles [B, T, ...] layouts, ``time_axis=-1`` the
-    convolutional [B, C, T] / [B, C, F, T] layouts.
+    convolutional [B, C, T] / [B, C, F, T] layouts. Copies keep their
+    source's memory order, which sets the rounding of later sums.
     """
-    m = _expand_indicator(x, mask, time_axis)
-    return tc.mul_const(x, m, op="apply_mask")
+    y = mask.zero_padding(x.data.copy(order="K"), time_axis)
+    return tc.from_op(y, (x,), lambda g: (
+        mask.zero_padding(g.copy(order="K"), time_axis),), "apply_mask")
 
 
 NORM_EPS = 1e-5  # the norms' variance floor
@@ -128,27 +124,26 @@ class NormParams:
         return self.gamma.shape[0]
 
 
-def _masked_norm(x: Tensor, m: np.ndarray, p: NormParams, axes: tuple,
-                 counts, cshape: tuple, op: str) -> Tensor:
+def _masked_norm(x: Tensor, p: NormParams, mask: SequenceMask, time_axis: int,
+                 axes: tuple, counts, cshape: tuple, op: str) -> Tensor:
     """Normalize ``x`` over ``axes`` with statistics of its valid entries.
 
-    ``m`` is the 0/1 valid-frame indicator broadcast against ``x``,
-    ``counts`` the number of valid entries in each statistic group, and
-    gamma/beta broadcast as ``cshape``. The output is zero where ``m`` is
-    0, and gamma/beta gradients accumulate from valid entries only.
+    ``counts`` is the number of valid entries per statistic, and gamma/beta
+    broadcast as ``cshape``. Padding junk, however large, meets no
+    statistic; the output is zero at padded frames, and gamma/beta
+    gradients accumulate from valid entries only.
     """
-    xc = x.data * m  # padding junk, however large, never meets a statistic
+    xc = mask.zero_padding(x.data.copy(order="K"), time_axis)
     mu = xc.sum(axis=axes, keepdims=True) / counts
     xc -= mu
-    sq = np.square(xc)
-    sq *= m
+    sq = mask.zero_padding(np.square(xc), time_axis)
     var = sq.sum(axis=axes, keepdims=True) / counts
     inv = 1.0 / np.sqrt(var + np.asarray(NORM_EPS, dtype=xc.dtype))
     xhat = np.multiply(xc, inv, out=xc)
     gamma, beta = p.gamma.data.reshape(cshape), p.beta.data.reshape(cshape)
     y = np.multiply(xhat, gamma, out=sq)
     y += beta
-    y *= m
+    mask.zero_padding(y, time_axis)
     # every axis but the channel axis; all of them when there is one channel
     param_axes = tuple(a for a, n in enumerate(cshape) if n == 1)
     dim = p.dim
@@ -156,13 +151,13 @@ def _masked_norm(x: Tensor, m: np.ndarray, p: NormParams, axes: tuple,
                                      tc.needs_grad(p.beta))
 
     def bwd(g):
-        gm = g * m
+        gm = mask.zero_padding(g.copy(order="K"), time_axis)
         gx = gm * xhat if need_gamma else None
         dgamma = gx.sum(axis=param_axes).reshape(dim) if need_gamma else None
         dbeta = gm.sum(axis=param_axes).reshape(dim) if need_beta else None
         if not need_x:
             return None, dgamma, dbeta
-        # dx = inv * (ghat - mean(ghat) - xhat * mean(ghat * xhat)) * m
+        # dx = inv * (ghat - mean(ghat) - xhat * mean(ghat * xhat)), cleared
         ghat = np.multiply(gm, gamma, out=gm)
         mean_g = ghat.sum(axis=axes, keepdims=True) / counts
         gx = np.multiply(ghat, xhat, out=gx)
@@ -170,8 +165,7 @@ def _masked_norm(x: Tensor, m: np.ndarray, p: NormParams, axes: tuple,
         ghat -= mean_g
         ghat -= np.multiply(xhat, mean_gx, out=gx)
         ghat *= inv
-        ghat *= m
-        return ghat, dgamma, dbeta
+        return mask.zero_padding(ghat, time_axis), dgamma, dbeta
 
     return tc.from_op(y, (x, p.gamma, p.beta), bwd, op)
 
@@ -188,8 +182,7 @@ def utterance_layernorm(x: Tensor, mask: SequenceMask, p: NormParams) -> Tensor:
     if x.shape[-1] != p.dim:
         raise ShapeError(f"feature dim {x.shape[-1]} does not match "
                          f"gamma/beta dim {p.dim}")
-    m = _expand_indicator(x, mask, time_axis=1)  # [B, T, 1]
-    return _masked_norm(x, m, p, (2,), p.dim, (1, 1, p.dim),
+    return _masked_norm(x, p, mask, 1, (2,), p.dim, (1, 1, p.dim),
                         "utterance_layernorm")
 
 
@@ -207,13 +200,12 @@ def utterance_batchnorm(x: Tensor, mask: SequenceMask, p: NormParams) -> Tensor:
     if x.shape[1] != p.dim:
         raise ShapeError(f"channel dim {x.shape[1]} does not match "
                          f"gamma/beta dim {p.dim}")
-    m = _expand_indicator(x, mask, time_axis=-1)  # [B,1,T] or [B,1,1,T]
     spatial = tuple(range(2, x.ndim))  # (2,) or (2, 3)
     n_spatial = int(np.prod(x.shape[2:-1], initial=1))
     counts = (mask.lengths.astype(x.data.dtype) * n_spatial).reshape(
         -1, *([1] * (x.ndim - 1)))
     cshape = (1, p.dim) + (1,) * (x.ndim - 2)
-    return _masked_norm(x, m, p, spatial, counts, cshape,
+    return _masked_norm(x, p, mask, -1, spatial, counts, cshape,
                         "utterance_batchnorm")
 
 
@@ -227,18 +219,16 @@ def masked_softmax(scores: Tensor, mask: SequenceMask) -> Tensor:
     if scores.ndim != 4 or scores.shape[-1] != scores.shape[-2]:
         raise ShapeError(f"masked_softmax expects square [B, H, T, T] scores, "
                          f"got {scores.shape}")
-    dt = scores.data.dtype
-    mk = _expand_indicator(scores, mask, time_axis=-1)  # over keys
-    mq = mk.swapaxes(-1, -2)  # over queries
-
     # Push masked keys far below the valid scores before the max-shift, then
     # zero them exactly after exponentiation.
-    y = scores.data - (1.0 - mk) * np.asarray(1e9, dtype=dt)
+    y = scores.data.copy(order="K")
+    for keys in mask._padded(y, -1):
+        keys -= 1e9
     y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y *= mk
+    mask.zero_padding(y, -1)
     y /= y.sum(axis=-1, keepdims=True)
-    y *= mq
+    mask.zero_padding(y.swapaxes(-1, -2), -1)  # padded query rows
 
     def bwd(g):
         # y * (g - sum(g * y))

@@ -61,6 +61,7 @@ sigmoid again, so their forwards write the product over the sigmoid.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -69,8 +70,17 @@ from .errors import ConfigError, DataError, GraphError, NumericError, ShapeError
 
 DEFAULT_DTYPE = np.float32
 
-_GRAD_ENABLED = True
-_CHECK_FINITE = False
+
+class _Modes(threading.local):
+    """Graph recording and finite checks, each set per thread (as PyTorch
+    keeps grad mode, Paszke et al. 2019): every thread starts with
+    recording on and checks off."""
+
+    grad = True
+    check_finite = False
+
+
+_MODES = _Modes()
 
 
 class _Node:
@@ -161,27 +171,34 @@ def parameter(data, dtype=None) -> Tensor:
 
 
 @contextlib.contextmanager
+def _modes(**values):
+    prev = {name: getattr(_MODES, name) for name in values}
+    for name, value in values.items():
+        setattr(_MODES, name, value)
+    try:
+        yield
+    finally:
+        for name, value in prev.items():
+            setattr(_MODES, name, value)
+
+
 def no_grad():
-    """Skip graph recording inside the block (pure inference)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
+    """Skip graph recording inside the block (pure inference). It applies
+    to the calling thread only: other threads keep recording."""
+    return _modes(grad=False)
 
 
-@contextlib.contextmanager
 def finite_checks():
-    """Raise NumericError, naming the op, whenever any op emits a non-finite value."""
-    global _CHECK_FINITE
-    prev = _CHECK_FINITE
-    _CHECK_FINITE = True
-    try:
-        yield
-    finally:
-        _CHECK_FINITE = prev
+    """Raise NumericError, naming the op, whenever any op emits a non-finite
+    value inside the block. It applies to the calling thread only."""
+    return _modes(check_finite=True)
+
+
+def current_modes():
+    """The calling thread's graph-recording and finite-check modes, as a
+    context manager, or function decorator, that enters them on whichever
+    thread runs it: a worker enters its caller's modes so."""
+    return _modes(grad=_MODES.grad, check_finite=_MODES.check_finite)
 
 
 def needs_grad(t: Tensor) -> bool:
@@ -190,7 +207,7 @@ def needs_grad(t: Tensor) -> bool:
     True while graph recording is on and ``t`` is a trainable leaf or the
     output of a recorded op.
     """
-    return _GRAD_ENABLED and t.requires_grad
+    return _MODES.grad and t.requires_grad
 
 
 def _entry(t: Tensor):
@@ -220,10 +237,10 @@ def from_op(data: np.ndarray, parents: Sequence[Tensor],
     gradient the node collapses to a constant, so eval-mode code pays
     nothing for graph bookkeeping.
     """
-    if _CHECK_FINITE and not np.isfinite(data).all():
+    if _MODES.check_finite and not np.isfinite(data).all():
         raise NumericError(f"non-finite values produced by op '{op}'")
     # the leading test keeps no-grad forwards free of per-parent calls
-    track = _GRAD_ENABLED and any(needs_grad(p) for p in parents)
+    track = _MODES.grad and any(needs_grad(p) for p in parents)
     out = Tensor(data)
     if track:
         out.requires_grad = True
@@ -583,7 +600,7 @@ def backward(loss: Tensor) -> None:
     while topo:
         node = topo.pop()
         g = grads.pop(id(node), None)
-        if g is not None and _CHECK_FINITE and not np.isfinite(g).all():
+        if g is not None and _MODES.check_finite and not np.isfinite(g).all():
             raise NumericError(
                 f"non-finite gradient flowing into op '{node._op or 'leaf'}'")
         if isinstance(node, Tensor):

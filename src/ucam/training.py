@@ -135,7 +135,7 @@ def masked_cross_entropy(log_probs: tc.Tensor, labels: np.ndarray,
     if labels.shape != (b, t):
         raise DataError(f"labels {labels.shape} do not match "
                         f"log-probs {(b, t)}")
-    ind = mask.indicator(np.bool_)
+    ind = mask.indicator()
     bad = ((labels < 0) | (labels >= k)) & ind
     if bad.any():
         bi, ti = np.argwhere(bad)[0]
@@ -184,10 +184,11 @@ def posteriors(params: ModelParams, batches):
     every eval op computes an utterance from its own rows alone (one gemm
     per utterance in conv2d, linear and attention, norm statistics per
     utterance, softmax per row), and each half keeps the batch's T, which
-    sets the rounding. The worker runs inside this thread's ``no_grad``
-    (and any ``finite_checks``). Leaving the executor's block joins it on
-    every exit path, before the batch is yielded, so an error in either
-    half is raised here with no thread left running.
+    sets the rounding. Grad and finite-check modes are per thread, so the
+    worker enters this thread's: ``no_grad``, and any ``finite_checks``.
+    Leaving the executor's block joins it on every exit path, before the
+    batch is yielded, so an error in either half is raised here with no
+    thread left running.
     """
     for batch in batches:
         b, t = batch.mask.batch, batch.mask.max_len
@@ -198,7 +199,8 @@ def posteriors(params: ModelParams, batches):
                 from concurrent.futures import ThreadPoolExecutor
                 cut = b - b // 2
                 with ThreadPoolExecutor(1, "ucam-posteriors") as pool:
-                    second = pool.submit(_forward_rows, params, batch, cut, b)
+                    second = pool.submit(tc.current_modes()(_forward_rows),
+                                         params, batch, cut, b)
                     first = _forward_rows(params, batch, 0, cut)
                 out = np.concatenate([first, second.result()])
             else:
@@ -219,7 +221,7 @@ def evaluate(params: ModelParams, utts,
         n = mask.valid_frames()
         total_nll += loss.item() * n
         pred = out.data.argmax(-1)
-        ind = mask.indicator(np.bool_)
+        ind = mask.indicator()
         total_correct += int((pred[ind] == batch.labels[ind]).sum())
         total_frames += n
     return total_nll / total_frames, total_correct / total_frames

@@ -218,7 +218,7 @@ def test_gate_04_pe_scaling_identity():
         # unscaled additive encoding, then the whole sum divided by sqrt(d)
         plain = x * np.sqrt(d) + pe[None, :, :]
         want = plain / np.sqrt(d)
-        want = want * mask.indicator(want.dtype)[:, :, None]
+        want = want * mask.indicator().astype(want.dtype)[:, :, None]
         worst = max(worst, np.abs(got - want).max())
     ok = worst <= 1e-6
     gate("pe scaling identity", ok,

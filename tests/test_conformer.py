@@ -119,7 +119,7 @@ class TestAddPosition:
         got = add_position(tc.tensor(x), m).data
         pe = positional_encoding(5, 6).data
         want = (np.sqrt(6.0) * x + pe[None]) / np.sqrt(6.0)
-        want *= m.indicator()[:, :, None]
+        want *= m.indicator().astype(np.float32)[:, :, None]
         np.testing.assert_allclose(got, want, atol=1e-6)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64],
@@ -132,7 +132,8 @@ class TestAddPosition:
         for _ in range(2):  # the second call reads the cached table
             x = rng.standard_normal((2, 7, 6)).astype(dtype)
             got = add_position(tc.tensor(x), m).data
-            want = (x + want_table[None]) * m.indicator(dtype)[:, :, None]
+            ind = m.indicator().astype(dtype)
+            want = (x + want_table[None]) * ind[:, :, None]
             assert got.dtype == dtype
             assert got.tobytes() == want.tobytes()
 
@@ -352,7 +353,7 @@ class TestConvModule:
 
         lengths = [5, 3]
         x = rng.standard_normal((2, 5, d)).astype(np.float32)
-        ind = mask_of(lengths).indicator(bool)
+        ind = mask_of(lengths).indicator()
         x[~ind] = 0.0
         out = conv_module_forward(tc.tensor(x), p, mask_of(lengths)).data
 

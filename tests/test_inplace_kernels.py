@@ -81,14 +81,14 @@ def ref_masked_norm(x, gamma, beta, g, m, axes, counts, cshape, eps=1e-5):
 def ref_layernorm(ops, g):
     x, gamma, beta = ops
     d = gamma.shape[0]
-    m = MASK.indicator(x.dtype)[:, :, None]
+    m = MASK.indicator().astype(x.dtype)[:, :, None]
     return ref_masked_norm(x, gamma, beta, g, m, (2,), d, (1, 1, d))
 
 
 def ref_batchnorm(ops, g):
     x, gamma, beta = ops
     lead = (x.shape[0],) + (1,) * (x.ndim - 2)
-    m = MASK.indicator(x.dtype).reshape(*lead, -1)
+    m = MASK.indicator().astype(x.dtype).reshape(*lead, -1)
     n_spatial = int(np.prod(x.shape[2:-1], initial=1))
     counts = (MASK.lengths.astype(x.dtype) * n_spatial).reshape(*lead, 1)
     cshape = (1, gamma.shape[0]) + (1,) * (x.ndim - 2)
@@ -99,7 +99,7 @@ def ref_batchnorm(ops, g):
 def ref_softmax(ops, g):
     (scores,) = ops
     dt = scores.dtype
-    mk = MASK.indicator(dt)[:, None, None, :]
+    mk = MASK.indicator().astype(dt)[:, None, None, :]
     mq = mk.swapaxes(-1, -2)
     z = scores - (1.0 - mk) * np.asarray(1e9, dtype=dt)
     z = z - z.max(axis=-1, keepdims=True)

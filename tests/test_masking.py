@@ -21,7 +21,7 @@ def mask_of(lengths, max_len=None):
 def write_garbage(x, mask, time_axis, rng, scale=100.0):
     """Overwrite padded positions with finite junk; returns a copy."""
     out = x.copy()
-    m = mask.indicator(bool)
+    m = mask.indicator()
     for b in range(out.shape[0]):
         if time_axis == 1:
             out[b, ~m[b]] = scale * rng.standard_normal(out[b, ~m[b]].shape)
@@ -76,19 +76,48 @@ class TestSequenceMask:
             m.indicator(), [[1, 1, 0, 0], [1, 1, 1, 0]])
         assert m.valid_frames() == 5
 
-    def test_indicator_is_cached_and_read_only(self):
+    def test_indicator_is_a_fresh_boolean_map(self):
         m = mask_of([2, 3], max_len=4)
         ind = m.indicator()
-        assert m.indicator(np.float32) is ind
-        assert not ind.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            ind[0, 3] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            ind.reshape(2, 1, 4)[0, 0, 3] = 1.0
-        b = m.indicator(bool)
-        assert b is m.indicator(np.bool_) and not b.flags.writeable
-        assert b.dtype == bool and m.indicator(np.float64).dtype == np.float64
+        assert ind.dtype == bool and ind.flags.writeable
         np.testing.assert_array_equal(ind, [[1, 1, 0, 0], [1, 1, 1, 0]])
+        ind[0, 3] = True  # the caller's own array: the mask keeps none
+        assert not m.indicator()[0, 3]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("time_axis", [1, -1])
+    def test_zero_padding_is_the_indicator_product_in_place(
+            self, time_axis, dtype):
+        m = mask_of([2, 3], max_len=4)
+        shape = (2, 4, 3) if time_axis == 1 else (2, 3, 4)
+        a = np.random.default_rng(4).standard_normal(shape).astype(dtype)
+        a[a > 1.0] = np.inf
+        a[a < -1.0] = np.nan
+        ind = m.indicator()
+        valid = ind[:, :, None] if time_axis == 1 else ind[:, None, :]
+        with np.errstate(invalid="ignore"):  # inf * 0
+            want = a * valid.astype(dtype)
+            assert m.zero_padding(a, time_axis) is a
+        assert a.tobytes() == want.tobytes()
+        # padding holds -0.0 where the value was negative, NaN where it
+        # was not finite
+        padded = a[np.broadcast_to(~valid, shape)]
+        assert np.signbit(padded[padded == 0]).any() and np.isnan(padded).any()
+
+    @pytest.mark.parametrize("time_axis", [1, -1])
+    def test_zero_padding_refuses_a_misfit_array(self, time_axis):
+        m = mask_of([2, 3], max_len=4)
+        t = 1 if time_axis == 1 else 2
+        for wrong in (0, t):  # B, then T
+            shape = [2, 3, 3]
+            shape[t] = 4
+            shape[wrong] += 1
+            a = np.ones(shape)
+            with pytest.raises(ShapeError, match="does not match"):
+                m.zero_padding(a, time_axis)
+            assert (a == 1.0).all()
+        with pytest.raises(ConfigError, match="time_axis"):
+            m.zero_padding(np.ones((2, 4, 4)), 2)
 
     def test_invalid_lengths(self):
         with pytest.raises(ConfigError):
@@ -121,7 +150,7 @@ class TestApplyMask:
         x = tc.parameter(np.random.default_rng(2).standard_normal((2, 4, 3)))
         m = mask_of([2, 3], max_len=4)
         tc.backward(tc.sum_all(apply_mask(x, m)))
-        ind = m.indicator()
+        ind = m.indicator().astype(np.float32)
         np.testing.assert_array_equal(x.grad, ind[:, :, None] * np.ones(3))
 
     def test_time_last_layout(self):
@@ -149,7 +178,7 @@ class TestUtteranceLayerNorm:
         x = tc.tensor(np.random.default_rng(3)
                       .standard_normal((2, 3, 4)).astype(np.float32))
         out = utterance_layernorm(x, mask_of([1, 3]), p)
-        ind = mask_of([1, 3]).indicator()
+        ind = mask_of([1, 3]).indicator().astype(np.float32)
         want = np.broadcast_to(ind[:, :, None] * 2.5, out.shape)
         np.testing.assert_allclose(out.data, want, atol=1e-7)
 
@@ -181,7 +210,7 @@ class TestUtteranceLayerNorm:
         clean = utterance_layernorm(tc.tensor(x), m, p).data
         dirty = write_garbage(x, m, 1, rng)
         got = utterance_layernorm(tc.tensor(dirty), m, p).data
-        valid = m.indicator(bool)
+        valid = m.indicator()
         np.testing.assert_allclose(got[valid], clean[valid], atol=1e-6)
 
     def test_gradients(self):
@@ -205,7 +234,7 @@ class TestUtteranceLayerNorm:
         out = utterance_layernorm(x, m, NormParams.create(4))
         tc.backward(tc.sum_all(tc.mul(
             out, tc.tensor(rng.standard_normal((2, 5, 4)).astype(np.float32)))))
-        invalid = ~m.indicator(bool)
+        invalid = ~m.indicator()
         assert np.all(x.grad[invalid] == 0.0)
 
     def test_gamma_beta_grads_ignore_padding(self):
@@ -407,7 +436,7 @@ def test_property_padding_independence(seed, batch, max_len):
     x = rng.standard_normal((batch, max_len, d)).astype(np.float32)
     xg = write_garbage(x, m, 1, rng)
     p = NormParams.create(d)
-    valid = m.indicator(bool)
+    valid = m.indicator()
 
     for op in (lambda t: apply_mask(t, m),
                lambda t: utterance_layernorm(t, m, p)):
@@ -467,7 +496,7 @@ MODULES = {
 
 def valid_frames(m, shape, time_axis):
     """Boolean array of ``shape``, True at valid frames."""
-    ind = m.indicator(bool)
+    ind = m.indicator()
     rest = (1,) * (len(shape) - 2)
     ind = (ind.reshape(ind.shape + rest) if time_axis == 1
            else ind.reshape(ind.shape[:1] + rest + ind.shape[1:]))

@@ -33,7 +33,7 @@ def make_model(seed=0, cfg=None):
 def random_input(rng, b, f, t_max, lengths):
     x = rng.standard_normal((b, 3, f, t_max)).astype(np.float32)
     mask = SequenceMask(lengths, t_max)
-    ind = mask.indicator(bool)
+    ind = mask.indicator()
     for i in range(b):
         x[i, :, :, ~ind[i]] = 0.0
     return tc.tensor(x), mask
@@ -118,7 +118,7 @@ def test_forward_shape_and_normalization():
     out = model_forward(x, mask, params)
     assert out.shape == (2, 12, 5)
     probs = np.exp(out.data)
-    ind = mask.indicator(bool)
+    ind = mask.indicator()
     np.testing.assert_allclose(probs[ind].sum(-1), 1.0, atol=1e-5)
 
 

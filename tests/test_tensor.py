@@ -1,4 +1,5 @@
 import math
+import threading
 import weakref
 import zlib
 
@@ -212,6 +213,56 @@ class TestBackward:
         with tc.no_grad():
             y = tc.sum_all(tc.scale(x, 2.0))
         assert y._parents is None and not y.requires_grad
+
+
+def in_modes(wait_in, inside, wait_out, left):
+    """A thread that waits for ``wait_in``, enters ``no_grad`` and
+    ``finite_checks``, sets ``inside``, waits for ``wait_out``, leaves both
+    and sets ``left``; and the list of what ``needs_grad`` read inside."""
+    def body():
+        assert wait_in.wait(10)
+        with tc.no_grad(), tc.finite_checks():
+            seen.append(tc.needs_grad(x))
+            inside.set()
+            assert wait_out.wait(10)
+        left.set()
+    seen = []
+    x = tc.parameter(np.ones(3))
+    return threading.Thread(target=body), seen
+
+
+def recording_and_unchecked():
+    """Whether this thread records a graph and lets a non-finite value by."""
+    x = tc.parameter(np.ones(3))
+    tc.backward(tc.sum_all(tc.scale(x, 2.0)))
+    inf = tc.scale(tc.tensor(np.array([np.inf])), 1.0)
+    return x.grad.tolist() == [2.0] * 3 and np.isinf(inf.data).all()
+
+
+def test_grad_and_finite_modes_are_per_thread():
+    go, inside, release, left = (threading.Event() for _ in range(4))
+    go.set()
+    # another thread sits inside both blocks while this one trains
+    held, seen = in_modes(go, inside, release, left)
+    held.start()
+    try:
+        assert inside.wait(10)
+        assert recording_and_unchecked()
+    finally:
+        release.set()
+        held.join(10)
+    assert not held.is_alive() and left.is_set() and seen == [False]
+    # two threads enter, then leave in the order they entered
+    a_in, b_in, a_out, b_out = (threading.Event() for _ in range(4))
+    (first, seen_a), (second, seen_b) = (in_modes(go, a_in, b_in, a_out),
+                                         in_modes(a_in, b_in, a_out, b_out))
+    for t in (first, second):
+        t.start()
+    for t in (first, second):
+        t.join(10)
+        assert not t.is_alive()
+    assert a_out.is_set() and b_out.is_set() and seen_a == seen_b == [False]
+    assert recording_and_unchecked()
 
 
 class TestShapeDiscipline:

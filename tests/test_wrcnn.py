@@ -433,7 +433,8 @@ class TestWRCNNForward:
             assert blk.proj is None
         lengths = [3, 5]
         x = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
-        x *= mask_of(lengths).indicator()[:, None, None, :]
+        ind = mask_of(lengths).indicator().astype(np.float32)
+        x *= ind[:, None, None, :]
         out = wrcnn_forward(tc.tensor(x), p, mask_of(lengths)).data
 
         bn = np.zeros_like(x)
@@ -444,7 +445,7 @@ class TestWRCNNForward:
             bn[b, :, :, :L] = (seg - mu) / np.sqrt(var + NORM_EPS)
         flat = bn.transpose(0, 3, 1, 2).reshape(2, 5, 12)
         lin = flat @ p.w_out.data.T + p.b_out.data
-        lin *= mask_of(lengths).indicator()[:, :, None]
+        lin *= ind[:, :, None]
         want = np.where(lin > 0, lin, np.expm1(lin))
         np.testing.assert_allclose(out, want, atol=1e-5)
 

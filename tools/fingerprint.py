@@ -33,7 +33,14 @@ line), and exits 1 on any difference. The artifacts are:
   (``grad_long/lin``);
 - one trainable 3x3 conv2d's output, dX and dW over 5 utterances of
   T 20-40, run in utterance groups of 2, 2 and 1 (``conv2d_groups``);
-- ``run_gradcheck`` at seeds 0 and 1 (``gradcheck``).
+- ``run_gradcheck`` at seeds 0 and 1 (``gradcheck``);
+- on a padded batch whose padding holds large finite junk of either
+  sign, the output of ``apply_mask`` (time on axis 1 and last), of both
+  norms (batchnorm also on a [B, C, F, T] input and on a transposed one,
+  as the conv module feeds it) and of ``masked_softmax``, with the
+  gradients of the input and of gamma and beta, padded positions
+  included, in float32 and float64 (``padding/<dtype>/<op>``): a cleared
+  padded byte that turns from -0.0 to +0.0 shows here.
 
 The split cases report 2 usable CPUs whatever the machine has, so a
 change that stops splitting shows in their thread counts even when its
@@ -107,6 +114,9 @@ def main(src: str) -> None:
     from ucam.adaptation import (LinTransform, adapt_speaker, frame_error,
                                  lin_batch, pseudo_label)
     from ucam.gradcheck import run_gradcheck
+    from ucam.masking import (NormParams, SequenceMask, apply_mask,
+                              masked_softmax, utterance_batchnorm,
+                              utterance_layernorm)
     from ucam.model import (ModelParams, desk_config, micro_config,
                             model_forward)
     from ucam.rng import keyed
@@ -244,6 +254,51 @@ def main(src: str) -> None:
     for seed in (0, 1):
         emit(f"gradcheck/{seed}",
              json.dumps(run_gradcheck(seed=seed), sort_keys=True).encode())
+
+    # padding of large finite junk of either sign: a 0/1 multiply leaves
+    # -0.0 where it is negative, and padded keys outscore valid ones
+    mask = SequenceMask([9, 4, 6, 2], 9)
+
+    def with_junk(rng, shape, dtype, axes):
+        x = rng.standard_normal(shape)
+        for b, n in enumerate(mask.lengths):
+            for axis in axes:
+                pad = (b,) + (slice(None),) * (axis - 1) + (slice(n, None),)
+                x[pad] = 50.0 * rng.standard_normal(x[pad].shape)
+        return x.astype(dtype)
+
+    def bn_transposed(x, p):  # [B, T, C] in and out, as in the conv module
+        h = utterance_batchnorm(tc.transpose(x, (0, 2, 1)), mask, p)
+        return tc.transpose(h, (0, 2, 1))
+    cases = {
+        "apply_mask_t1": ((4, 9, 5), (1,),
+                          lambda x, p: apply_mask(x, mask, 1)),
+        "apply_mask_tlast": ((4, 5, 3, 9), (3,),
+                             lambda x, p: apply_mask(x, mask, -1)),
+        "layernorm": ((4, 9, 6), (1,),
+                      lambda x, p: utterance_layernorm(x, mask, p)),
+        "batchnorm": ((4, 6, 9), (2,),
+                      lambda x, p: utterance_batchnorm(x, mask, p)),
+        "batchnorm_4d": ((4, 6, 3, 9), (3,),
+                         lambda x, p: utterance_batchnorm(x, mask, p)),
+        "batchnorm_transposed": ((4, 9, 6), (1,), bn_transposed),
+        "softmax": ((4, 2, 9, 9), (2, 3),
+                    lambda x, p: masked_softmax(x, mask)),
+    }
+    for dtype in (np.float32, np.float64):
+        rng = keyed(51, "padding", np.dtype(dtype).itemsize)
+        for name, (shape, axes, op) in cases.items():
+            x = tc.parameter(with_junk(rng, shape, dtype, axes))
+            p = NormParams(
+                tc.parameter(1.0 + 0.1 * rng.standard_normal(6), dtype),
+                tc.parameter(0.1 * rng.standard_normal(6), dtype))
+            out = op(x, p)
+            g = rng.standard_normal(out.shape).astype(dtype)
+            tc.backward(tc.sum_all(tc.mul_const(out, g)))
+            emit(f"padding/{np.dtype(dtype).name}/{name}", b"".join(
+                [out.data.tobytes(), x.grad.tobytes()]
+                + [t.grad.tobytes() for t in (p.gamma, p.beta)
+                   if t.grad is not None]))
 
 
 def fingerprint(src: str) -> dict:
