@@ -11,12 +11,23 @@ Every batch comes from ``batch_pad``, as in ``fit``, and one function
 warps each of its planes (statics, deltas and delta-deltas) by the LIN,
 so a training step, a pseudo-label and a held-out error see the same bits
 for the same LIN. The delta regression is linear, so this equals warping
-the statics before it, up to rounding. A step runs the warp as a graph
-node through ``lin_batch``; scoring warps plain arrays and hands the
-batches to ``posteriors``.
+the statics before it, up to rounding.
+
+A session runs each batch of B >= 2 utterances in two halves of whole
+utterances: the first ``ceil(B / 2)`` on the calling process, the last
+``B // 2`` on one worker process forked once the model is frozen, which
+inherits the model, so no weight is sent. Each half keeps the batch's
+padded T, and every op of the frozen model computes an utterance from
+its own rows alone, so no bit depends on the split: a score is an
+argmax per frame, and a step scales both halves' loss by the whole
+batch's valid frames and adds the LIN's gradient terms of both in the
+order one pass over the batch adds them.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -26,8 +37,7 @@ from .data import Batch, batch_pad, pad_to_longest
 from .errors import ConfigError, ShapeError, StructureError
 from .model import ModelParams, model_forward
 from .rng import keyed
-from .training import (AdamState, check_lr, masked_cross_entropy,
-                       posteriors)
+from .training import AdamState, _usable_cpus, check_lr, masked_cross_entropy
 
 
 class LinTransform:
@@ -58,54 +68,188 @@ def _warp(w: np.ndarray, batch: Batch) -> np.ndarray:
     if w.shape != (f, f):
         raise ShapeError(f"a LIN of shape {w.shape} cannot warp planes "
                          f"{feats.shape}: it must be [{f}, {f}]")
+    tc.check_same_dtype("LIN", w, feats)
     out = np.zeros_like(feats)
     for b, n in enumerate(batch.mask.lengths):
         out[b, ..., :n] = w @ feats[b, ..., :n]
     return out
 
 
+def _dw_terms(g: np.ndarray, feats: np.ndarray, lengths) -> list:
+    """dW's terms for the LIN's output gradient ``g``: ``g[b, p, :, :n] @
+    feats[b, p, :, :n].T`` over the valid frames, utterance by utterance,
+    then plane by plane. dW adds them left to right."""
+    return [g[b, p, :, :n] @ feats[b, p, :, :n].T
+            for b, n in enumerate(lengths) for p in range(feats.shape[1])]
+
+
 def lin_batch(batch: Batch, lin: LinTransform) -> tc.Tensor:
     """The LIN on every plane of a ``batch_pad`` batch, as one graph node.
 
-    The forward is ``_warp``; dW adds ``g @ plane.T`` over the valid frames
-    utterance by utterance, then plane by plane. The op name is "matmul".
+    The forward is ``_warp``; dW adds the ``_dw_terms``. The op name is
+    "matmul".
     """
-    w, feats, lengths = lin.w, batch.feats, batch.mask.lengths
-    tc.check_same_dtype("lin_batch", w.data, feats)
-    out = _warp(w.data, batch)
+    feats, lengths = batch.feats, batch.mask.lengths
 
     def bwd(g):
-        terms = [g[b, p, :, :n] @ feats[b, p, :, :n].T
-                 for b, n in enumerate(lengths) for p in range(feats.shape[1])]
+        terms = _dw_terms(g, feats, lengths)
         return (sum(terms[1:], terms[0]),)
-    return tc.from_op(out, (w,), bwd, "matmul")
+    return tc.from_op(_warp(lin.w.data, batch), (lin.w,), bwd, "matmul")
+
+
+def _lin_terms(params: ModelParams, batch: Batch, w: np.ndarray,
+               frames: int) -> list:
+    """A step's ``_dw_terms`` over a batch, or part of one, whose labels are
+    the pseudo-labels: the model's loss on its planes warped by the LIN
+    ``w``, a mean over ``frames`` valid frames, backpropagated to the
+    warped planes."""
+    x = tc.parameter(_warp(w, batch))
+    out = model_forward(x, batch.mask, params)
+    tc.backward(masked_cross_entropy(out, batch.labels, batch.mask, frames))
+    return _dw_terms(x.grad, batch.feats, batch.mask.lengths)
+
+
+def _decide(params: ModelParams, batch: Batch, w: np.ndarray) -> np.ndarray:
+    """Frame argmax [B, T] of a batch with its planes warped by the LIN w."""
+    x = tc.tensor(_warp(w, batch))
+    return model_forward(x, batch.mask, params).data.argmax(-1)
+
+
+class _Session:
+    """Where a speaker's batches run: on this process and, once
+    ``fork_worker`` started one, on a worker process.
+
+    ``halves(fn, batch, *args)`` returns ``fn(params, part, *args)`` for
+    the batch's first ``ceil(B / 2)`` utterances, computed here, and then
+    for its last ``B // 2``, computed by the worker meanwhile; or, for a
+    batch of one utterance or with no worker, for the whole batch.
+    """
+
+    def __init__(self, params: ModelParams):
+        self.params = params
+        self.pid = None
+
+    def fork_worker(self) -> None:
+        """Fork the worker where ``os.fork`` exists, at least two CPUs are
+        usable and this process runs no other thread. Another thread could
+        hold a lock that the worker's copy would never release; a BLAS
+        thread pool would also compete with its copy in the worker for the
+        cores (on 2 cores, with two OpenBLAS threads, a split session ran
+        5x slower than one process). The worker ignores SIGINT, so an interrupt is
+        this process's to handle, and exits when its pipe closes."""
+        if not (hasattr(os, "fork") and _usable_cpus() >= 2
+                and _threads() == 1):
+            return
+        # imported here, not at the top: it would lengthen every ucam import
+        from multiprocessing.connection import Pipe
+        self.conn, theirs = Pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            _serve(theirs, self.conn, self.params)
+        theirs.close()
+
+    def halves(self, fn, batch: Batch, *args) -> list:
+        b = batch.mask.batch
+        if self.pid is None or b < 2:
+            return [fn(self.params, batch, *args)]
+        cut = b - b // 2
+        try:
+            self.conn.send((tc.current_modes(), fn, batch.rows(cut, b), args))
+        except OSError:
+            raise self._lost() from None
+        first = fn(self.params, batch.rows(0, cut), *args)
+        try:
+            second = self.conn.recv()
+        except (EOFError, OSError):  # a reset, if it died with unread data
+            raise self._lost() from None
+        if isinstance(second, Exception):
+            raise second
+        return [first, second]
+
+    def _lost(self) -> ChildProcessError:
+        """The error for a worker that died before it answered, reaped."""
+        pid, code = self.pid, self.close()
+        how = (f"was killed by signal {-code}" if code < 0
+               else f"exited with status {code}")
+        return ChildProcessError(f"adaptation worker (pid {pid}) {how} "
+                                 f"before it answered")
+
+    def close(self) -> int | None:
+        """Close the worker's pipe, wait for it to exit and return its exit
+        code (minus the signal that killed it); None without a worker."""
+        if self.pid is None:
+            return None
+        pid, self.pid = self.pid, None
+        self.conn.close()
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _threads() -> int:
+    """Threads of this process: its task list under /proc where there is
+    one (Linux), which counts native threads such as BLAS's, else the
+    interpreter's threads."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
+def _serve(conn, parent_end, params: ModelParams) -> None:
+    """The worker's life: each request ``(modes, fn, part, args)`` returns
+    ``fn(params, part, *args)`` run inside the caller's modes, or the
+    exception it raised. It ends, without running anything the parent
+    registered for its own exit, at the end of the pipe."""
+    import signal  # loaded already, by multiprocessing.connection
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        parent_end.close()
+        while True:
+            try:
+                modes, fn, part, args = conn.recv()
+            except EOFError:
+                break
+            try:
+                with modes:
+                    out = fn(params, part, *args)
+            except Exception as e:  # the session raises it in the parent
+                out = e
+            conn.send(out)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _decisions(params: ModelParams, utts, lin: LinTransform,
-               batch_size: int):
+               batch_size: int, session):
     """(batch, frame argmax [B, T]) for each ``batch_pad`` batch of utts,
     its planes warped by the LIN as a step warps them."""
-    warped = (Batch(_warp(lin.matrix(), b), b.labels, b.mask)
-              for b in batch_pad(utts, batch_size=batch_size))
-    for batch, post in posteriors(params, warped):
-        yield batch, post.data.argmax(-1)
+    session = session or _Session(params)
+    for batch in batch_pad(utts, batch_size=batch_size):
+        with tc.no_grad():
+            parts = session.halves(_decide, batch, lin.matrix())
+        yield batch, np.concatenate(parts)
 
 
 def pseudo_label(params: ModelParams, utts, lin: LinTransform,
-                 batch_size: int = 4) -> list:
-    """Frame-level argmax decisions under the current LIN, one [T] per utt."""
+                 batch_size: int = 4, *, session=None) -> list:
+    """Frame-level argmax decisions under the current LIN, one [T] per utt.
+    ``adapt_speaker`` passes its session, whose worker scores the second
+    half of each batch."""
     return [pred[i, :n].astype(np.int64)
-            for batch, pred in _decisions(params, utts, lin, batch_size)
+            for batch, pred in _decisions(params, utts, lin, batch_size,
+                                          session)
             for i, n in enumerate(batch.mask.lengths)]
 
 
 def frame_error(params: ModelParams, utts, lin: LinTransform,
-                batch_size: int = 4) -> float:
-    """Fraction of valid frames whose argmax differs from the true label."""
+                batch_size: int = 4, *, session=None) -> float:
+    """Fraction of valid frames whose argmax differs from the true label.
+    ``adapt_speaker`` passes its session, as to ``pseudo_label``."""
     if not utts:
         raise ConfigError("frame_error needs at least one utterance, got none")
     wrong = 0
-    for batch, pred in _decisions(params, utts, lin, batch_size):
+    for batch, pred in _decisions(params, utts, lin, batch_size, session):
         ind = batch.mask.indicator()
         wrong += int((pred[ind] != batch.labels[ind]).sum())
     return wrong / sum(u.length for u in utts)
@@ -122,6 +266,8 @@ def adapt_speaker(params: ModelParams, utts, heldout=None,
     default held-out set is the adaptation set itself, so its error is
     measured on the data the LIN was fit to. Returns (LinTransform, report).
     Model parameters are frozen throughout and restored bit-identical.
+    The session's worker, if one forked, has exited and been reaped when
+    this returns or raises.
     """
     utts = list(utts)
     if not utts:
@@ -141,17 +287,20 @@ def adapt_speaker(params: ModelParams, utts, heldout=None,
     speaker = utts[0].speaker
     feat_dim = utts[0].feats.shape[0]
 
-    lin = LinTransform(feat_dim, speaker)
-    report = {"speaker": speaker,
-              "initial_error": frame_error(params, heldout, lin,
-                                           batch_size),
-              "iterations": []}
-
     prior = [(t, t.requires_grad) for _, t in params.named_parameters()]
     params.set_requires_grad(False)
+    session = _Session(params)
     try:
+        if batch_size > 1:  # a batch of one utterance has no second half
+            session.fork_worker()
+        lin = LinTransform(feat_dim, speaker)
+        report = {"speaker": speaker,
+                  "initial_error": frame_error(params, heldout, lin,
+                                               batch_size, session=session),
+                  "iterations": []}
         for it in range(1, iterations + 1):
-            targets = pseudo_label(params, utts, lin, batch_size)
+            targets = pseudo_label(params, utts, lin, batch_size,
+                                   session=session)
             lin = LinTransform(feat_dim, speaker)  # fresh identity
             entry = {"iteration": it}
             adam = AdamState([("lin.w", lin.w)])
@@ -162,16 +311,19 @@ def adapt_speaker(params: ModelParams, utts, heldout=None,
                     idx = order[start:start + batch_size]
                     batch = next(batch_pad([utts[i] for i in idx],
                                            batch_size=len(idx)))
-                    labels = pad_to_longest([targets[i] for i in idx])
-                    out = model_forward(lin_batch(batch, lin), batch.mask,
-                                        params)
-                    loss = masked_cross_entropy(out, labels, batch.mask)
-                    tc.backward(loss)
+                    batch = Batch(batch.feats, pad_to_longest(
+                        [targets[i] for i in idx]), batch.mask)
+                    terms = [t for part in session.halves(
+                        _lin_terms, batch, lin.matrix(),
+                        batch.mask.valid_frames()) for t in part]
+                    lin.w.grad = sum(terms[1:], terms[0])
                     adam.apply(lr)
                     tc.zero_grad(adam.named)
-            entry["error"] = frame_error(params, heldout, lin, batch_size)
+            entry["error"] = frame_error(params, heldout, lin, batch_size,
+                                         session=session)
             report["iterations"].append(entry)
     finally:
+        session.close()
         for t, flag in prior:
             t.requires_grad = flag
     return lin, report

@@ -181,6 +181,11 @@ class Batch:
     labels: np.ndarray   # [B, T_max], zeros beyond each length
     mask: SequenceMask   # of the lengths, built once per batch
 
+    def rows(self, lo: int, hi: int) -> "Batch":
+        """Utterances [lo, hi) of the batch, at its padded T."""
+        return Batch(self.feats[lo:hi], self.labels[lo:hi], SequenceMask(
+            self.mask.lengths[lo:hi], self.mask.max_len))
+
 
 def pad_to_longest(arrays) -> np.ndarray:
     """Stack [..., T_i] arrays into [B, ..., T_max], zero beyond each T_i."""

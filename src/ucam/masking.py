@@ -42,10 +42,12 @@ from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
 
-@dataclass
+@dataclass(eq=False)
 class SequenceMask:
     """Valid frames of a padded batch: frame t of utterance b is valid iff
-    t < lengths[b]. ``max_len`` None means the longest length."""
+    t < lengths[b]. ``max_len`` None means the longest length. Masks
+    compare by identity: a generated ``==`` would compare length arrays,
+    whose truth value is ambiguous."""
 
     lengths: np.ndarray
     max_len: int | None = None

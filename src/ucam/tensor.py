@@ -60,7 +60,6 @@ sigmoid again, so their forwards write the product over the sigmoid.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -170,35 +169,49 @@ def parameter(data, dtype=None) -> Tensor:
     return tensor(data, requires_grad=True, dtype=dtype)
 
 
-@contextlib.contextmanager
-def _modes(**values):
-    prev = {name: getattr(_MODES, name) for name in values}
-    for name, value in values.items():
-        setattr(_MODES, name, value)
-    try:
-        yield
-    finally:
-        for name, value in prev.items():
+class _ModeBlock:
+    """Values of the modes to hold inside a ``with`` block, or inside each
+    call of a function it decorates, on the thread that runs it. It keeps
+    plain values only, so it pickles: a forked worker enters the modes that
+    a request carries."""
+
+    def __init__(self, **values):
+        self.values = values
+
+    def __enter__(self):
+        self.prev = {name: getattr(_MODES, name) for name in self.values}
+        for name, value in self.values.items():
             setattr(_MODES, name, value)
+
+    def __exit__(self, *exc):
+        for name, value in self.prev.items():
+            setattr(_MODES, name, value)
+
+    def __call__(self, fn):
+        def entered(*args, **kwargs):
+            with _ModeBlock(**self.values):
+                return fn(*args, **kwargs)
+        return entered
 
 
 def no_grad():
     """Skip graph recording inside the block (pure inference). It applies
     to the calling thread only: other threads keep recording."""
-    return _modes(grad=False)
+    return _ModeBlock(grad=False)
 
 
 def finite_checks():
     """Raise NumericError, naming the op, whenever any op emits a non-finite
     value inside the block. It applies to the calling thread only."""
-    return _modes(check_finite=True)
+    return _ModeBlock(check_finite=True)
 
 
 def current_modes():
     """The calling thread's graph-recording and finite-check modes, as a
     context manager, or function decorator, that enters them on whichever
-    thread runs it: a worker enters its caller's modes so."""
-    return _modes(grad=_MODES.grad, check_finite=_MODES.check_finite)
+    thread or forked process runs it: a worker enters its caller's modes
+    so."""
+    return _ModeBlock(grad=_MODES.grad, check_finite=_MODES.check_finite)
 
 
 def needs_grad(t: Tensor) -> bool:

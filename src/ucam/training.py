@@ -123,12 +123,16 @@ class EMAState:
 
 
 def masked_cross_entropy(log_probs: tc.Tensor, labels: np.ndarray,
-                         mask: SequenceMask) -> tc.Tensor:
+                         mask: SequenceMask,
+                         frames: int | None = None) -> tc.Tensor:
     """Mean negative log-likelihood over valid frames.
 
     Padded frames contribute exactly zero to both the value and the
     gradient; labels there may hold anything. A label out of range at a
     valid frame is a data error and names the offending (batch, frame).
+    The sum is divided by ``frames``, by default the mask's valid frames;
+    part of a batch passes the whole batch's, so that each frame's
+    gradient is the one the whole batch gives it.
     """
     b, t, k = log_probs.data.shape
     labels = np.asarray(labels)
@@ -144,7 +148,7 @@ def masked_cross_entropy(log_probs: tc.Tensor, labels: np.ndarray,
     safe = np.where(ind, labels, 0).astype(np.int64)
     picked = tc.take_along_last(log_probs, safe)
     picked = apply_mask(picked, mask, time_axis=-1)
-    return tc.scale(tc.sum_all(picked), -1.0 / mask.valid_frames())
+    return tc.scale(tc.sum_all(picked), -1.0 / (frames or mask.valid_frames()))
 
 
 # padded frames the smaller half of a batch must hold before posteriors
@@ -156,8 +160,8 @@ SPLIT_FRAMES = 200
 def _forward_rows(params: ModelParams, batch: Batch, lo: int,
                   hi: int) -> np.ndarray:
     """Log-posteriors of utterances [lo, hi) of a batch, at its padded T."""
-    mask = SequenceMask(batch.mask.lengths[lo:hi], batch.mask.max_len)
-    return model_forward(tc.tensor(batch.feats[lo:hi]), mask, params).data
+    part = batch.rows(lo, hi)
+    return model_forward(tc.tensor(part.feats), part.mask, params).data
 
 
 def _usable_cpus() -> int:

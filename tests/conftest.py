@@ -10,6 +10,11 @@ executor's worker thread, whose CPU time ``process_time()`` counts too.
 Neither gate crosses its floor of ``SPLIT_FRAMES`` padded frames a half:
 gate 01 runs no eval, and gate 06 evaluates batches of 4 utterances of
 T <= 35, at most 70 padded frames a half, so both still count one thread.
+
+``adaptation.adapt_speaker`` runs the second half of every batch on a
+worker process that it forks, and ``process_time()`` does not count that
+process's CPU time. Gates 01 and 06 never adapt, and gate 07, which does,
+bounds no CPU time.
 """
 
 import os

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ from ucam import data as dp
 from ucam import serial
 from ucam import tensor as tc
 from ucam import training as tr
-from ucam.errors import ConfigError, DataError, ShapeError, StructureError
+from ucam.errors import (ConfigError, DataError, NumericError, ShapeError,
+                         StructureError)
 from ucam.model import ModelParams, micro_config, model_forward
 from ucam.rng import keyed
 
@@ -90,20 +94,25 @@ def test_scoring_sees_the_step_planes_bitwise(monkeypatch):
     c = speaker_corpus(seed=13, n_utts=7)
     params = tiny_model()
     lin = noisy_lin(0.075, 4)
-    scored = []
-    posteriors = ad.posteriors
+    seen = []
+    forward = ad.model_forward
 
-    def capture(params, batches):
-        for batch, post in posteriors(params, batches):
-            scored.append(post.data.tobytes())
-            yield batch, post
-    monkeypatch.setattr(ad, "posteriors", capture)
+    def capture(x, mask, params):
+        out = forward(x, mask, params)
+        seen.append((x.data.tobytes(), out.data.tobytes()))
+        return out
+    monkeypatch.setattr(ad, "model_forward", capture)
     ad.pseudo_label(params, c.utts, lin)
     ad.frame_error(params, c.utts, lin)
-    step = [model_forward(ad.lin_batch(b, lin), b.mask, params).data.tobytes()
-            for b in dp.batch_pad(c.utts)]
-    assert len(step) == 2
-    assert scored == step * 2
+    scored, seen[:] = seen[:], []
+    params.set_requires_grad(False)
+    for b in dp.batch_pad(c.utts):
+        ad._lin_terms(params, b, lin.matrix(), b.mask.valid_frames())
+    assert len(seen) == 2
+    assert scored == seen * 2
+    # lin_batch, the LIN as one graph node, warps the same planes
+    assert [x for x, _ in seen] == [ad.lin_batch(b, lin).data.tobytes()
+                                    for b in dp.batch_pad(c.utts)]
 
 
 @pytest.mark.parametrize("score", ["lin_batch", "pseudo_label",
@@ -258,32 +267,40 @@ def test_empty_heldout_is_a_config_error():
 
 
 def test_adapt_steps_take_batch_pad_batches(monkeypatch):
-    # batch_pad, lin_batch and the two scoring functions are looked up at
-    # call time, so wrappers see every step: one batch_pad and one
-    # lin_batch each, while scoring fetches batches and calls no lin_batch
+    # batch_pad, model_forward and the two scoring functions are looked up
+    # at call time, so wrappers see every step of this process: one
+    # batch_pad each, then the forward of this process's part of the
+    # batch, all of it in a serial session and its first ceil(B / 2)
+    # utterances in a split one, whose worker forwards the rest
     c = speaker_corpus(seed=7, n_utts=8)
     params = tiny_model()
-    lin1, rep1 = ad.adapt_speaker(params, c.utts, iterations=2, epochs=2,
-                                  batch_size=4, seed=3)
     calls = []
 
     def record(name, fn, size):
         return lambda *a, **kw: calls.append((name, size(*a))) or fn(*a, **kw)
     for name, size in (("batch_pad", len),
-                       ("lin_batch", lambda b, lin: b.mask.batch),
+                       ("model_forward", lambda x, mask, p: x.shape[0]),
                        ("pseudo_label", lambda p, utts, lin, bs: len(utts)),
                        ("frame_error", lambda p, utts, lin, bs: len(utts))):
         monkeypatch.setattr(ad, name, record(name, getattr(ad, name), size))
-    lin2, rep2 = ad.adapt_speaker(params, c.utts, iterations=2, epochs=2,
-                                  batch_size=4, seed=3)
-    assert lin1.w.data.tobytes() == lin2.w.data.tobytes()
-    assert rep1 == rep2
-    # 6 adaptation utterances: two steps of 4 and 2 per epoch; 2 held out
-    steps = [("batch_pad", 4), ("lin_batch", 4),
-             ("batch_pad", 2), ("lin_batch", 2)] * 2
-    heldout = [("frame_error", 2), ("batch_pad", 2)]
-    assert calls == heldout + (
-        [("pseudo_label", 6), ("batch_pad", 6)] + steps + heldout) * 2
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: cpus)
+        calls.clear()
+        lin, rep = ad.adapt_speaker(params, c.utts, iterations=2, epochs=2,
+                                    batch_size=4, seed=3)
+        runs.append((lin.w.data.tobytes(), rep))
+        # 6 adaptation utterances: two steps of 4 and 2 per epoch, and
+        # pseudo-labels in batches of 4 and 2; 2 held out
+        four, two = (4, 2) if cpus == 1 else (2, 1)
+        steps = [("batch_pad", 4), ("model_forward", four),
+                 ("batch_pad", 2), ("model_forward", two)] * 2
+        heldout = [("frame_error", 2), ("batch_pad", 2),
+                   ("model_forward", two)]
+        assert calls == heldout + (
+            [("pseudo_label", 6), ("batch_pad", 6), ("model_forward", four),
+             ("model_forward", two)] + steps + heldout) * 2
+    assert runs[0] == runs[1]
 
 
 def test_adapt_report_structure():
@@ -349,7 +366,210 @@ def test_adapt_validates_inputs():
 
 
 # ---------------------------------------------------------------------------
+# the session worker: the second half of every batch on a forked process
+
+
+def record_forks(monkeypatch) -> list:
+    """The pids of the processes forked from here on."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def set_usable_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: n)
+
+
+def session_run(params, utts, **kw):
+    lin, report = ad.adapt_speaker(params, utts, **{
+        "iterations": 2, "epochs": 1, "lr": 1e-2, "seed": 1, **kw})
+    return lin.w.data.tobytes(), report
+
+
+@pytest.mark.parametrize("heldout", ["default", "explicit"])
+@pytest.mark.parametrize("t_range", [(1, 6), (150, 300)])
+@pytest.mark.parametrize("batch_size", [1, 2, 3, 4, 5])
+def test_split_session_is_bitwise_the_serial_one(monkeypatch, batch_size,
+                                                 t_range, heldout):
+    # 7 adaptation utterances, or 9 with an explicit held-out set: the
+    # last batch is short at every batch size from 2 on
+    c = dp.synth_corpus(seed=batch_size, n_speakers=1, n_classes=5,
+                        n_utts=9, feat_dim=8, t_range=t_range)
+    params = tiny_model()
+    kw = {"batch_size": batch_size,
+          "heldout": c.utts[:3] if heldout == "explicit" else None}
+    pids = record_forks(monkeypatch)
+    set_usable_cpus(monkeypatch, 2)
+    split = session_run(params, c.utts, **kw)
+    assert len(pids) == int(batch_size > 1)
+    set_usable_cpus(monkeypatch, 1)
+    assert session_run(params, c.utts, **kw) == split
+    assert len(pids) == int(batch_size > 1)
+    assert_reaped(pids)
+    assert split[0] != np.eye(8, dtype=np.float32).tobytes()
+
+
+@pytest.mark.parametrize("why", ["no_fork", "one_cpu", "other_thread"])
+def test_no_worker_forks_where_it_cannot_and_the_bits_hold(monkeypatch,
+                                                           why):
+    c = speaker_corpus(seed=20, n_utts=9)
+    params = tiny_model()
+    pids = record_forks(monkeypatch)
+    set_usable_cpus(monkeypatch, 2)
+    split = session_run(params, c.utts)
+    assert len(pids) == 1
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    if why == "no_fork":
+        monkeypatch.delattr(os, "fork")
+    elif why == "one_cpu":
+        set_usable_cpus(monkeypatch, 1)
+    else:
+        other.start()
+    try:
+        assert session_run(params, c.utts) == split
+    finally:
+        release.set()
+    if why == "other_thread":
+        other.join(10)
+        assert not other.is_alive()
+    assert len(pids) == 1
+    assert_reaped(pids)
+
+
+def forwards_here(monkeypatch, on_call):
+    """Wrap ``model_forward`` so that this process, not a worker forked
+    from it, calls ``on_call(k)`` before its k-th forward."""
+    forward, parent, calls = ad.model_forward, os.getpid(), []
+
+    def wrapped(x, mask, params):
+        if os.getpid() == parent:
+            calls.append(x)
+            on_call(len(calls))
+        return forward(x, mask, params)
+    monkeypatch.setattr(ad, "model_forward", wrapped)
+
+
+def test_the_worker_ignores_sigint_and_exits_at_the_end(monkeypatch):
+    c = speaker_corpus(seed=21, n_utts=9)
+    params = tiny_model()
+    set_usable_cpus(monkeypatch, 1)
+    serial = session_run(params, c.utts)
+    set_usable_cpus(monkeypatch, 2)
+    pids = record_forks(monkeypatch)
+    forwards_here(monkeypatch, lambda k: k == 3 and os.kill(
+        pids[0], signal.SIGINT))
+    assert session_run(params, c.utts) == serial
+    assert len(pids) == 1
+    assert_reaped(pids)
+
+
+def test_the_worker_enters_the_callers_modes(monkeypatch):
+    # a step's input is a leaf that records a graph; a score's is a
+    # constant, forwarded without recording
+    forward = ad.model_forward
+
+    def checking(x, mask, params):
+        recording = tc.needs_grad(tc.parameter(np.zeros(1)))
+        try:
+            tc.scale(tc.tensor(np.array([np.inf])), 1.0)
+            checking_finite = False
+        except NumericError:
+            checking_finite = True
+        if (recording, checking_finite) != (x.requires_grad, checks[0]):
+            raise AssertionError(f"pid {os.getpid()}: recording "
+                                 f"{recording}, checking {checking_finite}")
+        return forward(x, mask, params)
+    monkeypatch.setattr(ad, "model_forward", checking)
+    set_usable_cpus(monkeypatch, 2)
+    pids = record_forks(monkeypatch)
+    c = speaker_corpus(seed=22, n_utts=9)
+    params = tiny_model()
+    checks = [False]
+    session_run(params, c.utts)
+    checks = [True]
+    with tc.finite_checks():
+        session_run(params, c.utts)
+    assert len(pids) == 2
+    assert_reaped(pids)
+
+
+def with_nan(utts, k):
+    """utts with a NaN at a valid frame of utterance k (every T is >= 6)."""
+    u = utts[k]
+    bad = dp.UtteranceRecord(u.utt_id, u.speaker, u.feats.copy(), u.labels)
+    bad.feats[2, 1] = np.nan
+    return utts[:k] + [bad] + utts[k + 1:]
+
+
+@pytest.mark.parametrize("half", [0, 1])
+def test_an_error_in_either_half_is_raised_here(monkeypatch, half):
+    # one scoring batch of 4: this process scores utterances 0 and 1, the
+    # worker 2 and 3. Unchecked, the NaN reaches the LIN's gradient, which
+    # Adam refuses; checked, the op that made it is named, from either
+    # process
+    utts = with_nan(speaker_corpus(seed=23, n_utts=4).utts, 3 * half)
+    params = tiny_model()
+    set_usable_cpus(monkeypatch, 2)
+    pids = record_forks(monkeypatch)
+    with pytest.raises(NumericError, match="parameter 'lin.w'"):
+        session_run(params, utts, heldout=utts)
+    with pytest.raises(NumericError,
+                       match=r"non-finite values produced by op '\w+'"):
+        with tc.finite_checks():
+            session_run(params, utts, heldout=utts)
+    assert len(pids) == 2
+    assert_reaped(pids)
+    assert all(t.requires_grad for _, t in params.named_parameters())
+
+
+def test_a_killed_worker_is_named_without_a_hang(monkeypatch):
+    c = speaker_corpus(seed=24, n_utts=9)
+    params = tiny_model()
+    set_usable_cpus(monkeypatch, 2)
+    pids = record_forks(monkeypatch)
+    forwards_here(monkeypatch, lambda k: k == 3 and os.kill(
+        pids[0], signal.SIGKILL))
+    with pytest.raises(ChildProcessError) as err:
+        session_run(params, c.utts)
+    assert str(err.value) == (f"adaptation worker (pid {pids[0]}) was "
+                              f"killed by signal 9 before it answered")
+    assert_reaped(pids)
+
+
+def test_an_interrupt_here_leaves_no_worker(monkeypatch):
+    c = speaker_corpus(seed=25, n_utts=9)
+    params = tiny_model()
+    set_usable_cpus(monkeypatch, 2)
+    pids = record_forks(monkeypatch)
+
+    def interrupt(k):
+        if k == 3:
+            raise KeyboardInterrupt
+    forwards_here(monkeypatch, interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        session_run(params, c.utts)
+    assert len(pids) == 1
+    assert_reaped(pids)
+    assert all(t.requires_grad for _, t in params.named_parameters())
+
+
+# ---------------------------------------------------------------------------
 # gradients
+
 
 
 def lin_path_loss(c, params, w):

@@ -119,6 +119,13 @@ class TestSequenceMask:
         with pytest.raises(ConfigError, match="time_axis"):
             m.zero_padding(np.ones((2, 4, 4)), 2)
 
+    def test_masks_compare_by_identity(self):
+        # compared field by field, two masks' length arrays would make
+        # ``==`` raise on an ambiguous truth value
+        a, b = mask_of([1, 2]), mask_of([1, 2])
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
     def test_invalid_lengths(self):
         with pytest.raises(ConfigError):
             mask_of([0, 2], max_len=3)

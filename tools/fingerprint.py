@@ -21,9 +21,9 @@ line), and exits 1 on any difference. The artifacts are:
 - ``adapt_speaker``'s LIN and the frame errors of its report for
   2 speakers x 2 seeds (``adapt``), for a speaker whose utterances
   have T 1-6, in batches of 3 over 2 epochs (``adapt_short``), and for
-  one whose utterances have T 150-300, 1 iteration of 1 epoch, where
-  ``pseudo_label`` and ``frame_error`` split their batches, with the
-  number of threads it started (``adapt_long``);
+  one whose utterances have T 150-300, 1 iteration of 1 epoch
+  (``adapt_long``), each with the number of threads and of worker
+  processes it started;
 - ``pseudo_label``'s decisions and ``frame_error`` under a fixed LIN
   away from identity, over utterances of T 20-400 (``adapt_scoring``);
 - one desk training loss (dropout on) and every parameter gradient of it
@@ -43,11 +43,11 @@ line), and exits 1 on any difference. The artifacts are:
   padded byte that turns from -0.0 to +0.0 shows here.
 
 The split cases report 2 usable CPUs whatever the machine has, so a
-change that stops splitting shows in their thread counts even when its
-posteriors stay the same. Compare two checkouts on the same machine
-only: the hashes depend on the BLAS build, so they are not pinned
-anywhere; BLAS runs on one thread so that its thread count cannot change
-a sum.
+change that stops splitting shows in their thread and process counts
+even when its posteriors and LINs stay the same. Compare two checkouts
+on the same machine only: the hashes depend on the BLAS build, so they
+are not pinned anywhere; BLAS runs on one thread so that its thread
+count cannot change a sum.
 """
 
 import os
@@ -85,21 +85,32 @@ def emit_dir(name: str, path: Path) -> None:
 
 
 @contextlib.contextmanager
-def split_on_two_cpus(name: str):
+def split_on_two_cpus(name: str, processes: bool = False):
     """Run the block as if 2 CPUs were usable, then emit how many threads
-    it started as ``{name}/threads``."""
-    started = []
-    start = threading.Thread.start
+    it started as ``{name}/threads`` and, with ``processes``, how many
+    processes it forked as ``{name}/processes``."""
+    started, forked = [], []
+    start, fork = threading.Thread.start, getattr(os, "fork", None)
 
     def counting_start(thread):
         started.append(thread.name)
         start(thread)
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
     with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1},
                            create=True), \
             mock.patch.object(os, "cpu_count", lambda: 2), \
+            (mock.patch.object(os, "fork", counting_fork) if fork
+             else contextlib.nullcontext()), \
             mock.patch.object(threading.Thread, "start", counting_start):
         yield
     emit(f"{name}/threads", str(len(started)).encode())
+    if processes:
+        emit(f"{name}/processes", str(len(forked)).encode())
 
 
 def main(src: str) -> None:
@@ -177,30 +188,32 @@ def main(src: str) -> None:
     unseen = dp.synth_corpus(seed=21, n_speakers=2, n_classes=10,
                              n_utts=16, feat_dim=16, t_range=(20, 40),
                              speaker_offset=40, utt_offset=1000)
-    for speaker in sorted({u.speaker for u in unseen.utts}):
-        for seed in (11, 12):
-            lin, report = adapt_speaker(
-                params, unseen.for_speaker(speaker).utts, iterations=2,
-                epochs=1, lr=1e-3, seed=seed)
-            emit(f"adapt/{speaker}/{seed}/lin", lin.matrix().tobytes())
-            emit(f"adapt/{speaker}/{seed}/report", report_errors(report))
+    with split_on_two_cpus("adapt", processes=True):
+        for speaker in sorted({u.speaker for u in unseen.utts}):
+            for seed in (11, 12):
+                lin, report = adapt_speaker(
+                    params, unseen.for_speaker(speaker).utts, iterations=2,
+                    epochs=1, lr=1e-3, seed=seed)
+                emit(f"adapt/{speaker}/{seed}/lin", lin.matrix().tobytes())
+                emit(f"adapt/{speaker}/{seed}/report", report_errors(report))
 
     # adaptation utterances of T 1, 3, 5, 2, 1 and 2 in batches of 3: the
     # LIN's padded edges and its dW order at the shortest lengths
     short = dp.synth_corpus(seed=21, n_speakers=1, n_classes=10, n_utts=8,
                             feat_dim=16, t_range=(1, 6), speaker_offset=60,
                             utt_offset=2000)
-    lin, report = adapt_speaker(params, short.utts, iterations=2, epochs=2,
-                                lr=1e-3, batch_size=3, seed=13)
+    with split_on_two_cpus("adapt_short", processes=True):
+        lin, report = adapt_speaker(params, short.utts, iterations=2,
+                                    epochs=2, lr=1e-3, batch_size=3, seed=13)
     emit("adapt_short/lin", lin.matrix().tobytes())
     emit("adapt_short/report", report_errors(report))
 
-    # utterances of T 150-300, so pseudo_label and frame_error score their
-    # batches in two halves
+    # utterances of T 150-300: batches long enough for posteriors to score
+    # them in two halves
     spk = dp.synth_corpus(seed=21, n_speakers=1, n_classes=10, n_utts=8,
                           feat_dim=16, t_range=(150, 300), speaker_offset=80,
                           utt_offset=3000)
-    with split_on_two_cpus("adapt_long"):
+    with split_on_two_cpus("adapt_long", processes=True):
         lin, report = adapt_speaker(params, spk.utts, iterations=1,
                                     epochs=1, lr=1e-3, seed=14)
     emit("adapt_long/lin", lin.matrix().tobytes())
