@@ -26,18 +26,16 @@ order one pass over the batch adds them.
 
 from __future__ import annotations
 
-import os
-import threading
-
 import numpy as np
 
 from . import serial
 from . import tensor as tc
+from . import training
 from .data import Batch, batch_pad, pad_to_longest
 from .errors import ConfigError, ShapeError, StructureError
 from .model import ModelParams, model_forward
 from .rng import keyed
-from .training import AdamState, _usable_cpus, check_lr, masked_cross_entropy
+from .training import AdamState, check_lr, masked_cross_entropy
 
 
 class LinTransform:
@@ -127,97 +125,40 @@ class _Session:
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self.pid = None
+        self.worker = None
 
     def fork_worker(self) -> None:
-        """Fork the worker where ``os.fork`` exists, at least two CPUs are
-        usable and this process runs no other thread. Another thread could
-        hold a lock that the worker's copy would never release; a BLAS
-        thread pool would also compete with its copy in the worker for the
-        cores (on 2 cores, with two OpenBLAS threads, a split session ran
-        5x slower than one process). The worker ignores SIGINT, so an interrupt is
-        this process's to handle, and exits when its pipe closes."""
-        if not (hasattr(os, "fork") and _usable_cpus() >= 2
-                and _threads() == 1):
-            return
-        # imported here, not at the top: it would lengthen every ucam import
-        from multiprocessing.connection import Pipe
-        self.conn, theirs = Pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            _serve(theirs, self.conn, self.params)
-        theirs.close()
+        """Fork the worker where ``training.can_fork`` allows. It serves
+        requests until its pipe closes."""
+        if training.can_fork():
+            self.worker = training.Child(
+                "adaptation worker", lambda conn: _serve(conn, self.params))
 
     def halves(self, fn, batch: Batch, *args) -> list:
         b = batch.mask.batch
-        if self.pid is None or b < 2:
+        if self.worker is None or b < 2:
             return [fn(self.params, batch, *args)]
         cut = b - b // 2
-        try:
-            self.conn.send((tc.current_modes(), fn, batch.rows(cut, b), args))
-        except OSError:
-            raise self._lost() from None
+        self.worker.send((tc.current_modes(), fn, batch.rows(cut, b), args))
         first = fn(self.params, batch.rows(0, cut), *args)
+        return [first, self.worker.recv()]
+
+    def close(self) -> None:
+        """Close the worker's pipe and wait for it to exit."""
+        if self.worker is not None:
+            self.worker.close()
+
+
+def _serve(conn, params: ModelParams) -> None:
+    """The worker's life: each request ``(modes, fn, part, args)`` is
+    answered with ``fn(params, part, *args)`` run inside the caller's
+    modes, until the pipe ends."""
+    while True:
         try:
-            second = self.conn.recv()
-        except (EOFError, OSError):  # a reset, if it died with unread data
-            raise self._lost() from None
-        if isinstance(second, Exception):
-            raise second
-        return [first, second]
-
-    def _lost(self) -> ChildProcessError:
-        """The error for a worker that died before it answered, reaped."""
-        pid, code = self.pid, self.close()
-        how = (f"was killed by signal {-code}" if code < 0
-               else f"exited with status {code}")
-        return ChildProcessError(f"adaptation worker (pid {pid}) {how} "
-                                 f"before it answered")
-
-    def close(self) -> int | None:
-        """Close the worker's pipe, wait for it to exit and return its exit
-        code (minus the signal that killed it); None without a worker."""
-        if self.pid is None:
-            return None
-        pid, self.pid = self.pid, None
-        self.conn.close()
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-
-def _threads() -> int:
-    """Threads of this process: its task list under /proc where there is
-    one (Linux), which counts native threads such as BLAS's, else the
-    interpreter's threads."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return threading.active_count()
-
-
-def _serve(conn, parent_end, params: ModelParams) -> None:
-    """The worker's life: each request ``(modes, fn, part, args)`` returns
-    ``fn(params, part, *args)`` run inside the caller's modes, or the
-    exception it raised. It ends, without running anything the parent
-    registered for its own exit, at the end of the pipe."""
-    import signal  # loaded already, by multiprocessing.connection
-    code = 1
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        parent_end.close()
-        while True:
-            try:
-                modes, fn, part, args = conn.recv()
-            except EOFError:
-                break
-            try:
-                with modes:
-                    out = fn(params, part, *args)
-            except Exception as e:  # the session raises it in the parent
-                out = e
-            conn.send(out)
-        code = 0
-    finally:
-        os._exit(code)
+            modes, fn, part, args = conn.recv()
+        except EOFError:
+            return
+        training.answer(conn, modes(fn), params, part, *args)
 
 
 def _decisions(params: ModelParams, utts, lin: LinTransform,

@@ -175,8 +175,12 @@ def utterance_planes(utt: UtteranceRecord) -> np.ndarray:
 # batching
 
 
-@dataclass
+@dataclass(eq=False)
 class Batch:
+    """A padded batch. Batches compare by identity, as masks do: a
+    generated ``==`` would compare arrays, whose truth value is
+    ambiguous."""
+
     feats: np.ndarray    # [B, 3, F, T_max], zeros beyond each length
     labels: np.ndarray   # [B, T_max], zeros beyond each length
     mask: SequenceMask   # of the lengths, built once per batch

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +170,102 @@ def _usable_cpus() -> int:
     has ``os.sched_getaffinity`` (Linux), else ``os.cpu_count()``."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _threads() -> int:
+    """Threads of this process: its task list under /proc where there is
+    one (Linux), which counts native threads such as BLAS's, else the
+    interpreter's threads."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
+def can_fork() -> bool:
+    """The one rule for a second process, which ``fit`` and
+    ``adapt_speaker`` follow: ``os.fork`` exists, at least two CPUs are
+    usable and this process runs one OS thread. Another thread could hold
+    a lock that the child's copy would never release; a BLAS thread pool
+    would also compete with its copy in the child for the cores (on 2
+    cores, with two OpenBLAS threads, a split adaptation session ran 5x
+    slower than one process)."""
+    return hasattr(os, "fork") and _usable_cpus() >= 2 and _threads() == 1
+
+
+class Child:
+    """A process forked from this one that runs ``body(conn)``, ``conn``
+    its end of a pipe to this process, then exits through ``os._exit``
+    without running anything this process registered for its own exit.
+    It ignores SIGINT, so an interrupt is this process's to handle."""
+
+    def __init__(self, name: str, body):
+        # imported here, not at the top: it would lengthen every ucam import
+        from multiprocessing.connection import Pipe
+        self.name = name
+        self.conn, theirs = Pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            import signal  # loaded already, by multiprocessing.connection
+            code = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                self.conn.close()
+                body(theirs)
+                code = 0
+            finally:
+                os._exit(code)
+        theirs.close()
+
+    def send(self, obj) -> None:
+        try:
+            self.conn.send(obj)
+        except OSError:
+            raise self._lost() from None
+
+    def recv(self):
+        """The child's next answer; an exception it sent is raised here."""
+        try:
+            out = self.conn.recv()
+        except (EOFError, OSError):  # a reset, if it died with unread data
+            raise self._lost() from None
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    def result(self):
+        """The child's answer, once it has exited."""
+        try:
+            return self.recv()
+        finally:
+            self.close()
+
+    def _lost(self) -> ChildProcessError:
+        """The error for a child that died before it answered, reaped."""
+        pid, code = self.pid, self.close()
+        how = (f"was killed by signal {-code}" if code < 0
+               else f"exited with status {code}")
+        return ChildProcessError(f"{self.name} (pid {pid}) {how} before it "
+                                 f"answered")
+
+    def close(self) -> int | None:
+        """Close the pipe, wait for the child to exit and return its exit
+        code (minus the signal that killed it); None once reaped."""
+        if self.pid is None:
+            return None
+        pid, self.pid = self.pid, None
+        self.conn.close()
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def answer(conn, fn, *args) -> None:
+    """Send ``fn(*args)`` over a child's ``conn``, or the exception it
+    raised, which ``Child.recv`` raises in the parent."""
+    try:
+        out = fn(*args)
+    except Exception as e:
+        out = e
+    conn.send(out)
 
 
 def posteriors(params: ModelParams, batches):
@@ -338,6 +435,7 @@ class _TrainLog:
         self.f = open(path, "a" if keep else "w")
         if not keep:
             self.f.write("step,lr,train_loss,dev_loss,dev_frame_acc\n")
+            self.f.flush()  # or a forked eval's copy of the buffer writes it
 
     def row(self, step, lr, train_loss, dev=None):
         line = f"{step},{lr:.17g},{train_loss:.17g}"
@@ -371,6 +469,18 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
     Writes best.ckpt / last.ckpt during the main phase and, when
     finetune_steps > 0, final.ckpt (raw weights) plus ema.ckpt (shadow
     weights, the export of record). Returns a summary report.
+
+    An eval step's work, the dev eval, its log row and, in the main phase,
+    its checkpoints, runs on a snapshot of the step's weights: in a child
+    forked right after the step while the steps after it train, except at
+    a phase's last step, which no step follows. The rows of those steps
+    wait in memory until the child has exited; then its history entry and
+    ``best_dev`` are filled in and the rows written, in order. The child
+    is reaped before the next eval step, before the fine-tune restores
+    best.ckpt, before final.ckpt and on every exit path. If it failed,
+    its error is raised and the waiting rows are dropped, so the files
+    are those a one-process run leaves when it fails there; an error here
+    while it runs is raised after the waiting rows are written.
     """
     os.makedirs(out_dir, exist_ok=True)
     named = list(params.named_parameters())
@@ -390,31 +500,73 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
         start = ck.step + 1
         best_dev = ck.header.get("best_dev", math.inf)
 
-    def save(name, step):
-        meta = {"best_dev": best_dev} if math.isfinite(best_dev) else None
+    def save(name, step, best):
+        meta = {"best_dev": best} if math.isfinite(best) else None
         save_checkpoint(params, os.path.join(out_dir, name), step=step,
                         extra=dict(adam.state_tensors()), meta=meta)
+
+    def main_eval(step, lr, value):
+        dev = evaluate(params, dev_utts, batch_size=cfg.batch_size)
+        # the row goes first: a checkpoint never runs ahead of the log
+        log.row(step, lr, value, dev)
+        best = best_dev
+        if dev[0] < best:
+            best = dev[0]
+            save("best.ckpt", step, best)
+        save("last.ckpt", step, best)
+        return dev
 
     log = _TrainLog(os.path.join(out_dir, "train_log.csv"),
                     last_step=start - 1 if resume_from is not None else None)
     history = []
+    running = None  # (eval child or dev, its history index, rows held)
+
+    def record(step, lr, value, work=None):
+        """Log a step; an eval step's row is ``work``'s, run in a child
+        forked now where it overlaps later steps and ``can_fork`` allows,
+        else here and now."""
+        nonlocal running
+        if work is None:
+            if running:
+                running[2].append((step, lr, value))
+            else:
+                log.row(step, lr, value)
+        else:
+            settle()
+            # a phase's last eval overlaps no step, and a fork costs the
+            # steps after it a copy-on-write fault on every page they write
+            args = (step, lr, value)
+            if (step not in (cfg.steps, cfg.steps + cfg.finetune_steps)
+                    and can_fork()):
+                job = Child("fit eval", lambda conn: answer(conn, work, *args))
+            else:
+                job = work(*args)
+            running = (job, len(history), [])
+        history.append((step, lr, value, None))
+
+    def settle():
+        """Wait for the running eval, if any, then fill in its history
+        entry and ``best_dev`` and write the rows held meanwhile."""
+        nonlocal running, best_dev
+        if running is None:
+            return
+        (job, i, held), running = running, None
+        dev = job.result() if isinstance(job, Child) else job
+        step, lr, value, _ = history[i]
+        history[i] = (step, lr, value, dev)
+        if step <= cfg.steps and dev[0] < best_dev:
+            best_dev = dev[0]
+        for row in held:
+            log.row(*row)
+
     try:
         for step in range(start, cfg.steps + 1):
             batch = _batch_for_step(train_utts, step, cfg)
             lr = cfg.lr_at(step, params.cfg.d_attn)
             value = _train_step(params, batch, adam, lr, cfg, step)
-            dev = None
-            if step % cfg.eval_every == 0 or step == cfg.steps:
-                dev = evaluate(params, dev_utts,
-                               batch_size=cfg.batch_size)
-            # the row goes first: a checkpoint never runs ahead of the log
-            log.row(step, lr, value, dev)
-            history.append((step, lr, value, dev))
-            if dev is not None:
-                if dev[0] < best_dev:
-                    best_dev = dev[0]
-                    save("best.ckpt", step)
-                save("last.ckpt", step)
+            evals = step % cfg.eval_every == 0 or step == cfg.steps
+            record(step, lr, value, main_eval if evals else None)
+        settle()
 
         report = {"steps": cfg.steps, "best_dev": best_dev,
                   "history": history}
@@ -425,19 +577,23 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
                 restore(best_path)
             ft_adam = AdamState(named)
             ema = EMAState(named, cfg.ema_decay)
+
+            def ema_eval(step, lr, value):
+                with ema.swapped():
+                    dev = evaluate(params, dev_utts,
+                                   batch_size=cfg.batch_size)
+                log.row(step, lr, value, dev)
+                return dev
+
             for i in range(1, cfg.finetune_steps + 1):
                 step = cfg.steps + i
                 batch = _batch_for_step(train_utts, step, cfg)
                 value = _train_step(params, batch, ft_adam,
                                     FINETUNE_LR, cfg, step)
                 ema.update()
-                dev = None
-                if i % cfg.eval_every == 0 or i == cfg.finetune_steps:
-                    with ema.swapped():
-                        dev = evaluate(params, dev_utts,
-                                       batch_size=cfg.batch_size)
-                log.row(step, FINETUNE_LR, value, dev)
-                history.append((step, FINETUNE_LR, value, dev))
+                evals = i % cfg.eval_every == 0 or i == cfg.finetune_steps
+                record(step, FINETUNE_LR, value, ema_eval if evals else None)
+            settle()
             save_checkpoint(params, os.path.join(out_dir, "final.ckpt"),
                             step=cfg.steps + cfg.finetune_steps)
             with ema.swapped():
@@ -445,5 +601,8 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
                                 step=cfg.steps + cfg.finetune_steps)
             report["finetune_dev"] = history[-1][3]
     finally:
-        log.close()
+        try:
+            settle()
+        finally:
+            log.close()
     return report

@@ -15,6 +15,13 @@ T <= 35, at most 70 padded frames a half, so both still count one thread.
 worker process that it forks, and ``process_time()`` does not count that
 process's CPU time. Gates 01 and 06 never adapt, and gate 07, which does,
 bounds no CPU time.
+
+``training.fit`` forks a child for each eval step but a phase's last, which
+runs the dev eval and writes the log row and checkpoints, and
+``process_time()`` does not count that child's CPU time either. Gate 01
+does not fit. Gate 06's fit of 800 steps evaluates its 32 utterances at
+steps 400 and 800, so its bound no longer counts the eval at step 400 and
+that step's checkpoint writes, 8 forward batches beside 800 training steps.
 """
 
 import os

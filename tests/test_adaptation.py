@@ -285,7 +285,7 @@ def test_adapt_steps_take_batch_pad_batches(monkeypatch):
         monkeypatch.setattr(ad, name, record(name, getattr(ad, name), size))
     runs = []
     for cpus in (1, 2):
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(tr, "_usable_cpus", lambda: cpus)
         calls.clear()
         lin, rep = ad.adapt_speaker(params, c.utts, iterations=2, epochs=2,
                                     batch_size=4, seed=3)
@@ -390,7 +390,7 @@ def assert_reaped(pids) -> None:
 
 
 def set_usable_cpus(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(ad, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(tr, "_usable_cpus", lambda: n)
 
 
 def session_run(params, utts, **kw):

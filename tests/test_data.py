@@ -291,6 +291,16 @@ def test_batch_holds_one_mask():
     assert b.mask.max_len == b.feats.shape[-1]
 
 
+def test_batches_compare_by_identity():
+    # compared field by field, two batches' feature arrays would make
+    # ``==`` raise on an ambiguous truth value
+    c = dp.synth_corpus(seed=8, n_speakers=2, n_classes=4, n_utts=2,
+                        feat_dim=3, t_range=(5, 15))
+    (a,), (b,) = dp.batch_pad(c.utts, 2), dp.batch_pad(c.utts, 2)
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
 def test_batch_pad_round_trip():
     c = dp.synth_corpus(seed=9, n_speakers=1, n_classes=4, n_utts=5,
                         feat_dim=3, t_range=(4, 9))

@@ -1,6 +1,10 @@
+import json
 import math
 import os
+import pickle
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -498,8 +502,8 @@ def test_posteriors_raises_the_first_halfs_error_after_the_join(
 def fit_once(tmp, steps=6, seed=0, resume_from=None, **kw):
     c = tiny_corpus()
     params = tiny_params(seed)
-    cfg = tr.TrainConfig(steps=steps, batch_size=3, eval_every=3, seed=0,
-                         **kw)
+    cfg = tr.TrainConfig(**{"steps": steps, "batch_size": 3,
+                            "eval_every": 3, "seed": 0, **kw})
     report = tr.fit(params, c.utts[:6], c.utts[6:], cfg, tmp,
                     resume_from=resume_from)
     return params, report
@@ -588,6 +592,19 @@ def _raise_after(records, k):
     raise _Crash
 
 
+def append_record(path, record) -> None:
+    """Append ``record`` to the file at ``path``: fit's forked eval children
+    record there too, where this process sees what they did."""
+    with open(path, "a") as f:
+        f.write(json.dumps(record) + "\n")
+
+
+def read_records(path) -> list:
+    """The records at ``path`` as tuples, in the order they were written."""
+    with open(path) as f:
+        return [tuple(json.loads(line)) for line in f]
+
+
 def test_fit_crashed_in_every_step_and_every_write_matches_uninterrupted(
         tmp_path, monkeypatch):
     """A fit with a 2-step EMA fine-tune is crashed in each of its steps and
@@ -596,22 +613,28 @@ def test_fit_crashed_in_every_step_and_every_write_matches_uninterrupted(
     every file it leaves is the uninterrupted run's."""
     kw = {"steps": 6, "finetune_steps": 2}
     train_step, write = tr._train_step, serial.write_container
-    points = []  # the crash points of an uninterrupted run, in run order
+    recorded = tmp_path / "points.jsonl"
 
     def recording_step(*args):
-        points.append(("step", args[5]))
+        append_record(recorded, ("step", args[5]))
         return train_step(*args)
 
     def recording_write(path, header, tensors):
         tensors = list(tensors)
-        points.extend(("write", os.path.basename(path), header["step"], k)
-                      for k in sorted({0, len(tensors) // 2, len(tensors)}))
+        for k in sorted({0, len(tensors) // 2, len(tensors)}):
+            append_record(recorded, ("write", os.path.basename(path),
+                                     header["step"], k))
         write(path, header, tensors)
 
     monkeypatch.setattr(tr, "_train_step", recording_step)
     monkeypatch.setattr(serial, "write_container", recording_write)
     fit_once(tmp_path / "full", **kw)
     monkeypatch.undo()
+    # the crash points of an uninterrupted run, in run order: a step, then
+    # the writes of that step, which a forked eval makes while the steps
+    # after it run (the sort is stable, and each process writes in order)
+    points = sorted(read_records(recorded),
+                    key=lambda p: (p[1], 0) if p[0] == "step" else (p[2], 1))
     # 8 steps; best and last at steps 3 and 6 (best when dev improves),
     # final and ema
     assert len(points) >= 8 + 3 * 5
@@ -686,17 +709,20 @@ def test_fit_resume_keeps_only_complete_rows_up_to_checkpoint(tmp_path):
 def test_fit_fsyncs_the_log_before_each_checkpoint(tmp_path, monkeypatch):
     # after an OS crash a durable last.ckpt at step k must find the log's
     # rows up to k on disk too, or a resume writes a log of its own
-    log = tmp_path / "train_log.csv"
+    log = tmp_path / "run" / "train_log.csv"
     fsync = os.fsync
-    synced = []  # (file's inode, log size) at each fsync, in run order
+    # (file's inode, log size) at each fsync, in run order, from this
+    # process and from the forked evals, which write the checkpoints
+    recorded = tmp_path / "fsyncs.jsonl"
 
     def recording_fsync(fd):
         fsync(fd)
-        synced.append((os.fstat(fd).st_ino, os.path.getsize(log)))
+        append_record(recorded, (os.fstat(fd).st_ino, os.path.getsize(log)))
 
     monkeypatch.setattr(os, "fsync", recording_fsync)
-    fit_once(tmp_path, steps=6, finetune_steps=2)
+    fit_once(tmp_path / "run", steps=6, finetune_steps=2)
     monkeypatch.undo()
+    synced = read_records(recorded)
     log_ino = log.stat().st_ino
     n_ckpt = 0
     log_synced = 0  # log bytes on disk at the last fsync of the log
@@ -767,6 +793,225 @@ def test_fit_divergence_is_loud(tmp_path):
                          warmup=1, lr_factor=1e12)
     with pytest.raises((DivergenceError, NumericError)):
         tr.fit(params, c.utts[:6], c.utts[6:], cfg, tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# fit on two processes: each eval step's work on a forked snapshot
+
+
+def record_forks(monkeypatch) -> list:
+    """The pids of the processes forked from here on."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def files_of(out) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def forked_and_serial(tmp_path, monkeypatch, run) -> tuple:
+    """What ``run(out_dir)`` returns, pickled, or the type of what it
+    raises, and the files it leaves, first with fit's evals forked, then
+    with the fork rule off; and the pids forked."""
+    pids = record_forks(monkeypatch)
+    set_usable_cpus(monkeypatch, 2)
+    runs = []
+    for forked in (True, False):
+        if not forked:
+            monkeypatch.setattr(tr, "can_fork", lambda: False)
+        out = tmp_path / ("forked" if forked else "serial")
+        try:
+            outcome = pickle.dumps(run(out))
+        except (Exception, KeyboardInterrupt) as e:
+            outcome = type(e)
+        runs.append((outcome, files_of(out)))
+    return runs, pids
+
+
+def wait_for(path) -> None:
+    for _ in range(1000):
+        if path.exists():
+            return
+        time.sleep(0.01)
+    raise TimeoutError(f"{path} did not appear")
+
+
+# evals every 3 steps and at a phase's last step, which runs here
+@pytest.mark.parametrize("run,forks", [
+    (lambda out: fit_once(out, steps=6)[1], 1),
+    (lambda out: fit_once(out, steps=7)[1], 2),
+    (lambda out: fit_once(out, steps=3, eval_every=1)[1], 2),
+    (lambda out: fit_once(out, steps=4, finetune_steps=5)[1], 2),
+    (lambda out: (fit_once(out, steps=4),
+                  fit_once(out, steps=7, finetune_steps=2,
+                           resume_from=out / "last.ckpt"))[1][1], 2)],
+    ids=["eval_every_divides_steps", "eval_every_does_not_divide_steps",
+         "eval_at_the_first_step", "finetune", "resume"])
+def test_forked_fit_is_bitwise_the_serial_one(tmp_path, monkeypatch, run,
+                                              forks):
+    (forked, serial_run), pids = forked_and_serial(tmp_path, monkeypatch,
+                                                   run)
+    assert forked == serial_run
+    assert type(forked[0]) is bytes and "train_log.csv" in forked[1]
+    assert len(pids) == forks
+    assert_reaped(pids)
+
+
+@pytest.mark.parametrize("name", ["best.ckpt", "last.ckpt"])
+@pytest.mark.parametrize("after", ["none", "half", "all"])
+def test_a_child_failing_mid_write_fails_the_fit_as_one_process_does(
+        tmp_path, monkeypatch, name, after):
+    # the eval of step 3 fails while steps 4 and 5 run here: their rows
+    # are dropped, as one process never reaches them
+    write = serial.write_container
+
+    def crashing_write(path, header, tensors):
+        if (os.path.basename(path), header["step"]) == (name, 3):
+            tensors = list(tensors)
+            k = {"none": 0, "half": len(tensors) // 2, "all": len(tensors)}
+            tensors = _raise_after(tensors, k[after])
+        write(path, header, tensors)
+    monkeypatch.setattr(serial, "write_container", crashing_write)
+    (forked, serial_run), pids = forked_and_serial(
+        tmp_path, monkeypatch, lambda out: fit_once(out, steps=6))
+    assert forked == serial_run
+    assert forked[0] is _Crash
+    assert len(forked[1]["train_log.csv"].splitlines()) == 1 + 3
+    assert len(pids) == 1
+    assert_reaped(pids)
+
+
+class _ChildCrash(Exception):
+    pass
+
+
+@pytest.mark.parametrize("child_fails", [False, True])
+@pytest.mark.parametrize("error", [_Crash, KeyboardInterrupt])
+def test_an_error_here_while_a_child_writes_reaps_it_first(
+        tmp_path, monkeypatch, error, child_fails):
+    # step 5 raises here while the eval of step 3 waits to write last.ckpt;
+    # the held row of step 4 is written unless that write fails, and the
+    # error raised is the one a single process meets first
+    parent, ready, go = os.getpid(), tmp_path / "ready", tmp_path / "go"
+    train_step, write = tr._train_step, serial.write_container
+
+    def crashing_step(*args):
+        if args[5] == 5:
+            if not go.exists():  # in the forked run
+                wait_for(ready)
+                go.touch()
+            raise error
+        return train_step(*args)
+
+    def waiting_write(path, header, tensors):
+        if os.path.basename(path) == "last.ckpt" and header["step"] == 3:
+            if os.getpid() != parent:
+                ready.touch()
+                wait_for(go)
+            if child_fails:
+                raise _ChildCrash
+        write(path, header, tensors)
+    monkeypatch.setattr(tr, "_train_step", crashing_step)
+    monkeypatch.setattr(serial, "write_container", waiting_write)
+    (forked, serial_run), pids = forked_and_serial(
+        tmp_path, monkeypatch, lambda out: fit_once(out, steps=6))
+    assert forked == serial_run
+    assert forked[0] is (_ChildCrash if child_fails else error)
+    rows = 3 if child_fails else 4
+    assert len(forked[1]["train_log.csv"].splitlines()) == 1 + rows
+    assert len(pids) == 1
+    assert_reaped(pids)
+
+
+def test_a_killed_eval_child_is_named_without_a_hang(tmp_path, monkeypatch):
+    set_usable_cpus(monkeypatch, 2)
+    pids = record_forks(monkeypatch)
+    parent, ready = os.getpid(), tmp_path / "ready"
+    train_step, write = tr._train_step, serial.write_container
+
+    def killing_step(*args):
+        if args[5] == 4:
+            wait_for(ready)
+            os.kill(pids[0], signal.SIGKILL)
+        return train_step(*args)
+
+    def sleeping_write(path, header, tensors):
+        if os.getpid() != parent:
+            ready.touch()
+            time.sleep(60)  # killed before it wakes
+        write(path, header, tensors)
+    monkeypatch.setattr(tr, "_train_step", killing_step)
+    monkeypatch.setattr(serial, "write_container", sleeping_write)
+    t0 = time.monotonic()
+    with pytest.raises(ChildProcessError) as err:
+        fit_once(tmp_path / "run", steps=6)
+    assert time.monotonic() - t0 < 30
+    assert str(err.value) == (f"fit eval (pid {pids[0]}) was killed by "
+                              f"signal 9 before it answered")
+    assert_reaped(pids)
+    # the eval's row is out, no checkpoint is, and the held rows are not
+    files = files_of(tmp_path / "run")
+    assert list(files) == ["train_log.csv"]
+    assert len(files["train_log.csv"].splitlines()) == 4
+
+
+def test_the_eval_child_ignores_sigint(tmp_path, monkeypatch):
+    parent, ready, go = os.getpid(), tmp_path / "ready", tmp_path / "go"
+    train_step, write = tr._train_step, serial.write_container
+    pids = record_forks(monkeypatch)
+
+    def interrupting_step(*args):
+        if args[5] == 4 and not go.exists():  # in the forked run
+            wait_for(ready)
+            os.kill(pids[0], signal.SIGINT)
+            go.touch()
+        return train_step(*args)
+
+    def waiting_write(path, header, tensors):
+        if os.getpid() != parent and not ready.exists():
+            ready.touch()
+            wait_for(go)
+        write(path, header, tensors)
+    monkeypatch.setattr(tr, "_train_step", interrupting_step)
+    monkeypatch.setattr(serial, "write_container", waiting_write)
+    (forked, serial_run), _ = forked_and_serial(
+        tmp_path, monkeypatch, lambda out: fit_once(out, steps=6)[1])
+    assert forked == serial_run
+    assert type(forked[0]) is bytes
+    assert go.exists()
+    assert_reaped(pids)
+
+
+def test_with_the_fork_rule_off_fit_and_adaptation_keep_one_process(
+        tmp_path, monkeypatch):
+    from ucam import adaptation as ad
+    spk = dp.synth_corpus(seed=3, n_speakers=1, n_classes=5, n_utts=7,
+                          feat_dim=8, t_range=(6, 12), speaker_offset=9)
+
+    def run(out):
+        params, report = fit_once(out, steps=6)
+        lin, adapted = ad.adapt_speaker(params, spk.utts, iterations=2,
+                                        epochs=1, lr=1e-2)
+        return report, lin.w.data.tobytes(), adapted
+    pids = record_forks(monkeypatch)
+    (forked, serial_run), _ = forked_and_serial(tmp_path, monkeypatch, run)
+    assert forked == serial_run
+    assert type(forked[0]) is bytes
+    assert len(pids) == 1 + 1  # the eval of step 3, the worker
 
 
 def test_train_config_validation():

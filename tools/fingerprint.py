@@ -10,7 +10,8 @@ that differs as ``name parent_hash change_hash`` (``-`` for a missing
 line), and exits 1 on any difference. The artifacts are:
 
 - every file of the determinism gate's small fit, for 6 steps (``gate09_6``)
-  and for 3 steps resumed to 6 (``gate09_resume``);
+  and for 3 steps resumed to 6 (``gate09_resume``), and how many
+  processes the 6-step fit forked for its dev evals (``fit/processes``);
 - every file of a desk-model fit with dropout 0.15 and a 3-step EMA
   fine-tune (``desk_ema``);
 - ``evaluate``'s loss and accuracy, and the posteriors at every frame,
@@ -42,9 +43,10 @@ line), and exits 1 on any difference. The artifacts are:
   included, in float32 and float64 (``padding/<dtype>/<op>``): a cleared
   padded byte that turns from -0.0 to +0.0 shows here.
 
-The split cases report 2 usable CPUs whatever the machine has, so a
-change that stops splitting shows in their thread and process counts
-even when its posteriors and LINs stay the same. Compare two checkouts
+The split cases and the 6-step fit report 2 usable CPUs whatever the
+machine has, so a change that stops splitting or forking shows in their
+thread and process counts even when its posteriors, LINs and files stay
+the same. Compare two checkouts
 on the same machine only: the hashes depend on the BLAS build, so they
 are not pinned anywhere; BLAS runs on one thread so that its thread
 count cannot change a sum.
@@ -85,21 +87,21 @@ def emit_dir(name: str, path: Path) -> None:
 
 
 @contextlib.contextmanager
-def split_on_two_cpus(name: str, processes: bool = False):
-    """Run the block as if 2 CPUs were usable, then emit how many threads
-    it started as ``{name}/threads`` and, with ``processes``, how many
-    processes it forked as ``{name}/processes``."""
-    started, forked = [], []
+def split_on_two_cpus(name: str, *counts: str):
+    """Run the block as if 2 CPUs were usable, then emit each of
+    ``counts``: how many threads it started as ``{name}/threads``, how
+    many processes it forked as ``{name}/processes``."""
+    started = {"threads": [], "processes": []}
     start, fork = threading.Thread.start, getattr(os, "fork", None)
 
     def counting_start(thread):
-        started.append(thread.name)
+        started["threads"].append(thread.name)
         start(thread)
 
     def counting_fork():
         pid = fork()
         if pid:
-            forked.append(pid)
+            started["processes"].append(pid)
         return pid
     with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1},
                            create=True), \
@@ -108,9 +110,8 @@ def split_on_two_cpus(name: str, processes: bool = False):
              else contextlib.nullcontext()), \
             mock.patch.object(threading.Thread, "start", counting_start):
         yield
-    emit(f"{name}/threads", str(len(started)).encode())
-    if processes:
-        emit(f"{name}/processes", str(len(forked)).encode())
+    for count in counts:
+        emit(f"{name}/{count}", str(len(started[count])).encode())
 
 
 def main(src: str) -> None:
@@ -146,7 +147,8 @@ def main(src: str) -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        fit_small(tmp / "gate09_6", 6)
+        with split_on_two_cpus("fit", "processes"):
+            fit_small(tmp / "gate09_6", 6)
         emit_dir("gate09_6", tmp / "gate09_6")
         fit_small(tmp / "gate09_resume", 3)
         fit_small(tmp / "gate09_resume", 6,
@@ -180,7 +182,7 @@ def main(src: str) -> None:
                                n_utts=n_utts, feat_dim=16,
                                t_range=(200, 400)).utts
         name = f"eval_200_400_b{n_utts}"
-        with split_on_two_cpus(name):
+        with split_on_two_cpus(name, "threads"):
             emit(f"{name}/posteriors",
                  b"".join(out.data.tobytes() for _, out in tr.posteriors(
                      params, dp.batch_pad(utts, batch_size=n_utts))))
@@ -188,7 +190,7 @@ def main(src: str) -> None:
     unseen = dp.synth_corpus(seed=21, n_speakers=2, n_classes=10,
                              n_utts=16, feat_dim=16, t_range=(20, 40),
                              speaker_offset=40, utt_offset=1000)
-    with split_on_two_cpus("adapt", processes=True):
+    with split_on_two_cpus("adapt", "threads", "processes"):
         for speaker in sorted({u.speaker for u in unseen.utts}):
             for seed in (11, 12):
                 lin, report = adapt_speaker(
@@ -202,7 +204,7 @@ def main(src: str) -> None:
     short = dp.synth_corpus(seed=21, n_speakers=1, n_classes=10, n_utts=8,
                             feat_dim=16, t_range=(1, 6), speaker_offset=60,
                             utt_offset=2000)
-    with split_on_two_cpus("adapt_short", processes=True):
+    with split_on_two_cpus("adapt_short", "threads", "processes"):
         lin, report = adapt_speaker(params, short.utts, iterations=2,
                                     epochs=2, lr=1e-3, batch_size=3, seed=13)
     emit("adapt_short/lin", lin.matrix().tobytes())
@@ -213,7 +215,7 @@ def main(src: str) -> None:
     spk = dp.synth_corpus(seed=21, n_speakers=1, n_classes=10, n_utts=8,
                           feat_dim=16, t_range=(150, 300), speaker_offset=80,
                           utt_offset=3000)
-    with split_on_two_cpus("adapt_long", processes=True):
+    with split_on_two_cpus("adapt_long", "threads", "processes"):
         lin, report = adapt_speaker(params, spk.utts, iterations=1,
                                     epochs=1, lr=1e-3, seed=14)
     emit("adapt_long/lin", lin.matrix().tobytes())
