@@ -13,15 +13,15 @@ so a training step, a pseudo-label and a held-out error see the same bits
 for the same LIN. The delta regression is linear, so this equals warping
 the statics before it, up to rounding.
 
-A session runs each batch of B >= 2 utterances in two halves of whole
-utterances: the first ``ceil(B / 2)`` on the calling process, the last
-``B // 2`` on one worker process forked once the model is frozen, which
-inherits the model, so no weight is sent. Each half keeps the batch's
-padded T, and every op of the frozen model computes an utterance from
-its own rows alone, so no bit depends on the split: a score is an
-argmax per frame, and a step scales both halves' loss by the whole
-batch's valid frames and adds the LIN's gradient terms of both in the
-order one pass over the batch adds them.
+Every batch runs through ``training.halves``: of a batch of B >= 2
+utterances, the first ``ceil(B / 2)`` on the calling process and the
+last ``B // 2`` on the process's worker, where there is one, which holds
+a copy of the frozen model, so no weight travels after the first batch.
+Each half keeps the batch's padded T, and every op of the frozen model
+computes an utterance from its own rows alone, so no bit depends on the
+split: a score is an argmax per frame, and a step scales both halves'
+loss by the whole batch's valid frames and adds the LIN's gradient terms
+of both in the order one pass over the batch adds them.
 """
 
 from __future__ import annotations
@@ -113,84 +113,31 @@ def _decide(params: ModelParams, batch: Batch, w: np.ndarray) -> np.ndarray:
     return model_forward(x, batch.mask, params).data.argmax(-1)
 
 
-class _Session:
-    """Where a speaker's batches run: on this process and, once
-    ``fork_worker`` started one, on a worker process.
-
-    ``halves(fn, batch, *args)`` returns ``fn(params, part, *args)`` for
-    the batch's first ``ceil(B / 2)`` utterances, computed here, and then
-    for its last ``B // 2``, computed by the worker meanwhile; or, for a
-    batch of one utterance or with no worker, for the whole batch.
-    """
-
-    def __init__(self, params: ModelParams):
-        self.params = params
-        self.worker = None
-
-    def fork_worker(self) -> None:
-        """Fork the worker where ``training.can_fork`` allows. It serves
-        requests until its pipe closes."""
-        if training.can_fork():
-            self.worker = training.Child(
-                "adaptation worker", lambda conn: _serve(conn, self.params))
-
-    def halves(self, fn, batch: Batch, *args) -> list:
-        b = batch.mask.batch
-        if self.worker is None or b < 2:
-            return [fn(self.params, batch, *args)]
-        cut = b - b // 2
-        self.worker.send((tc.current_modes(), fn, batch.rows(cut, b), args))
-        first = fn(self.params, batch.rows(0, cut), *args)
-        return [first, self.worker.recv()]
-
-    def close(self) -> None:
-        """Close the worker's pipe and wait for it to exit."""
-        if self.worker is not None:
-            self.worker.close()
-
-
-def _serve(conn, params: ModelParams) -> None:
-    """The worker's life: each request ``(modes, fn, part, args)`` is
-    answered with ``fn(params, part, *args)`` run inside the caller's
-    modes, until the pipe ends."""
-    while True:
-        try:
-            modes, fn, part, args = conn.recv()
-        except EOFError:
-            return
-        training.answer(conn, modes(fn), params, part, *args)
-
-
 def _decisions(params: ModelParams, utts, lin: LinTransform,
-               batch_size: int, session):
+               batch_size: int):
     """(batch, frame argmax [B, T]) for each ``batch_pad`` batch of utts,
     its planes warped by the LIN as a step warps them."""
-    session = session or _Session(params)
     for batch in batch_pad(utts, batch_size=batch_size):
         with tc.no_grad():
-            parts = session.halves(_decide, batch, lin.matrix())
+            parts = training.halves(_decide, params, batch, lin.matrix())
         yield batch, np.concatenate(parts)
 
 
 def pseudo_label(params: ModelParams, utts, lin: LinTransform,
-                 batch_size: int = 4, *, session=None) -> list:
-    """Frame-level argmax decisions under the current LIN, one [T] per utt.
-    ``adapt_speaker`` passes its session, whose worker scores the second
-    half of each batch."""
+                 batch_size: int = 4) -> list:
+    """Frame-level argmax decisions under the current LIN, one [T] per utt."""
     return [pred[i, :n].astype(np.int64)
-            for batch, pred in _decisions(params, utts, lin, batch_size,
-                                          session)
+            for batch, pred in _decisions(params, utts, lin, batch_size)
             for i, n in enumerate(batch.mask.lengths)]
 
 
 def frame_error(params: ModelParams, utts, lin: LinTransform,
-                batch_size: int = 4, *, session=None) -> float:
-    """Fraction of valid frames whose argmax differs from the true label.
-    ``adapt_speaker`` passes its session, as to ``pseudo_label``."""
+                batch_size: int = 4) -> float:
+    """Fraction of valid frames whose argmax differs from the true label."""
     if not utts:
         raise ConfigError("frame_error needs at least one utterance, got none")
     wrong = 0
-    for batch, pred in _decisions(params, utts, lin, batch_size, session):
+    for batch, pred in _decisions(params, utts, lin, batch_size):
         ind = batch.mask.indicator()
         wrong += int((pred[ind] != batch.labels[ind]).sum())
     return wrong / sum(u.length for u in utts)
@@ -207,8 +154,6 @@ def adapt_speaker(params: ModelParams, utts, heldout=None,
     default held-out set is the adaptation set itself, so its error is
     measured on the data the LIN was fit to. Returns (LinTransform, report).
     Model parameters are frozen throughout and restored bit-identical.
-    The session's worker, if one forked, has exited and been reaped when
-    this returns or raises.
     """
     utts = list(utts)
     if not utts:
@@ -230,18 +175,14 @@ def adapt_speaker(params: ModelParams, utts, heldout=None,
 
     prior = [(t, t.requires_grad) for _, t in params.named_parameters()]
     params.set_requires_grad(False)
-    session = _Session(params)
     try:
-        if batch_size > 1:  # a batch of one utterance has no second half
-            session.fork_worker()
         lin = LinTransform(feat_dim, speaker)
         report = {"speaker": speaker,
                   "initial_error": frame_error(params, heldout, lin,
-                                               batch_size, session=session),
+                                               batch_size),
                   "iterations": []}
         for it in range(1, iterations + 1):
-            targets = pseudo_label(params, utts, lin, batch_size,
-                                   session=session)
+            targets = pseudo_label(params, utts, lin, batch_size)
             lin = LinTransform(feat_dim, speaker)  # fresh identity
             entry = {"iteration": it}
             adam = AdamState([("lin.w", lin.w)])
@@ -254,17 +195,15 @@ def adapt_speaker(params: ModelParams, utts, heldout=None,
                                            batch_size=len(idx)))
                     batch = Batch(batch.feats, pad_to_longest(
                         [targets[i] for i in idx]), batch.mask)
-                    terms = [t for part in session.halves(
-                        _lin_terms, batch, lin.matrix(),
+                    terms = [t for part in training.halves(
+                        _lin_terms, params, batch, lin.matrix(),
                         batch.mask.valid_frames()) for t in part]
                     lin.w.grad = sum(terms[1:], terms[0])
                     adam.apply(lr)
                     tc.zero_grad(adam.named)
-            entry["error"] = frame_error(params, heldout, lin, batch_size,
-                                         session=session)
+            entry["error"] = frame_error(params, heldout, lin, batch_size)
             report["iterations"].append(entry)
     finally:
-        session.close()
         for t, flag in prior:
             t.requires_grad = flag
     return lin, report

@@ -31,6 +31,7 @@ from . import adaptation
 from . import data as dpipe
 from . import gradcheck as gc
 from . import serial
+from . import training
 from .errors import (ConfigError, DataError, DivergenceError,
                      FileFormatError, NumericError, StructureError)
 from .model import (AcousticModelConfig, ModelParams, config_from_dict,
@@ -121,6 +122,17 @@ def _check_resume_config(cfg: dict, ckpt) -> None:
         raise ConfigError(f"resume changes {', '.join(differ)} from {path}")
 
 
+def _note_no_worker() -> None:
+    """Say on stderr why a run on at least two CPUs gets no worker when
+    the fork rule refuses it for the threads the process runs."""
+    if (hasattr(os, "fork") and training._usable_cpus() >= 2
+            and training._threads() > 1):
+        print("note: ucam runs on one process: it runs other threads, "
+              "BLAS's unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and "
+              "MKL_NUM_THREADS are set to 1 before it starts",
+              file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -160,6 +172,7 @@ def cmd_train(args) -> int:
         f.write(json.dumps(cfg, indent=2, sort_keys=True).encode() + b"\n")
 
     params = ModelParams.create(model_cfg, rng=keyed(tcfg.seed, "init"))
+    _note_no_worker()
     report = fit(params, train_utts, dev_utts, tcfg, args.out_dir,
                  resume_from=args.resume)
     print(f"trained {report['steps']} steps; "
@@ -183,6 +196,7 @@ def _checkpoint_and_utts(args):
 
 def cmd_eval(args) -> int:
     ck, utts = _checkpoint_and_utts(args)
+    _note_no_worker()
     loss, acc = evaluate(ck.params, utts, batch_size=args.batch_size)
     print(f"checkpoint {args.ckpt} (step {ck.step}): "
           f"loss {loss:.6f}, frame_acc {acc:.4f}, "
@@ -206,6 +220,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_adapt(args) -> int:
     ck, utts = _checkpoint_and_utts(args)
+    _note_no_worker()
     lin, report = adaptation.adapt_speaker(
         ck.params, utts, iterations=args.iterations, epochs=args.epochs,
         lr=args.lr, seed=args.seed)

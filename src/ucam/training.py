@@ -8,6 +8,7 @@ the uninterrupted run would have taken from step k+1 on.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import math
 import os
@@ -152,17 +153,8 @@ def masked_cross_entropy(log_probs: tc.Tensor, labels: np.ndarray,
     return tc.scale(tc.sum_all(picked), -1.0 / (frames or mask.valid_frames()))
 
 
-# padded frames the smaller half of a batch must hold before posteriors
-# scores the halves on two threads: a sweep over B 2-4 and T 40-400 broke
-# even at 160-200 and won from 200 on
-SPLIT_FRAMES = 200
-
-
-def _forward_rows(params: ModelParams, batch: Batch, lo: int,
-                  hi: int) -> np.ndarray:
-    """Log-posteriors of utterances [lo, hi) of a batch, at its padded T."""
-    part = batch.rows(lo, hi)
-    return model_forward(tc.tensor(part.feats), part.mask, params).data
+# ---------------------------------------------------------------------------
+# the worker: a second process for the second half of each batch
 
 
 def _usable_cpus() -> int:
@@ -183,89 +175,201 @@ def _threads() -> int:
 
 
 def can_fork() -> bool:
-    """The one rule for a second process, which ``fit`` and
-    ``adapt_speaker`` follow: ``os.fork`` exists, at least two CPUs are
-    usable and this process runs one OS thread. Another thread could hold
-    a lock that the child's copy would never release; a BLAS thread pool
-    would also compete with its copy in the child for the cores (on 2
-    cores, with two OpenBLAS threads, a split adaptation session ran 5x
-    slower than one process)."""
+    """The one rule for using the worker, asked at every call that could:
+    ``os.fork`` exists, at least two CPUs are usable and this process runs
+    one OS thread. Another thread could hold a lock that the worker's copy
+    would never release; a BLAS thread pool would also compete with its
+    copy in the worker for the cores (on 2 cores, with two OpenBLAS
+    threads, a split adaptation session ran 5x slower than one process)."""
     return hasattr(os, "fork") and _usable_cpus() >= 2 and _threads() == 1
 
 
-class Child:
-    """A process forked from this one that runs ``body(conn)``, ``conn``
-    its end of a pipe to this process, then exits through ``os._exit``
-    without running anything this process registered for its own exit.
-    It ignores SIGINT, so an interrupt is this process's to handle."""
+class Worker:
+    """A process forked from this one that answers requests ``fn(model,
+    *args)``, one at a time and each inside the grad and finite-check
+    modes its caller had, on its own copy of the caller's model, until its
+    pipe closes. It ignores SIGINT, so an interrupt is the caller's to
+    handle, and leaves through ``os._exit``, running nothing this process
+    registered for its own exit.
 
-    def __init__(self, name: str, body):
+    ``send`` binds the caller's model first. Only what differs from what
+    the worker holds travels: the whole model when its config or record
+    names differ, else the tensors whose bytes, dtype or shape do, and
+    the flag of those whose ``requires_grad`` alone does, so an unchanged
+    model costs one compare. One request is outstanding at a time, and
+    ``result`` takes its answer.
+    """
+
+    def __init__(self):
         # imported here, not at the top: it would lengthen every ucam import
         from multiprocessing.connection import Pipe
-        self.name = name
         self.conn, theirs = Pipe()
+        self.held = None  # (config, names) and each tensor's snapshot
+        self.busy = False
         self.pid = os.fork()
         if self.pid == 0:
             import signal  # loaded already, by multiprocessing.connection
+            global _serving
+            _serving = True
             code = 1
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 self.conn.close()
-                body(theirs)
+                _serve(theirs)
                 code = 0
             finally:
                 os._exit(code)
         theirs.close()
 
-    def send(self, obj) -> None:
-        try:
-            self.conn.send(obj)
-        except OSError:
-            raise self._lost() from None
+    def send(self, fn, params: ModelParams, *args) -> None:
+        """Ask for ``fn(model, *args)``, the model bound to ``params``."""
+        self._io(self.conn.send,
+                 (tc.current_modes(), fn, self._bind(params), args))
+        self.busy = True
 
-    def recv(self):
-        """The child's next answer; an exception it sent is raised here."""
-        try:
-            out = self.conn.recv()
-        except (EOFError, OSError):  # a reset, if it died with unread data
-            raise self._lost() from None
+    def result(self):
+        """The answer to the last request; an exception it raised is
+        raised here."""
+        out = self._io(self.conn.recv)
+        self.busy = False
         if isinstance(out, Exception):
             raise out
         return out
 
-    def result(self):
-        """The child's answer, once it has exited."""
+    def _bind(self, params: ModelParams):
+        """What the worker needs to hold ``params``: the model itself, or
+        {index: (data, requires_grad)} of the tensors that changed, data
+        None where only ``requires_grad`` did."""
+        named = params.named_parameters()
+        structure = (params.cfg, [n for n, _ in named])
+        if self.held is None or self.held[0] != structure:
+            self.held = (structure, [_snapshot(t) for _, t in named])
+            return params
+        held, changed = self.held[1], {}
+        for i, (_, t) in enumerate(named):
+            snap = _snapshot(t)
+            if snap != held[i]:
+                same = snap[1] == held[i][1]
+                held[i] = snap
+                changed[i] = (None if same else t.data, t.requires_grad)
+        return changed
+
+    def _io(self, op, *args):
         try:
-            return self.recv()
-        finally:
+            return op(*args)
+        except (EOFError, OSError):  # a reset, if it died with unread data
+            raise self._lost() from None
+        except BaseException:  # cut mid-message: the pipe is out of step
             self.close()
+            raise
 
     def _lost(self) -> ChildProcessError:
-        """The error for a child that died before it answered, reaped."""
+        """The error for a worker that died before it answered, reaped."""
         pid, code = self.pid, self.close()
         how = (f"was killed by signal {-code}" if code < 0
                else f"exited with status {code}")
-        return ChildProcessError(f"{self.name} (pid {pid}) {how} before it "
+        return ChildProcessError(f"ucam worker (pid {pid}) {how} before it "
                                  f"answered")
 
     def close(self) -> int | None:
-        """Close the pipe, wait for the child to exit and return its exit
+        """Close the pipe, wait for the worker to exit and return its exit
         code (minus the signal that killed it); None once reaped."""
         if self.pid is None:
             return None
-        pid, self.pid = self.pid, None
+        pid, self.pid, self.busy = self.pid, None, False
         self.conn.close()
         return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def answer(conn, fn, *args) -> None:
-    """Send ``fn(*args)`` over a child's ``conn``, or the exception it
-    raised, which ``Child.recv`` raises in the parent."""
-    try:
-        out = fn(*args)
-    except Exception as e:
-        out = e
-    conn.send(out)
+def _snapshot(t: tc.Tensor) -> tuple:
+    return t.requires_grad, (t.data.dtype.str, t.data.shape, t.data.tobytes())
+
+
+def _serve(conn) -> None:
+    """The worker's life: bind each request's model update, then answer
+    it with ``fn(model, *args)`` or the exception that raised, until the
+    pipe ends."""
+    model = named = None
+    while True:
+        try:
+            modes, fn, update, args = conn.recv()
+        except EOFError:
+            return
+        if isinstance(update, ModelParams):
+            model, named = update, update.named_parameters()
+        else:
+            for i, (data, flag) in update.items():
+                t = named[i][1]
+                t.requires_grad = flag
+                if data is not None:
+                    t.data = data
+        try:
+            out = modes(fn)(model, *args)
+        except Exception as e:  # raised by Worker.result in the caller
+            out = e
+        conn.send(out)
+
+
+_worker = None  # this process's worker, once forked
+_serving = False  # whether this process is a worker, which forks none
+
+
+def worker() -> Worker | None:
+    """This process's worker, forked by the first call that can use it;
+    None where ``can_fork`` says no, and in a worker itself. An answer the
+    last caller never took, because its own half raised, is taken and
+    dropped first, so every call gets its own."""
+    global _worker
+    if _serving or not can_fork():
+        return None
+    if _worker is not None and _worker.busy:
+        with contextlib.suppress(Exception):
+            _worker.result()
+    if _worker is None or _worker.pid is None:
+        _worker = Worker()
+    return _worker
+
+
+def close_worker() -> None:
+    """Close this process's worker, if it has one, and reap it; the next
+    call that can use a worker forks a fresh one. Runs at exit."""
+    global _worker
+    w, _worker = _worker, None
+    if w is not None:
+        w.close()
+
+
+def _forget_worker() -> None:
+    """In a process forked from this one: the worker is not its own, so
+    it closes its copy of the pipe and never talks to it."""
+    global _worker
+    if _worker is not None and _worker.pid is not None:
+        _worker.conn.close()
+    _worker = None
+
+
+atexit.register(close_worker)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def halves(fn, params: ModelParams, batch: Batch, *args) -> list:
+    """``fn(params, part, *args)`` for the parts of a padded batch of B
+    utterances, each part at the batch's padded T: with B >= 2 and a
+    worker, the first ``ceil(B / 2)`` utterances here and the last
+    ``B // 2`` on the worker meanwhile; else the whole batch here."""
+    b = batch.mask.batch
+    w = worker() if b >= 2 else None
+    if w is None:
+        return [fn(params, batch, *args)]
+    cut = b - b // 2
+    w.send(fn, params, batch.rows(cut, b), *args)
+    return [fn(params, batch.rows(0, cut), *args), w.result()]
+
+
+def _forward(params: ModelParams, batch: Batch) -> np.ndarray:
+    """Log-posteriors of a batch, or of part of one, at its padded T."""
+    return model_forward(tc.tensor(batch.feats), batch.mask, params).data
 
 
 def posteriors(params: ModelParams, batches):
@@ -274,38 +378,15 @@ def posteriors(params: ModelParams, batches):
     Only the forward runs without graph recording, so a consumer that
     raises between batches leaves recording as it found it.
 
-    A batch of B utterances and padded length T is scored as two halves of
-    whole utterances when at least two CPUs are usable and the smaller half
-    holds at least ``SPLIT_FRAMES`` padded frames (``B // 2 * T``): the
-    first ``ceil(B / 2)`` on this thread, the rest on the one worker of a
-    ``ThreadPoolExecutor`` made for the batch. numpy and BLAS release the
-    interpreter lock for the heavy work, so the halves overlap; below the
-    floor a short batch's many small numpy calls hand the lock back and
-    forth and the split costs more than it saves. It cannot change a bit:
+    Each batch is scored by ``halves``. No bit depends on the split:
     every eval op computes an utterance from its own rows alone (one gemm
     per utterance in conv2d, linear and attention, norm statistics per
     utterance, softmax per row), and each half keeps the batch's T, which
-    sets the rounding. Grad and finite-check modes are per thread, so the
-    worker enters this thread's: ``no_grad``, and any ``finite_checks``.
-    Leaving the executor's block joins it on every exit path, before the
-    batch is yielded, so an error in either half is raised here with no
-    thread left running.
+    sets the rounding.
     """
     for batch in batches:
-        b, t = batch.mask.batch, batch.mask.max_len
         with tc.no_grad():
-            if b // 2 * t >= SPLIT_FRAMES and _usable_cpus() >= 2:
-                # imported here, not at the top: concurrent.futures pulls
-                # in logging, which would lengthen every ucam import
-                from concurrent.futures import ThreadPoolExecutor
-                cut = b - b // 2
-                with ThreadPoolExecutor(1, "ucam-posteriors") as pool:
-                    second = pool.submit(tc.current_modes()(_forward_rows),
-                                         params, batch, cut, b)
-                    first = _forward_rows(params, batch, 0, cut)
-                out = np.concatenate([first, second.result()])
-            else:
-                out = _forward_rows(params, batch, 0, b)
+            out = np.concatenate(halves(_forward, params, batch))
         yield batch, tc.tensor(out)
 
 
@@ -425,28 +506,66 @@ class _TrainLog:
     Resuming at ``last_step`` keeps the header and the complete rows up to
     that step, so rows a crashed run wrote past its checkpoint go. Each row
     is fsynced as it is written, so a checkpoint, which is written after its
-    step's row, is never durable ahead of the log.
+    step's row, is never durable ahead of the log. The log is opened to
+    append, a fresh one too: the worker appends eval rows to the same file,
+    and a row written at an offset of this process's own would overwrite
+    them.
     """
 
     def __init__(self, path, last_step: int | None = None):
         keep = 0 if last_step is None else resumed_log_bytes(path, last_step)
-        if keep:
-            os.truncate(path, keep)
-        self.f = open(path, "a" if keep else "w")
+        self.f = open(path, "a")
+        self.f.truncate(keep)
         if not keep:
             self.f.write("step,lr,train_loss,dev_loss,dev_frame_acc\n")
-            self.f.flush()  # or a forked eval's copy of the buffer writes it
+            self.f.flush()  # or the worker's first row lands ahead of it
 
     def row(self, step, lr, train_loss, dev=None):
-        line = f"{step},{lr:.17g},{train_loss:.17g}"
-        if dev is not None:
-            line += f",{dev[0]:.17g},{dev[1]:.17g}"
-        self.f.write(line + "\n")
-        self.f.flush()
-        os.fsync(self.f.fileno())
+        _write_row(self.f, step, lr, train_loss, dev)
 
     def close(self):
         self.f.close()
+
+
+def _write_row(f, step, lr, train_loss, dev=None) -> None:
+    """Append a log row to the open file ``f`` and fsync it."""
+    line = f"{step},{lr:.17g},{train_loss:.17g}"
+    if dev is not None:
+        line += f",{dev[0]:.17g},{dev[1]:.17g}"
+    f.write(line + "\n")
+    f.flush()
+    os.fsync(f.fileno())
+
+
+_dev_held = None  # in a worker, the dev set it was sent last
+
+
+def _eval_step(params: ModelParams, dev, batch_size: int, log_path,
+               row: tuple, ckpt=None) -> tuple[float, float]:
+    """An eval step's work on ``params``: evaluate ``dev``, append the
+    step's ``row`` (step, lr, train loss) with the result to the log at
+    ``log_path`` and, given ``ckpt`` = (out_dir, best dev loss so far,
+    optimizer records), write best.ckpt if dev improved, then last.ckpt.
+    The row goes first: a checkpoint never runs ahead of the log. In a
+    worker, ``dev`` None stands for the dev set it was sent last. Returns
+    (dev loss, dev frame accuracy)."""
+    global _dev_held
+    if dev is None:
+        dev = _dev_held
+    elif _serving:
+        _dev_held = dev
+    result = evaluate(params, dev, batch_size=batch_size)
+    with open(log_path, "a") as f:
+        _write_row(f, *row, result)
+    if ckpt is not None:
+        out_dir, best, extra = ckpt
+        names = (["best.ckpt"] if result[0] < best else []) + ["last.ckpt"]
+        best = min(best, result[0])
+        meta = {"best_dev": best} if math.isfinite(best) else None
+        for name in names:
+            save_checkpoint(params, os.path.join(out_dir, name), step=row[0],
+                            extra=extra, meta=meta)
+    return result
 
 
 def load_matching(path, cfg: AcousticModelConfig, steps: int) -> Checkpoint:
@@ -471,16 +590,18 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
     weights, the export of record). Returns a summary report.
 
     An eval step's work, the dev eval, its log row and, in the main phase,
-    its checkpoints, runs on a snapshot of the step's weights: in a child
-    forked right after the step while the steps after it train, except at
-    a phase's last step, which no step follows. The rows of those steps
-    wait in memory until the child has exited; then its history entry and
-    ``best_dev`` are filled in and the rows written, in order. The child
-    is reaped before the next eval step, before the fine-tune restores
-    best.ckpt, before final.ckpt and on every exit path. If it failed,
-    its error is raised and the waiting rows are dropped, so the files
-    are those a one-process run leaves when it fails there; an error here
-    while it runs is raised after the waiting rows are written.
+    its checkpoints, runs on the worker, sent the step's weights (the EMA
+    weights in the fine-tune) and Adam moments, while the steps after it
+    train; the dev set is sent at the first such eval only. A phase's last
+    eval, which no step follows, runs here, as every eval does where there
+    is no worker. The rows of the steps that train meanwhile wait in
+    memory until the worker has answered; then the eval's history entry
+    and ``best_dev`` are filled in and the rows written, in order. Its
+    answer is taken before the next eval step, before the fine-tune
+    restores best.ckpt, before final.ckpt and on every exit path. If the
+    eval failed, its error is raised and the waiting rows are dropped, so
+    the files are those a one-process run leaves when it fails there; an
+    error here while it runs is raised after the waiting rows are written.
     """
     os.makedirs(out_dir, exist_ok=True)
     named = list(params.named_parameters())
@@ -500,48 +621,41 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
         start = ck.step + 1
         best_dev = ck.header.get("best_dev", math.inf)
 
-    def save(name, step, best):
-        meta = {"best_dev": best} if math.isfinite(best) else None
-        save_checkpoint(params, os.path.join(out_dir, name), step=step,
-                        extra=dict(adam.state_tensors()), meta=meta)
-
-    def main_eval(step, lr, value):
-        dev = evaluate(params, dev_utts, batch_size=cfg.batch_size)
-        # the row goes first: a checkpoint never runs ahead of the log
-        log.row(step, lr, value, dev)
-        best = best_dev
-        if dev[0] < best:
-            best = dev[0]
-            save("best.ckpt", step, best)
-        save("last.ckpt", step, best)
-        return dev
-
-    log = _TrainLog(os.path.join(out_dir, "train_log.csv"),
+    log_path = os.path.join(out_dir, "train_log.csv")
+    log = _TrainLog(log_path,
                     last_step=start - 1 if resume_from is not None else None)
     history = []
-    running = None  # (eval child or dev, its history index, rows held)
+    running = None  # (the worker or dev, its history index, rows held)
+    dev_at = None  # the worker that holds dev_utts
 
-    def record(step, lr, value, work=None):
-        """Log a step; an eval step's row is ``work``'s, run in a child
-        forked now where it overlaps later steps and ``can_fork`` allows,
-        else here and now."""
-        nonlocal running
-        if work is None:
-            if running:
-                running[2].append((step, lr, value))
-            else:
-                log.row(step, lr, value)
+    def record(step, lr, value):
+        """Log a step that does not evaluate; its row waits while an eval
+        runs on the worker."""
+        if running:
+            running[2].append((step, lr, value))
         else:
-            settle()
-            # a phase's last eval overlaps no step, and a fork costs the
-            # steps after it a copy-on-write fault on every page they write
-            args = (step, lr, value)
-            if (step not in (cfg.steps, cfg.steps + cfg.finetune_steps)
-                    and can_fork()):
-                job = Child("fit eval", lambda conn: answer(conn, work, *args))
+            log.row(step, lr, value)
+        history.append((step, lr, value, None))
+
+    def eval_step(step, lr, value, weights=contextlib.nullcontext):
+        """Log an eval step, its work done on the weights that ``weights``
+        binds: on the worker while later steps train, unless the phase
+        ends here or there is no worker; else here and now."""
+        nonlocal running, dev_at
+        settle()
+        ckpt = ((out_dir, best_dev, dict(adam.state_tensors()))
+                if step <= cfg.steps else None)
+        args = (cfg.batch_size, log_path, (step, lr, value), ckpt)
+        last = step in (cfg.steps, cfg.steps + cfg.finetune_steps)
+        w = None if last else worker()
+        with weights():
+            if w is None:
+                job = _eval_step(params, dev_utts, *args)
             else:
-                job = work(*args)
-            running = (job, len(history), [])
+                w.send(_eval_step, params,
+                       None if dev_at is w else dev_utts, *args)
+                job = dev_at = w
+        running = (job, len(history), [])
         history.append((step, lr, value, None))
 
     def settle():
@@ -551,7 +665,7 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
         if running is None:
             return
         (job, i, held), running = running, None
-        dev = job.result() if isinstance(job, Child) else job
+        dev = job.result() if isinstance(job, Worker) else job
         step, lr, value, _ = history[i]
         history[i] = (step, lr, value, dev)
         if step <= cfg.steps and dev[0] < best_dev:
@@ -564,8 +678,10 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
             batch = _batch_for_step(train_utts, step, cfg)
             lr = cfg.lr_at(step, params.cfg.d_attn)
             value = _train_step(params, batch, adam, lr, cfg, step)
-            evals = step % cfg.eval_every == 0 or step == cfg.steps
-            record(step, lr, value, main_eval if evals else None)
+            if step % cfg.eval_every == 0 or step == cfg.steps:
+                eval_step(step, lr, value)
+            else:
+                record(step, lr, value)
         settle()
 
         report = {"steps": cfg.steps, "best_dev": best_dev,
@@ -577,22 +693,16 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
                 restore(best_path)
             ft_adam = AdamState(named)
             ema = EMAState(named, cfg.ema_decay)
-
-            def ema_eval(step, lr, value):
-                with ema.swapped():
-                    dev = evaluate(params, dev_utts,
-                                   batch_size=cfg.batch_size)
-                log.row(step, lr, value, dev)
-                return dev
-
             for i in range(1, cfg.finetune_steps + 1):
                 step = cfg.steps + i
                 batch = _batch_for_step(train_utts, step, cfg)
                 value = _train_step(params, batch, ft_adam,
                                     FINETUNE_LR, cfg, step)
                 ema.update()
-                evals = i % cfg.eval_every == 0 or i == cfg.finetune_steps
-                record(step, FINETUNE_LR, value, ema_eval if evals else None)
+                if i % cfg.eval_every == 0 or i == cfg.finetune_steps:
+                    eval_step(step, FINETUNE_LR, value, ema.swapped)
+                else:
+                    record(step, FINETUNE_LR, value)
             settle()
             save_checkpoint(params, os.path.join(out_dir, "final.ckpt"),
                             step=cfg.steps + cfg.finetune_steps)

@@ -5,27 +5,27 @@ every thread of the process. With BLAS on one thread those bounds mean the
 same on a 2-core and a 64-core machine. BLAS reads these variables once,
 when numpy loads, so this file must run before anything imports numpy.
 
-``training.posteriors`` scores the second half of a long eval batch on an
-executor's worker thread, whose CPU time ``process_time()`` counts too.
-Neither gate crosses its floor of ``SPLIT_FRAMES`` padded frames a half:
-gate 01 runs no eval, and gate 06 evaluates batches of 4 utterances of
-T <= 35, at most 70 padded frames a half, so both still count one thread.
+Where at least two CPUs are usable, ``training``'s worker process runs the
+second half of every batch of two or more utterances (in ``evaluate``,
+``pseudo_label``, ``frame_error`` and every adaptation step) and each of
+``fit``'s eval steps but a phase's last, and ``process_time()`` does not
+count the worker's CPU time. Gate 01 neither evaluates nor fits. Gate 06's
+fit of 800 steps evaluates its 32 utterances, in 8 batches of 4, at steps
+400 and 800. Its bound counts neither the eval at step 400 and that
+step's checkpoint writes, which run on the worker, nor the last 2
+utterances of each batch of the eval at step 800, which splits: 12
+batches' worth of forward work beside 800 training steps. Gate 07, which
+adapts, bounds no CPU time.
 
-``adaptation.adapt_speaker`` runs the second half of every batch on a
-worker process that it forks, and ``process_time()`` does not count that
-process's CPU time. Gates 01 and 06 never adapt, and gate 07, which does,
-bounds no CPU time.
-
-``training.fit`` forks a child for each eval step but a phase's last, which
-runs the dev eval and writes the log row and checkpoints, and
-``process_time()`` does not count that child's CPU time either. Gate 01
-does not fit. Gate 06's fit of 800 steps evaluates its 32 utterances at
-steps 400 and 800, so its bound no longer counts the eval at step 400 and
-that step's checkpoint writes, 8 forward batches beside 800 training steps.
+Each test starts and ends with no worker, so the first call that can use
+one forks it after the test's monkeypatches, which it then inherits, and
+no worker outlives its test.
 """
 
 import os
 import sys
+
+import pytest
 
 if "numpy" in sys.modules:
     raise RuntimeError(
@@ -36,3 +36,11 @@ if "numpy" in sys.modules:
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+
+
+@pytest.fixture(autouse=True)
+def no_worker_across_tests():
+    from ucam import training
+    training.close_worker()
+    yield
+    training.close_worker()

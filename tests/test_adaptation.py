@@ -90,7 +90,9 @@ def test_lin_batch_commutes_with_static_warp():
 
 def test_scoring_sees_the_step_planes_bitwise(monkeypatch):
     # pseudo-labels and held-out error score exactly what a step feeds the
-    # model: the LIN warps the planes of plain batch_pad batches
+    # model: the LIN warps the planes of plain batch_pad batches. One
+    # process runs every forward, so this one sees them all
+    set_usable_cpus(monkeypatch, 1)
     c = speaker_corpus(seed=13, n_utts=7)
     params = tiny_model()
     lin = noisy_lin(0.075, 4)
@@ -117,7 +119,9 @@ def test_scoring_sees_the_step_planes_bitwise(monkeypatch):
 
 @pytest.mark.parametrize("score", ["lin_batch", "pseudo_label",
                                    "frame_error"])
-def test_wrong_sized_lin_is_a_shape_error(score):
+def test_wrong_sized_lin_is_a_shape_error(monkeypatch, score):
+    # on one process, which warps the whole batch
+    set_usable_cpus(monkeypatch, 1)
     c = speaker_corpus(n_utts=3)
     lin = ad.LinTransform(6)
     with pytest.raises(ShapeError, match=r"\(6, 6\) cannot warp planes "
@@ -366,7 +370,7 @@ def test_adapt_validates_inputs():
 
 
 # ---------------------------------------------------------------------------
-# the session worker: the second half of every batch on a forked process
+# the worker: the second half of every batch on a forked process
 
 
 def record_forks(monkeypatch) -> list:
@@ -418,6 +422,7 @@ def test_split_session_is_bitwise_the_serial_one(monkeypatch, batch_size,
     set_usable_cpus(monkeypatch, 1)
     assert session_run(params, c.utts, **kw) == split
     assert len(pids) == int(batch_size > 1)
+    tr.close_worker()  # it outlives a session: one serves the process
     assert_reaped(pids)
     assert split[0] != np.eye(8, dtype=np.float32).tobytes()
 
@@ -447,6 +452,7 @@ def test_no_worker_forks_where_it_cannot_and_the_bits_hold(monkeypatch,
         other.join(10)
         assert not other.is_alive()
     assert len(pids) == 1
+    tr.close_worker()
     assert_reaped(pids)
 
 
@@ -474,13 +480,15 @@ def test_the_worker_ignores_sigint_and_exits_at_the_end(monkeypatch):
         pids[0], signal.SIGINT))
     assert session_run(params, c.utts) == serial
     assert len(pids) == 1
+    tr.close_worker()
     assert_reaped(pids)
 
 
-def test_the_worker_enters_the_callers_modes(monkeypatch):
+def test_the_worker_enters_the_callers_modes(monkeypatch, tmp_path):
     # a step's input is a leaf that records a graph; a score's is a
-    # constant, forwarded without recording
-    forward = ad.model_forward
+    # constant, forwarded without recording. Finite checks are on while
+    # the file ``checked`` exists, which both processes see
+    forward, checked = ad.model_forward, tmp_path / "checked"
 
     def checking(x, mask, params):
         recording = tc.needs_grad(tc.parameter(np.zeros(1)))
@@ -489,7 +497,8 @@ def test_the_worker_enters_the_callers_modes(monkeypatch):
             checking_finite = False
         except NumericError:
             checking_finite = True
-        if (recording, checking_finite) != (x.requires_grad, checks[0]):
+        if (recording, checking_finite) != (x.requires_grad,
+                                            checked.exists()):
             raise AssertionError(f"pid {os.getpid()}: recording "
                                  f"{recording}, checking {checking_finite}")
         return forward(x, mask, params)
@@ -498,12 +507,12 @@ def test_the_worker_enters_the_callers_modes(monkeypatch):
     pids = record_forks(monkeypatch)
     c = speaker_corpus(seed=22, n_utts=9)
     params = tiny_model()
-    checks = [False]
     session_run(params, c.utts)
-    checks = [True]
+    checked.touch()
     with tc.finite_checks():
         session_run(params, c.utts)
-    assert len(pids) == 2
+    assert len(pids) == 1  # one worker for both sessions
+    tr.close_worker()
     assert_reaped(pids)
 
 
@@ -531,7 +540,8 @@ def test_an_error_in_either_half_is_raised_here(monkeypatch, half):
                        match=r"non-finite values produced by op '\w+'"):
         with tc.finite_checks():
             session_run(params, utts, heldout=utts)
-    assert len(pids) == 2
+    assert len(pids) == 1  # one worker for both sessions
+    tr.close_worker()
     assert_reaped(pids)
     assert all(t.requires_grad for _, t in params.named_parameters())
 
@@ -545,14 +555,25 @@ def test_a_killed_worker_is_named_without_a_hang(monkeypatch):
         pids[0], signal.SIGKILL))
     with pytest.raises(ChildProcessError) as err:
         session_run(params, c.utts)
-    assert str(err.value) == (f"adaptation worker (pid {pids[0]}) was "
-                              f"killed by signal 9 before it answered")
+    assert str(err.value) == (f"ucam worker (pid {pids[0]}) was killed "
+                              f"by signal 9 before it answered")
     assert_reaped(pids)
+    # the next session forks a fresh worker
+    monkeypatch.setattr(ad, "model_forward", model_forward)
+    set_usable_cpus(monkeypatch, 1)
+    serial = session_run(params, c.utts)
+    set_usable_cpus(monkeypatch, 2)
+    assert session_run(params, c.utts) == serial
+    assert len(pids) == 2
 
 
-def test_an_interrupt_here_leaves_no_worker(monkeypatch):
+def test_an_interrupt_here_leaves_the_worker_in_step(monkeypatch):
+    # the interrupt comes while the worker scores its half; the next
+    # session's every batch gets its own answer from the same worker
     c = speaker_corpus(seed=25, n_utts=9)
     params = tiny_model()
+    set_usable_cpus(monkeypatch, 1)
+    serial = session_run(params, c.utts)
     set_usable_cpus(monkeypatch, 2)
     pids = record_forks(monkeypatch)
 
@@ -562,9 +583,11 @@ def test_an_interrupt_here_leaves_no_worker(monkeypatch):
     forwards_here(monkeypatch, interrupt)
     with pytest.raises(KeyboardInterrupt):
         session_run(params, c.utts)
-    assert len(pids) == 1
-    assert_reaped(pids)
     assert all(t.requires_grad for _, t in params.named_parameters())
+    assert session_run(params, c.utts) == serial
+    assert len(pids) == 1
+    tr.close_worker()
+    assert_reaped(pids)
 
 
 # ---------------------------------------------------------------------------

@@ -705,6 +705,33 @@ def test_adapt_unknown_speaker_exits_3(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# a run that the fork rule keeps on one process
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+def test_a_run_kept_off_the_worker_by_threads_says_so(tmp_path, capsys,
+                                                      monkeypatch, pinned):
+    # this process runs BLAS on one thread; an unpinned one runs more
+    from ucam import training
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    if not pinned:
+        monkeypatch.setattr(training, "_threads", lambda: 3)
+    data, out = train(tmp_path)
+    ckpt = str(out / "last.ckpt")
+    assert run(["eval", "--ckpt", ckpt, "--data", str(data)]) == 0
+    assert run(["adapt", "--ckpt", ckpt, "--data", str(data),
+                "--speaker", "spk1", "--iterations", "1", "--epochs", "1",
+                "--out", str(tmp_path / "lin.ucam")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    notes = [line for line in err if line.startswith("note:")]
+    assert len(notes) == (0 if pinned else 3)  # train, eval and adapt
+    for note in notes:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            assert var in note
+
+
+# ---------------------------------------------------------------------------
 # packaging
 
 

@@ -3,6 +3,8 @@ import math
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -17,7 +19,7 @@ from ucam.errors import (ConfigError, DataError, DivergenceError,
                          NumericError)
 from ucam.masking import SequenceMask
 from ucam.model import (ModelParams, desk_config, load_checkpoint,
-                        micro_config, model_forward)
+                        micro_config, model_forward, save_checkpoint)
 from ucam.rng import keyed
 
 
@@ -354,22 +356,31 @@ def test_evaluate_deterministic_and_batch_size_invariant():
 
 
 # ---------------------------------------------------------------------------
-# posteriors: a long batch is scored in two halves on two threads
-
-
-def count_thread_starts(monkeypatch) -> list:
-    started = []
-    start = threading.Thread.start
-
-    def counting_start(self):
-        started.append(self.name)
-        start(self)
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
-    return started
+# posteriors: the second half of each batch on the worker
 
 
 def set_usable_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def record_forks(monkeypatch) -> list:
+    """The pids of the processes forked from here on."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def split_batch(cfg, dtype, n_utts: int, t_max: int):
@@ -380,7 +391,7 @@ def split_batch(cfg, dtype, n_utts: int, t_max: int):
     utts = dp.synth_corpus(seed=n_utts * 1000 + t_max, n_speakers=2,
                            n_classes=cfg.n_senones, n_utts=n_utts,
                            feat_dim=cfg.feat_dim,
-                           t_range=(t_max // 2, t_max)).utts
+                           t_range=(max(1, t_max // 2), t_max)).utts
     utts[-1 - n_utts // 3] = dp.synth_corpus(
         seed=1, n_speakers=1, n_classes=cfg.n_senones, n_utts=1,
         feat_dim=cfg.feat_dim, t_range=(t_max, t_max)).utts[0]
@@ -399,42 +410,62 @@ def unsplit_forward(params, batch) -> np.ndarray:
 
 @pytest.mark.parametrize("config", [desk_config, micro_config])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n_utts", [2, 3, 4, 5])
+@pytest.mark.parametrize("n_utts", [1, 2, 3, 4, 5])
 def test_posteriors_split_is_bitwise_the_unsplit_forward(
         monkeypatch, config, dtype, n_utts):
     set_usable_cpus(monkeypatch, 2)
-    started = count_thread_starts(monkeypatch)
-    floor, half = tr.SPLIT_FRAMES, n_utts // 2
-    # the smaller half's padded frames: just below, and at, the floor
-    for t_max, splits in ((floor // half - 1, False),
-                          (-(-floor // half), True)):
-        assert (half * t_max >= floor) == splits
+    pids = record_forks(monkeypatch)
+    for t_max in (1, 37, 400):
         params, batch = split_batch(config(), dtype, n_utts, t_max)
         want = unsplit_forward(params, batch)
-        for forced in (False, True):
-            monkeypatch.setattr(tr, "SPLIT_FRAMES", 1 if forced else floor)
-            started.clear()
-            (got_batch, got), = tr.posteriors(params, [batch])
-            assert got_batch is batch
-            assert len(started) == int(splits or forced)
-            assert got.data.dtype == want.dtype
-            assert got.data.shape == want.shape
-            assert got.data.tobytes() == want.tobytes()
-            assert not got.requires_grad and got._parents is None
+        (got_batch, got), = tr.posteriors(params, [batch])
+        assert got_batch is batch
+        assert got.data.dtype == want.dtype
+        assert got.data.shape == want.shape
+        assert got.data.tobytes() == want.tobytes()
+        assert not got.requires_grad and got._parents is None
+    # a batch of one utterance has no second half
+    assert len(pids) == int(n_utts > 1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_evaluate_on_two_processes_is_the_one_process_result(monkeypatch,
+                                                             dtype):
+    # batch_pad makes float32 planes, so a float64 model's posteriors are
+    # compared on batches cast to float64
+    utts = dp.synth_corpus(seed=31, n_speakers=2, n_classes=10, n_utts=9,
+                           feat_dim=16, t_range=(1, 400)).utts
+    params = ModelParams.create(desk_config(), rng=keyed(31, "init"),
+                                dtype=dtype)
+
+    def scores():
+        return [b"".join(out.data.tobytes() for _, out in tr.posteriors(
+            params, (dp.Batch(b.feats.astype(dtype), b.labels, b.mask)
+                     for b in dp.batch_pad(utts, batch_size=size))))
+            for size in (1, 2, 3, 4)] + ([
+                tr.evaluate(params, utts, batch_size=size)
+                for size in (1, 2, 3, 4)] if dtype == np.float32 else [])
+    set_usable_cpus(monkeypatch, 2)
+    pids = record_forks(monkeypatch)
+    split = scores()
+    assert len(pids) == 1
+    monkeypatch.setattr(tr, "can_fork", lambda: False)
+    assert scores() == split
 
 
 def test_posteriors_on_one_cpu_starts_no_thread(monkeypatch):
-    # below the floor no thread starts either: see the test above
-    started = count_thread_starts(monkeypatch)
-    params, long = split_batch(desk_config(), np.float32, 4,
-                               tr.SPLIT_FRAMES // 2)
+    # nor a process: no worker forks
+    threads = threading.active_count()
+    pids = record_forks(monkeypatch)
+    params, long = split_batch(desk_config(), np.float32, 4, 100)
     set_usable_cpus(monkeypatch, 1)
     (_, out), = tr.posteriors(params, [long])
-    assert started == []
+    assert pids == []
     assert out.data.tobytes() == unsplit_forward(params, long).tobytes()
     set_usable_cpus(monkeypatch, 2)
     list(tr.posteriors(params, [long]))
-    assert len(started) == 1 and started[0].startswith("ucam-posteriors")
+    assert len(pids) == 1
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -442,61 +473,217 @@ def test_posteriors_without_affinity_counts_cpus(monkeypatch, cpus):
     # os.sched_getaffinity exists on Linux only
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    started = count_thread_starts(monkeypatch)
-    params, long = split_batch(desk_config(), np.float32, 4,
-                               tr.SPLIT_FRAMES // 2)
+    pids = record_forks(monkeypatch)
+    params, long = split_batch(desk_config(), np.float32, 4, 100)
     (_, out), = tr.posteriors(params, [long])
-    assert len(started) == cpus - 1
+    assert len(pids) == cpus - 1
     assert out.data.tobytes() == unsplit_forward(params, long).tobytes()
+
+
+def with_nan(batch, k):
+    """``batch`` with a NaN at a valid frame of utterance k (every T is
+    >= 6)."""
+    feats = batch.feats.copy()
+    feats[k, 0, 2, 5] = np.nan
+    return dp.Batch(feats, batch.labels, batch.mask)
 
 
 def test_posteriors_raises_the_second_halfs_error_and_cleans_up(
         monkeypatch):
     set_usable_cpus(monkeypatch, 2)
-    monkeypatch.setattr(tr, "SPLIT_FRAMES", 1)
+    pids = record_forks(monkeypatch)
     params, batch = split_batch(micro_config(), np.float32, 4, 12)
-    feats = batch.feats.copy()
-    feats[3, 0, 2, 5] = np.nan  # every T is >= 6: a valid frame
-    batch = dp.Batch(feats, batch.labels, batch.mask)
-    threads = threading.active_count()
     with pytest.raises(NumericError, match="op 'apply_mask'"):
         with tc.finite_checks():
-            list(tr.posteriors(params, [batch]))
+            list(tr.posteriors(params, [with_nan(batch, 3)]))
     assert tc.needs_grad(params.w_h2)
-    assert threading.active_count() == threads
-    # the first half alone is finite: the error came from the thread
+    # the first half alone is finite: the error came from the worker
     with tc.finite_checks(), tc.no_grad():
-        tr._forward_rows(params, batch, 0, 2)
+        tr._forward(params, with_nan(batch, 3).rows(0, 2))
+    # which answers the next batch with its own half
+    (_, out), = tr.posteriors(params, [batch])
+    assert out.data.tobytes() == unsplit_forward(params, batch).tobytes()
+    assert len(pids) == 1
 
 
-def test_posteriors_raises_the_first_halfs_error_after_the_join(
+@pytest.mark.parametrize("error", [NumericError, KeyboardInterrupt])
+def test_an_error_in_the_callers_half_leaves_the_pipe_in_step(monkeypatch,
+                                                              error):
+    # the caller's half raises while the worker's answer is on its way;
+    # the next call still gets its own answer, from the same worker
+    set_usable_cpus(monkeypatch, 2)
+    pids = record_forks(monkeypatch)
+    params, batch = split_batch(micro_config(), np.float32, 4, 12)
+    forward, parent = tr.model_forward, os.getpid()
+
+    def interrupted(x, mask, params):
+        if os.getpid() == parent and error is KeyboardInterrupt:
+            raise KeyboardInterrupt
+        return forward(x, mask, params)
+    monkeypatch.setattr(tr, "model_forward", interrupted)
+    with pytest.raises(error):
+        with tc.finite_checks():
+            list(tr.posteriors(params, [with_nan(batch, 0)]))
+    assert tr._worker.busy
+    monkeypatch.setattr(tr, "model_forward", forward)
+    other_params, other = split_batch(micro_config(), np.float32, 3, 20)
+    (_, out), = tr.posteriors(other_params, [other])
+    assert out.data.tobytes() \
+        == unsplit_forward(other_params, other).tobytes()
+    assert len(pids) == 1 and tr._worker.pid == pids[0]
+    assert tc.needs_grad(params.w_h2)
+
+
+class _CutRecv:
+    """A worker's pipe whose next ``recv`` is interrupted."""
+
+    def __init__(self, conn):
+        self.conn = conn
+
+    def recv(self):
+        raise KeyboardInterrupt
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+
+def test_an_interrupt_mid_answer_closes_the_worker_and_forks_anew(
         monkeypatch):
     set_usable_cpus(monkeypatch, 2)
-    monkeypatch.setattr(tr, "SPLIT_FRAMES", 1)
+    pids = record_forks(monkeypatch)
     params, batch = split_batch(micro_config(), np.float32, 4, 12)
-    feats = batch.feats.copy()
-    feats[0, 0, 2, 5] = np.nan  # every T is >= 6: a valid frame
-    batch = dp.Batch(feats, batch.labels, batch.mask)
-    forward_rows = tr._forward_rows
-    first_failed, second_done = threading.Event(), []
+    list(tr.posteriors(params, [batch]))
+    tr._worker.conn = _CutRecv(tr._worker.conn)
+    with pytest.raises(KeyboardInterrupt):
+        list(tr.posteriors(params, [batch]))
+    assert_reaped(pids)
+    (_, out), = tr.posteriors(params, [batch])
+    assert out.data.tobytes() == unsplit_forward(params, batch).tobytes()
+    assert len(pids) == 2 and tr._worker.pid == pids[1]
 
-    def rows(params, batch, lo, hi):
-        if lo:  # the worker's half finishes only after the first failed
-            assert first_failed.wait(10)
-            second_done.append(forward_rows(params, batch, lo, hi))
-            return second_done[-1]
+
+def test_a_killed_worker_is_named_and_the_next_call_forks_anew(
+        monkeypatch):
+    set_usable_cpus(monkeypatch, 2)
+    pids = record_forks(monkeypatch)
+    params, batch = split_batch(micro_config(), np.float32, 4, 12)
+    list(tr.posteriors(params, [batch]))
+    os.kill(pids[0], signal.SIGKILL)
+    t0 = time.monotonic()
+    with pytest.raises(ChildProcessError) as err:
+        list(tr.posteriors(params, [batch]))
+    assert time.monotonic() - t0 < 30
+    assert str(err.value) == (f"ucam worker (pid {pids[0]}) was killed by "
+                              f"signal 9 before it answered")
+    assert_reaped(pids)
+    (_, out), = tr.posteriors(params, [batch])
+    assert out.data.tobytes() == unsplit_forward(params, batch).tobytes()
+    assert len(pids) == 2
+
+
+def test_weights_travel_only_when_their_bytes_change(monkeypatch, tmp_path):
+    set_usable_cpus(monkeypatch, 2)
+    bind, sent = tr.Worker._bind, []
+
+    def recording_bind(self, params):
+        update = bind(self, params)
+        # the indices that travel, each with whether its data stays
+        sent.append(update if isinstance(update, ModelParams)
+                    else {i: data is None for i, (data, _) in update.items()})
+        return update
+    monkeypatch.setattr(tr.Worker, "_bind", recording_bind)
+    params, batch = split_batch(micro_config(), np.float32, 4, 12)
+
+    def score(p):
+        (_, out), = tr.posteriors(p, [batch])
+        assert out.data.tobytes() == unsplit_forward(p, batch).tobytes()
+    score(params)
+    score(params)
+    save_checkpoint(params, tmp_path / "m.ckpt")
+    score(load_checkpoint(tmp_path / "m.ckpt").params)
+    assert sent[0] is params and sent[1:] == [{}, {}]
+    # a weight changed in place, a bias of +0.0 turned -0.0, a frozen one
+    named = params.named_parameters()
+    zeros = next(i for i, (_, t) in enumerate(named) if not t.data.any())
+    named[0][1].data[0] += 1.0
+    named[zeros][1].data[:] = -named[zeros][1].data
+    named[-1][1].requires_grad = False
+    score(params)
+    assert sent[-1] == {0: False, zeros: False, len(named) - 1: True}
+    # another config: the whole model travels
+    cfg = micro_config()
+    other = ModelParams.create(type(cfg)(**{**cfg.__dict__, "n_senones": 9}))
+    score(other)
+    assert sent[-1] is other
+
+
+def test_the_worker_is_reaped_at_exit(tmp_path):
+    # atexit runs its handlers last in, first out: this script's check
+    # runs after ucam's own handler, registered when ucam was imported
+    script = tmp_path / "run.py"
+    script.write_text(
+        "import atexit, os, sys\n"
+        "worker = []\n"
+        "def check():\n"
+        "    try:\n"
+        "        os.waitpid(worker[0], os.WNOHANG)\n"
+        "    except ChildProcessError:\n"
+        "        print('reaped', flush=True)\n"
+        "atexit.register(check)\n"
+        "from ucam import data as dp, training as tr\n"
+        "from ucam.model import ModelParams, micro_config\n"
+        "tr._usable_cpus = lambda: 2\n"
+        "utts = dp.synth_corpus(seed=0, n_speakers=2, n_classes=5,\n"
+        "                       n_utts=2, feat_dim=8, t_range=(6, 12)).utts\n"
+        "tr.evaluate(ModelParams.create(micro_config()), utts)\n"
+        "worker.append(tr._worker.pid)\n"
+        "print(worker[0], flush=True)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, str(script)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    pid, reaped = run.stdout.split()
+    assert reaped == "reaped"
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid), 0)
+
+
+def test_a_forked_process_never_talks_to_its_parents_worker(monkeypatch,
+                                                            tmp_path):
+    set_usable_cpus(monkeypatch, 2)
+    params, batch = split_batch(micro_config(), np.float32, 4, 12)
+    want = unsplit_forward(params, batch).tobytes()
+    list(tr.posteriors(params, [batch]))
+    parents_worker = tr._worker.pid
+    pid = os.fork()
+    if pid == 0:  # scores with a worker of its own, then waits
+        code = 1
         try:
-            return forward_rows(params, batch, lo, hi)
+            if tr._worker is None:
+                (_, out), = tr.posteriors(params, [batch])
+                if (out.data.tobytes() == want
+                        and tr._worker.pid != parents_worker):
+                    tr.close_worker()
+                    (tmp_path / "ok").touch()
+                    code = 0
+            for _ in range(3000):
+                if (tmp_path / "go").exists():
+                    break
+                time.sleep(0.01)
         finally:
-            first_failed.set()
-    monkeypatch.setattr(tr, "_forward_rows", rows)
-    threads = threading.active_count()
-    with pytest.raises(NumericError, match="op 'apply_mask'"):
-        with tc.finite_checks():
-            list(tr.posteriors(params, [batch]))
-    assert len(second_done) == 1
-    assert threading.active_count() == threads
-    assert tc.needs_grad(params.w_h2)
+            os._exit(code)
+    try:
+        wait_for(tmp_path / "ok")
+        (_, out), = tr.posteriors(params, [batch])
+        assert out.data.tobytes() == want
+        assert tr._worker.pid == parents_worker
+        # the child closed its copy of the pipe: the worker sees it end
+        t0 = time.monotonic()
+        tr.close_worker()
+        assert time.monotonic() - t0 < 10
+    finally:
+        (tmp_path / "go").touch()
+        assert os.waitpid(pid, 0)[1] == 0
 
 
 def fit_once(tmp, steps=6, seed=0, resume_from=None, **kw):
@@ -554,6 +741,7 @@ def _crash_at(monkeypatch, step=None, last_save=None):
 
     monkeypatch.setattr(tr, "_train_step", crashing_step)
     monkeypatch.setattr(tr, "save_checkpoint", crashing_save)
+    tr.close_worker()  # the next worker forks with the patch
 
 
 @pytest.mark.parametrize("crashes,fit_kw", [
@@ -574,6 +762,7 @@ def test_fit_resume_after_crash_matches_uninterrupted_run(
         with pytest.raises(_Crash):
             fit_once(run, resume_from=resume, **fit_kw)
         monkeypatch.undo()
+        tr.close_worker()
         resume = run / "last.ckpt"
     fit_once(run, resume_from=resume, **fit_kw)
     names = sorted(p.name for p in full.iterdir())
@@ -593,8 +782,8 @@ def _raise_after(records, k):
 
 
 def append_record(path, record) -> None:
-    """Append ``record`` to the file at ``path``: fit's forked eval children
-    record there too, where this process sees what they did."""
+    """Append ``record`` to the file at ``path``: the worker records there
+    too, where this process sees what it did."""
     with open(path, "a") as f:
         f.write(json.dumps(record) + "\n")
 
@@ -630,8 +819,9 @@ def test_fit_crashed_in_every_step_and_every_write_matches_uninterrupted(
     monkeypatch.setattr(serial, "write_container", recording_write)
     fit_once(tmp_path / "full", **kw)
     monkeypatch.undo()
+    tr.close_worker()
     # the crash points of an uninterrupted run, in run order: a step, then
-    # the writes of that step, which a forked eval makes while the steps
+    # the writes of that step, which the worker makes while the steps
     # after it run (the sort is stable, and each process writes in order)
     points = sorted(read_records(recorded),
                     key=lambda p: (p[1], 0) if p[0] == "step" else (p[2], 1))
@@ -654,10 +844,12 @@ def test_fit_crashed_in_every_step_and_every_write_matches_uninterrupted(
 
         monkeypatch.setattr(tr, "_train_step", crashing_step)
         monkeypatch.setattr(serial, "write_container", crashing_write)
+        tr.close_worker()  # the next worker forks with the patches
         last = run / "last.ckpt"
         with pytest.raises(_Crash):
             fit_once(run, resume_from=last if last.exists() else None, **kw)
         monkeypatch.undo()
+        tr.close_worker()
     fit_once(run, resume_from=run / "last.ckpt", **kw)
     names = sorted(p.name for p in (tmp_path / "full").iterdir())
     assert sorted(p.name for p in run.iterdir()) == names
@@ -685,6 +877,7 @@ def test_interrupted_checkpoint_write_keeps_previous_file(
         write(path, header, tensors)
 
     monkeypatch.setattr(serial, "write_container", crashing_write)
+    tr.close_worker()  # the next worker forks with the patch
     with pytest.raises(_Crash):
         fit_once(tmp_path, steps=6, resume_from=last)
     monkeypatch.undo()
@@ -712,7 +905,7 @@ def test_fit_fsyncs_the_log_before_each_checkpoint(tmp_path, monkeypatch):
     log = tmp_path / "run" / "train_log.csv"
     fsync = os.fsync
     # (file's inode, log size) at each fsync, in run order, from this
-    # process and from the forked evals, which write the checkpoints
+    # process and from the worker, which writes the checkpoints
     recorded = tmp_path / "fsyncs.jsonl"
 
     def recording_fsync(fd):
@@ -796,44 +989,24 @@ def test_fit_divergence_is_loud(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# fit on two processes: each eval step's work on a forked snapshot
-
-
-def record_forks(monkeypatch) -> list:
-    """The pids of the processes forked from here on."""
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
-
-
-def assert_reaped(pids) -> None:
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+# fit on two processes: each eval step's work on the worker
 
 
 def files_of(out) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-def forked_and_serial(tmp_path, monkeypatch, run) -> tuple:
+def on_worker_and_alone(tmp_path, monkeypatch, run) -> tuple:
     """What ``run(out_dir)`` returns, pickled, or the type of what it
-    raises, and the files it leaves, first with fit's evals forked, then
-    with the fork rule off; and the pids forked."""
+    raises, and the files it leaves, first with fit's evals on the worker,
+    then with the fork rule off; and the pids forked."""
     pids = record_forks(monkeypatch)
     set_usable_cpus(monkeypatch, 2)
     runs = []
-    for forked in (True, False):
-        if not forked:
+    for worker in (True, False):
+        if not worker:
             monkeypatch.setattr(tr, "can_fork", lambda: False)
-        out = tmp_path / ("forked" if forked else "serial")
+        out = tmp_path / ("worker" if worker else "alone")
         try:
             outcome = pickle.dumps(run(out))
         except (Exception, KeyboardInterrupt) as e:
@@ -851,24 +1024,49 @@ def wait_for(path) -> None:
 
 
 # evals every 3 steps and at a phase's last step, which runs here
-@pytest.mark.parametrize("run,forks", [
-    (lambda out: fit_once(out, steps=6)[1], 1),
-    (lambda out: fit_once(out, steps=7)[1], 2),
-    (lambda out: fit_once(out, steps=3, eval_every=1)[1], 2),
-    (lambda out: fit_once(out, steps=4, finetune_steps=5)[1], 2),
-    (lambda out: (fit_once(out, steps=4),
-                  fit_once(out, steps=7, finetune_steps=2,
-                           resume_from=out / "last.ckpt"))[1][1], 2)],
+@pytest.mark.parametrize("run", [
+    lambda out: fit_once(out, steps=6)[1],
+    lambda out: fit_once(out, steps=7)[1],
+    lambda out: fit_once(out, steps=3, eval_every=1)[1],
+    lambda out: fit_once(out, steps=4, finetune_steps=5)[1],
+    lambda out: (fit_once(out, steps=4),
+                 fit_once(out, steps=7, finetune_steps=2,
+                          resume_from=out / "last.ckpt"))[1][1]],
     ids=["eval_every_divides_steps", "eval_every_does_not_divide_steps",
          "eval_at_the_first_step", "finetune", "resume"])
-def test_forked_fit_is_bitwise_the_serial_one(tmp_path, monkeypatch, run,
-                                              forks):
-    (forked, serial_run), pids = forked_and_serial(tmp_path, monkeypatch,
-                                                   run)
-    assert forked == serial_run
-    assert type(forked[0]) is bytes and "train_log.csv" in forked[1]
-    assert len(pids) == forks
+def test_forked_fit_is_bitwise_the_serial_one(
+        tmp_path, monkeypatch, run):
+    (worker, alone), pids = on_worker_and_alone(tmp_path, monkeypatch, run)
+    assert worker == alone
+    assert type(worker[0]) is bytes and "train_log.csv" in worker[1]
+    assert len(pids) == 1
+    tr.close_worker()
     assert_reaped(pids)
+
+
+def test_fit_sends_the_dev_set_once_and_the_worker_forks_none(
+        tmp_path, monkeypatch):
+    send, sent = tr.Worker.send, []
+
+    def recording_send(self, fn, params, *args):
+        if fn is tr._eval_step:
+            sent.append(args[0])
+        return send(self, fn, params, *args)
+
+    def recording_fork():
+        append_record(tmp_path / "forks.jsonl", (os.getpid(),))
+        return fork()
+    fork = os.fork
+    monkeypatch.setattr(tr.Worker, "send", recording_send)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    set_usable_cpus(monkeypatch, 2)
+    # evals at steps 3, 6 and 9 on the worker, whose evaluate scores the
+    # dev batches alone, and at step 10 here, on both processes
+    c = tiny_corpus(n_utts=12)
+    cfg = tr.TrainConfig(steps=10, batch_size=3, eval_every=3)
+    tr.fit(tiny_params(), c.utts[:6], c.utts[6:], cfg, tmp_path / "run")
+    assert [dev is None for dev in sent] == [False, True, True]
+    assert read_records(tmp_path / "forks.jsonl") == [(os.getpid(),)]
 
 
 @pytest.mark.parametrize("name", ["best.ckpt", "last.ckpt"])
@@ -886,32 +1084,35 @@ def test_a_child_failing_mid_write_fails_the_fit_as_one_process_does(
             tensors = _raise_after(tensors, k[after])
         write(path, header, tensors)
     monkeypatch.setattr(serial, "write_container", crashing_write)
-    (forked, serial_run), pids = forked_and_serial(
+    (worker, alone), pids = on_worker_and_alone(
         tmp_path, monkeypatch, lambda out: fit_once(out, steps=6))
-    assert forked == serial_run
-    assert forked[0] is _Crash
-    assert len(forked[1]["train_log.csv"].splitlines()) == 1 + 3
+    assert worker == alone
+    assert worker[0] is _Crash
+    assert len(worker[1]["train_log.csv"].splitlines()) == 1 + 3
     assert len(pids) == 1
+    tr.close_worker()
     assert_reaped(pids)
 
 
-class _ChildCrash(Exception):
+class _WorkerCrash(Exception):
     pass
 
 
-@pytest.mark.parametrize("child_fails", [False, True])
+@pytest.mark.parametrize("worker_fails", [False, True])
 @pytest.mark.parametrize("error", [_Crash, KeyboardInterrupt])
 def test_an_error_here_while_a_child_writes_reaps_it_first(
-        tmp_path, monkeypatch, error, child_fails):
-    # step 5 raises here while the eval of step 3 waits to write last.ckpt;
-    # the held row of step 4 is written unless that write fails, and the
-    # error raised is the one a single process meets first
+        tmp_path, monkeypatch, error, worker_fails):
+    # step 5 raises here while the eval of step 3 waits to write last.ckpt
+    # on the worker, whose answer fit takes before it raises; the held row
+    # of step 4 is written unless that write fails, and the error raised
+    # is the one a single process meets first
     parent, ready, go = os.getpid(), tmp_path / "ready", tmp_path / "go"
     train_step, write = tr._train_step, serial.write_container
+    can_fork = tr.can_fork
 
     def crashing_step(*args):
         if args[5] == 5:
-            if not go.exists():  # in the forked run
+            if not go.exists():  # in the run on the worker
                 wait_for(ready)
                 go.touch()
             raise error
@@ -922,19 +1123,24 @@ def test_an_error_here_while_a_child_writes_reaps_it_first(
             if os.getpid() != parent:
                 ready.touch()
                 wait_for(go)
-            if child_fails:
-                raise _ChildCrash
+            if worker_fails:
+                raise _WorkerCrash
         write(path, header, tensors)
     monkeypatch.setattr(tr, "_train_step", crashing_step)
     monkeypatch.setattr(serial, "write_container", waiting_write)
-    (forked, serial_run), pids = forked_and_serial(
+    (worker, alone), pids = on_worker_and_alone(
         tmp_path, monkeypatch, lambda out: fit_once(out, steps=6))
-    assert forked == serial_run
-    assert forked[0] is (_ChildCrash if child_fails else error)
-    rows = 3 if child_fails else 4
-    assert len(forked[1]["train_log.csv"].splitlines()) == 1 + rows
+    assert worker == alone
+    assert worker[0] is (_WorkerCrash if worker_fails else error)
+    rows = 3 if worker_fails else 4
+    assert len(worker[1]["train_log.csv"].splitlines()) == 1 + rows
     assert len(pids) == 1
-    assert_reaped(pids)
+    # the worker answered: the next call gets its own answer from it
+    monkeypatch.setattr(tr, "can_fork", can_fork)
+    params, batch = split_batch(micro_config(), np.float32, 4, 12)
+    (_, out), = tr.posteriors(params, [batch])
+    assert out.data.tobytes() == unsplit_forward(params, batch).tobytes()
+    assert len(pids) == 1 and tr._worker.pid == pids[0]
 
 
 def test_a_killed_eval_child_is_named_without_a_hang(tmp_path, monkeypatch):
@@ -960,7 +1166,7 @@ def test_a_killed_eval_child_is_named_without_a_hang(tmp_path, monkeypatch):
     with pytest.raises(ChildProcessError) as err:
         fit_once(tmp_path / "run", steps=6)
     assert time.monotonic() - t0 < 30
-    assert str(err.value) == (f"fit eval (pid {pids[0]}) was killed by "
+    assert str(err.value) == (f"ucam worker (pid {pids[0]}) was killed by "
                               f"signal 9 before it answered")
     assert_reaped(pids)
     # the eval's row is out, no checkpoint is, and the held rows are not
@@ -975,7 +1181,7 @@ def test_the_eval_child_ignores_sigint(tmp_path, monkeypatch):
     pids = record_forks(monkeypatch)
 
     def interrupting_step(*args):
-        if args[5] == 4 and not go.exists():  # in the forked run
+        if args[5] == 4 and not go.exists():  # in the run on the worker
             wait_for(ready)
             os.kill(pids[0], signal.SIGINT)
             go.touch()
@@ -988,11 +1194,12 @@ def test_the_eval_child_ignores_sigint(tmp_path, monkeypatch):
         write(path, header, tensors)
     monkeypatch.setattr(tr, "_train_step", interrupting_step)
     monkeypatch.setattr(serial, "write_container", waiting_write)
-    (forked, serial_run), _ = forked_and_serial(
+    (worker, alone), _ = on_worker_and_alone(
         tmp_path, monkeypatch, lambda out: fit_once(out, steps=6)[1])
-    assert forked == serial_run
-    assert type(forked[0]) is bytes
+    assert worker == alone
+    assert type(worker[0]) is bytes
     assert go.exists()
+    tr.close_worker()
     assert_reaped(pids)
 
 
@@ -1008,10 +1215,10 @@ def test_with_the_fork_rule_off_fit_and_adaptation_keep_one_process(
                                         epochs=1, lr=1e-2)
         return report, lin.w.data.tobytes(), adapted
     pids = record_forks(monkeypatch)
-    (forked, serial_run), _ = forked_and_serial(tmp_path, monkeypatch, run)
-    assert forked == serial_run
-    assert type(forked[0]) is bytes
-    assert len(pids) == 1 + 1  # the eval of step 3, the worker
+    (worker, alone), _ = on_worker_and_alone(tmp_path, monkeypatch, run)
+    assert worker == alone
+    assert type(worker[0]) is bytes
+    assert len(pids) == 1  # the one worker, for fit and adaptation
 
 
 def test_train_config_validation():

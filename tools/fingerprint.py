@@ -11,20 +11,21 @@ line), and exits 1 on any difference. The artifacts are:
 
 - every file of the determinism gate's small fit, for 6 steps (``gate09_6``)
   and for 3 steps resumed to 6 (``gate09_resume``), and how many
-  processes the 6-step fit forked for its dev evals (``fit/processes``);
+  processes the 6-step fit forked (``fit/processes``): its worker;
 - every file of a desk-model fit with dropout 0.15 and a 3-step EMA
   fine-tune (``desk_ema``);
 - ``evaluate``'s loss and accuracy, and the posteriors at every frame,
   padded ones included, at T 20-40 and T 200-400 (``eval_*``), and the
   posteriors of one batch each of 2, 3 and 5 utterances of T 200-400,
-  which ``posteriors`` scores in two halves on two threads
-  (``eval_200_400_b*``), with the number of threads each started;
+  which ``posteriors`` scores in two halves, the second on the worker
+  (``eval_200_400_b*``), with the number of threads and of processes
+  each started;
 - ``adapt_speaker``'s LIN and the frame errors of its report for
   2 speakers x 2 seeds (``adapt``), for a speaker whose utterances
   have T 1-6, in batches of 3 over 2 epochs (``adapt_short``), and for
   one whose utterances have T 150-300, 1 iteration of 1 epoch
-  (``adapt_long``), each with the number of threads and of worker
-  processes it started;
+  (``adapt_long``), each with the number of threads and of processes
+  it started;
 - ``pseudo_label``'s decisions and ``frame_error`` under a fixed LIN
   away from identity, over utterances of T 20-400 (``adapt_scoring``);
 - one desk training loss (dropout on) and every parameter gradient of it
@@ -46,7 +47,8 @@ line), and exits 1 on any difference. The artifacts are:
 The split cases and the 6-step fit report 2 usable CPUs whatever the
 machine has, so a change that stops splitting or forking shows in their
 thread and process counts even when its posteriors, LINs and files stay
-the same. Compare two checkouts
+the same. Each of them starts with no worker and closes the one it
+forked, so each counts its own. Compare two checkouts
 on the same machine only: the hashes depend on the BLAS build, so they
 are not pinned anywhere; BLAS runs on one thread so that its thread
 count cannot change a sum.
@@ -88,9 +90,14 @@ def emit_dir(name: str, path: Path) -> None:
 
 @contextlib.contextmanager
 def split_on_two_cpus(name: str, *counts: str):
-    """Run the block as if 2 CPUs were usable, then emit each of
-    ``counts``: how many threads it started as ``{name}/threads``, how
-    many processes it forked as ``{name}/processes``."""
+    """Run the block as if 2 CPUs were usable, with no worker before it
+    and none after it, then emit each of ``counts``: how many threads it
+    started as ``{name}/threads``, how many processes it forked as
+    ``{name}/processes``."""
+    # a tree from before the worker has no close_worker
+    close_worker = getattr(sys.modules["ucam.training"], "close_worker",
+                           lambda: None)
+    close_worker()
     started = {"threads": [], "processes": []}
     start, fork = threading.Thread.start, getattr(os, "fork", None)
 
@@ -109,7 +116,10 @@ def split_on_two_cpus(name: str, *counts: str):
             (mock.patch.object(os, "fork", counting_fork) if fork
              else contextlib.nullcontext()), \
             mock.patch.object(threading.Thread, "start", counting_start):
-        yield
+        try:
+            yield
+        finally:
+            close_worker()
     for count in counts:
         emit(f"{name}/{count}", str(len(started[count])).encode())
 
@@ -176,13 +186,13 @@ def main(src: str) -> None:
              b"".join(out.data.tobytes() for _, out in tr.posteriors(
                  params, dp.batch_pad(utts, batch_size=4))))
     # one batch each of 2, 3 and 5 long utterances: posteriors scores
-    # even and uneven halves on two threads
+    # even and uneven halves
     for n_utts in (2, 3, 5):
         utts = dp.synth_corpus(seed=24 + n_utts, n_speakers=2, n_classes=10,
                                n_utts=n_utts, feat_dim=16,
                                t_range=(200, 400)).utts
         name = f"eval_200_400_b{n_utts}"
-        with split_on_two_cpus(name, "threads"):
+        with split_on_two_cpus(name, "threads", "processes"):
             emit(f"{name}/posteriors",
                  b"".join(out.data.tobytes() for _, out in tr.posteriors(
                      params, dp.batch_pad(utts, batch_size=n_utts))))
