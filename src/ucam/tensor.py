@@ -299,8 +299,9 @@ def scale(a: Tensor, c: float) -> Tensor:
     return from_op(a.data * c, (a,), lambda g: (g * c,), "scale")
 
 
-def _check_const(op: str, a: Tensor, arr: np.ndarray) -> None:
-    """``arr`` may broadcast up to ``a``'s shape but never enlarge it."""
+def add_const(a: Tensor, arr: np.ndarray, op: str = "add_const") -> Tensor:
+    """Elementwise sum with a fixed array (no gradient into ``arr``), which
+    may broadcast up to ``a``'s shape but never enlarge it."""
     try:
         bshape = np.broadcast_shapes(a.shape, arr.shape)
     except ValueError:
@@ -308,17 +309,6 @@ def _check_const(op: str, a: Tensor, arr: np.ndarray) -> None:
     if bshape != a.shape:
         raise ShapeError(f"{op}: incompatible shapes {a.shape} and {arr.shape}")
     check_same_dtype(op, a.data, arr)
-
-
-def mul_const(a: Tensor, arr: np.ndarray, op: str = "mul_const") -> Tensor:
-    """Elementwise product with a fixed array (no gradient into ``arr``)."""
-    _check_const(op, a, arr)
-    return from_op(a.data * arr, (a,), lambda g: (g * arr,), op)
-
-
-def add_const(a: Tensor, arr: np.ndarray, op: str = "add_const") -> Tensor:
-    """Elementwise sum with a fixed array (no gradient into ``arr``)."""
-    _check_const(op, a, arr)
     return from_op(a.data + arr, (a,), lambda g: (g,), op)
 
 

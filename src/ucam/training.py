@@ -187,16 +187,16 @@ def can_fork() -> bool:
 class Worker:
     """A process forked from this one that answers requests ``fn(model,
     *args)``, one at a time and each inside the grad and finite-check
-    modes its caller had, on its own copy of the caller's model, until its
-    pipe closes. It ignores SIGINT, so an interrupt is the caller's to
-    handle, and leaves through ``os._exit``, running nothing this process
-    registered for its own exit.
+    modes its caller had, on its own frozen copy of the caller's model,
+    until its pipe closes. It ignores SIGINT, so an interrupt is the
+    caller's to handle, and leaves through ``os._exit``, running nothing
+    this process registered for its own exit.
 
-    ``send`` binds the caller's model first. Only what differs from what
-    the worker holds travels: the whole model when its config or record
-    names differ, else the tensors whose bytes, dtype or shape do, and
-    the flag of those whose ``requires_grad`` alone does, so an unchanged
-    model costs one compare. One request is outstanding at a time, and
+    ``send`` binds the caller's model first: the whole model travels when
+    its config, a record name, or the dtype, shape or bytes of any tensor
+    differs from what the worker holds, else nothing does, so an unchanged
+    model costs one compare. ``requires_grad`` does not travel: no request
+    takes a weight gradient. One request is outstanding at a time, and
     ``result`` takes its answer.
     """
 
@@ -204,9 +204,14 @@ class Worker:
         # imported here, not at the top: it would lengthen every ucam import
         from multiprocessing.connection import Pipe
         self.conn, theirs = Pipe()
-        self.held = None  # (config, names) and each tensor's snapshot
+        self.held = None  # the config and each tensor's name and bytes
         self.busy = False
-        self.pid = os.fork()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            self.conn.close()
+            theirs.close()
+            raise
         if self.pid == 0:
             import signal  # loaded already, by multiprocessing.connection
             global _serving
@@ -237,22 +242,14 @@ class Worker:
         return out
 
     def _bind(self, params: ModelParams):
-        """What the worker needs to hold ``params``: the model itself, or
-        {index: (data, requires_grad)} of the tensors that changed, data
-        None where only ``requires_grad`` did."""
-        named = params.named_parameters()
-        structure = (params.cfg, [n for n, _ in named])
-        if self.held is None or self.held[0] != structure:
-            self.held = (structure, [_snapshot(t) for _, t in named])
-            return params
-        held, changed = self.held[1], {}
-        for i, (_, t) in enumerate(named):
-            snap = _snapshot(t)
-            if snap != held[i]:
-                same = snap[1] == held[i][1]
-                held[i] = snap
-                changed[i] = (None if same else t.data, t.requires_grad)
-        return changed
+        """``params`` if the worker holds other weights, else None."""
+        held = (params.cfg, [(n, t.data.dtype.str, t.data.shape,
+                              t.data.tobytes())
+                             for n, t in params.named_parameters()])
+        if held == self.held:
+            return None
+        self.held = held
+        return params
 
     def _io(self, op, *args):
         try:
@@ -281,28 +278,19 @@ class Worker:
         return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _snapshot(t: tc.Tensor) -> tuple:
-    return t.requires_grad, (t.data.dtype.str, t.data.shape, t.data.tobytes())
-
-
 def _serve(conn) -> None:
-    """The worker's life: bind each request's model update, then answer
-    it with ``fn(model, *args)`` or the exception that raised, until the
-    pipe ends."""
-    model = named = None
+    """The worker's life: hold each model a request sends, frozen, and
+    answer the request with ``fn(model, *args)`` or the exception that
+    raised, until the pipe ends."""
+    model = None
     while True:
         try:
-            modes, fn, update, args = conn.recv()
+            modes, fn, sent, args = conn.recv()
         except EOFError:
             return
-        if isinstance(update, ModelParams):
-            model, named = update, update.named_parameters()
-        else:
-            for i, (data, flag) in update.items():
-                t = named[i][1]
-                t.requires_grad = flag
-                if data is not None:
-                    t.data = data
+        if sent is not None:
+            model = sent
+            model.set_requires_grad(False)
         try:
             out = modes(fn)(model, *args)
         except Exception as e:  # raised by Worker.result in the caller
@@ -316,9 +304,9 @@ _serving = False  # whether this process is a worker, which forks none
 
 def worker() -> Worker | None:
     """This process's worker, forked by the first call that can use it;
-    None where ``can_fork`` says no, and in a worker itself. An answer the
-    last caller never took, because its own half raised, is taken and
-    dropped first, so every call gets its own."""
+    None where ``can_fork`` says no, where the fork fails, and in a worker
+    itself. An answer the last caller never took, because its own half
+    raised, is taken and dropped first, so every call gets its own."""
     global _worker
     if _serving or not can_fork():
         return None
@@ -326,7 +314,10 @@ def worker() -> Worker | None:
         with contextlib.suppress(Exception):
             _worker.result()
     if _worker is None or _worker.pid is None:
-        _worker = Worker()
+        try:
+            _worker = Worker()
+        except OSError:
+            return None
     return _worker
 
 
@@ -537,23 +528,14 @@ def _write_row(f, step, lr, train_loss, dev=None) -> None:
     os.fsync(f.fileno())
 
 
-_dev_held = None  # in a worker, the dev set it was sent last
-
-
 def _eval_step(params: ModelParams, dev, batch_size: int, log_path,
                row: tuple, ckpt=None) -> tuple[float, float]:
     """An eval step's work on ``params``: evaluate ``dev``, append the
     step's ``row`` (step, lr, train loss) with the result to the log at
     ``log_path`` and, given ``ckpt`` = (out_dir, best dev loss so far,
     optimizer records), write best.ckpt if dev improved, then last.ckpt.
-    The row goes first: a checkpoint never runs ahead of the log. In a
-    worker, ``dev`` None stands for the dev set it was sent last. Returns
+    The row goes first: a checkpoint never runs ahead of the log. Returns
     (dev loss, dev frame accuracy)."""
-    global _dev_held
-    if dev is None:
-        dev = _dev_held
-    elif _serving:
-        _dev_held = dev
     result = evaluate(params, dev, batch_size=batch_size)
     with open(log_path, "a") as f:
         _write_row(f, *row, result)
@@ -591,18 +573,23 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
 
     An eval step's work, the dev eval, its log row and, in the main phase,
     its checkpoints, runs on the worker, sent the step's weights (the EMA
-    weights in the fine-tune) and Adam moments, while the steps after it
-    train; the dev set is sent at the first such eval only. A phase's last
-    eval, which no step follows, runs here, as every eval does where there
-    is no worker. The rows of the steps that train meanwhile wait in
-    memory until the worker has answered; then the eval's history entry
-    and ``best_dev`` are filled in and the rows written, in order. Its
-    answer is taken before the next eval step, before the fine-tune
-    restores best.ckpt, before final.ckpt and on every exit path. If the
-    eval failed, its error is raised and the waiting rows are dropped, so
-    the files are those a one-process run leaves when it fails there; an
-    error here while it runs is raised after the waiting rows are written.
+    weights in the fine-tune), Adam moments and the dev set, while the
+    steps after it train. A phase's last eval, which no step follows,
+    runs here, as every eval does where there is no worker. The rows of
+    the steps that train meanwhile wait in memory until the worker has
+    answered; then the eval's history entry and ``best_dev`` are filled
+    in and the rows written, in order. Its answer is taken before the
+    next eval step, before the fine-tune restores best.ckpt, before
+    final.ckpt and on every exit path. If the eval failed, its error is
+    raised and the waiting rows are dropped, so the files are those a
+    one-process run leaves when it fails there; an error here while it
+    runs is raised after the waiting rows are written. An empty train or
+    dev set is refused before anything is written.
     """
+    for name, utts in (("train", train_utts), ("dev", dev_utts)):
+        if not utts:
+            raise ConfigError(f"fit needs at least one {name} utterance, "
+                              f"got none")
     os.makedirs(out_dir, exist_ok=True)
     named = list(params.named_parameters())
     adam = AdamState(named)
@@ -626,7 +613,6 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
                     last_step=start - 1 if resume_from is not None else None)
     history = []
     running = None  # (the worker or dev, its history index, rows held)
-    dev_at = None  # the worker that holds dev_utts
 
     def record(step, lr, value):
         """Log a step that does not evaluate; its row waits while an eval
@@ -641,20 +627,19 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
         """Log an eval step, its work done on the weights that ``weights``
         binds: on the worker while later steps train, unless the phase
         ends here or there is no worker; else here and now."""
-        nonlocal running, dev_at
+        nonlocal running
         settle()
         ckpt = ((out_dir, best_dev, dict(adam.state_tensors()))
                 if step <= cfg.steps else None)
-        args = (cfg.batch_size, log_path, (step, lr, value), ckpt)
+        args = (dev_utts, cfg.batch_size, log_path, (step, lr, value), ckpt)
         last = step in (cfg.steps, cfg.steps + cfg.finetune_steps)
         w = None if last else worker()
         with weights():
             if w is None:
-                job = _eval_step(params, dev_utts, *args)
+                job = _eval_step(params, *args)
             else:
-                w.send(_eval_step, params,
-                       None if dev_at is w else dev_utts, *args)
-                job = dev_at = w
+                w.send(_eval_step, params, *args)
+                job = w
         running = (job, len(history), [])
         history.append((step, lr, value, None))
 

@@ -64,7 +64,7 @@ def _target_loss(out, labels: np.ndarray, row: int, n: int):
     picked = tc.take_along_last(out, labels)
     w = np.zeros(picked.shape, picked.data.dtype)
     w[row, :n] = -1.0 / n
-    return tc.sum_all(tc.mul_const(picked, w))
+    return tc.sum_all(tc.mul(picked, tc.tensor(w)))
 
 
 def _forward_grads(params, feats, mask, labels, row, n):

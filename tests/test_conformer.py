@@ -288,7 +288,7 @@ class TestDepthwiseConv:
         g = rng.standard_normal((3, 5, 11)).astype(np.float32)
         w = tc.parameter(rng.standard_normal((5, k)), dtype=np.float32)
         out = depthwise_conv1d(tc.tensor(x), w)
-        tc.backward(tc.sum_all(tc.mul_const(out, g)))
+        tc.backward(tc.sum_all(tc.mul(out, tc.tensor(g))))
         # out[b, c, t] = sum_j w[c, j] * x[b, c, t + j - (k-1)//2], zero
         # outside [0, T)
         want = np.zeros((5, k))

@@ -237,7 +237,7 @@ def test_backward_writes_only_arrays_it_allocated(case):
     out_before = out.data.tobytes()
     other = tc.parameter(np.zeros(out.shape))
     g = np.random.default_rng(98).standard_normal(out.shape)
-    tc.backward(tc.sum_all(tc.mul_const(tc.add(out, other), g)))
+    tc.backward(tc.sum_all(tc.mul(tc.add(out, other), tc.tensor(g))))
     assert other.grad.tobytes() == g.tobytes()
     assert out.data.tobytes() == out_before
     assert [t.data.tobytes() for t in ops] == before

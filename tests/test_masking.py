@@ -529,7 +529,7 @@ def test_module_padding_junk_changes_no_valid_value_or_gradient(name, dtype):
         out = forward(xt, params, m)
         valid = valid_frames(m, out.shape, out_axis)
         w = np.random.default_rng(22).standard_normal(out.shape) * valid
-        tc.backward(tc.sum_all(tc.mul_const(out, w.astype(dtype))))
+        tc.backward(tc.sum_all(tc.mul(out, tc.tensor(w.astype(dtype)))))
         grads = [t.grad.tobytes() for _, t in named]
         tc.zero_grad(named)
         return out.data, valid, xt.grad[x_valid], grads

@@ -491,7 +491,7 @@ def _run_needs_grad_case(arrays, op, frozen=None):
     g = np.random.default_rng(52).standard_normal(out.shape).astype(
         out.data.dtype)
     closure = dict(zip(ops, out._backward_fn(g)))
-    tc.backward(tc.sum_all(tc.mul_const(out, g)))
+    tc.backward(tc.sum_all(tc.mul(out, tc.tensor(g))))
     return closure, {n: t.grad for n, t in ops.items()}
 
 
@@ -545,7 +545,7 @@ def test_linear_node_matches_composite_chain_bitwise(dtype, x_shape, bias,
         ops = {n: tc.tensor(a, requires_grad=n != frozen, dtype=dtype)
                for n, a in arrays.items()}
         out = op(*ops.values())
-        tc.backward(tc.sum_all(tc.mul_const(out, g)))
+        tc.backward(tc.sum_all(tc.mul(out, tc.tensor(g))))
         runs.append((out.data, {n: t.grad for n, t in ops.items()}))
     (out, grads), (want, want_grads) = runs
     assert out.dtype == want.dtype == dtype
@@ -643,7 +643,7 @@ def test_graph_keeps_an_input_array_only_if_backward_reads_it(name):
     y = op(x, rng)
     del x
     assert (ref() is not None) == (name in READS_INPUT)
-    loss = tc.sum_all(tc.mul_const(y, rand(rng, *y.shape)))
+    loss = tc.sum_all(tc.mul(y, tc.tensor(rand(rng, *y.shape))))
     out_ref = weakref.ref(y.data)
     del y
     assert (out_ref() is not None) == (name in READS_OUTPUT)

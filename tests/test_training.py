@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from ucam import data as dp
 from ucam import serial
 from ucam import tensor as tc
 from ucam import training as tr
+from ucam.adaptation import adapt_speaker
 from ucam.errors import (ConfigError, DataError, DivergenceError,
                          NumericError)
 from ucam.masking import SequenceMask
@@ -581,15 +583,19 @@ def test_a_killed_worker_is_named_and_the_next_call_forks_anew(
     assert len(pids) == 2
 
 
+def worker_flags(model) -> list:
+    """``requires_grad`` of every tensor of the worker's model."""
+    return [t.requires_grad for _, t in model.named_parameters()]
+
+
 def test_weights_travel_only_when_their_bytes_change(monkeypatch, tmp_path):
     set_usable_cpus(monkeypatch, 2)
     bind, sent = tr.Worker._bind, []
 
     def recording_bind(self, params):
         update = bind(self, params)
-        # the indices that travel, each with whether its data stays
-        sent.append(update if isinstance(update, ModelParams)
-                    else {i: data is None for i, (data, _) in update.items()})
+        assert update is None or update is params
+        sent.append(update is params)  # whether the whole model travels
         return update
     monkeypatch.setattr(tr.Worker, "_bind", recording_bind)
     params, batch = split_batch(micro_config(), np.float32, 4, 12)
@@ -601,20 +607,31 @@ def test_weights_travel_only_when_their_bytes_change(monkeypatch, tmp_path):
     score(params)
     save_checkpoint(params, tmp_path / "m.ckpt")
     score(load_checkpoint(tmp_path / "m.ckpt").params)
-    assert sent[0] is params and sent[1:] == [{}, {}]
-    # a weight changed in place, a bias of +0.0 turned -0.0, a frozen one
+    assert sent == [True, False, False]
+    # a weight changed in place, then a bias of +0.0 turned -0.0
     named = params.named_parameters()
-    zeros = next(i for i, (_, t) in enumerate(named) if not t.data.any())
+    zeros = next(t for _, t in named if not t.data.any())
     named[0][1].data[0] += 1.0
-    named[zeros][1].data[:] = -named[zeros][1].data
+    score(params)
+    zeros.data[:] = -zeros.data
+    score(params)
+    assert sent[3:] == [True, True]
+    # a frozen weight alone: flags never travel
     named[-1][1].requires_grad = False
     score(params)
-    assert sent[-1] == {0: False, zeros: False, len(named) - 1: True}
+    assert sent[-1] is False
     # another config: the whole model travels
     cfg = micro_config()
     other = ModelParams.create(type(cfg)(**{**cfg.__dict__, "n_senones": 9}))
     score(other)
-    assert sent[-1] is other
+    assert sent[-1] is True
+    # the worker's copy is frozen, whatever the caller's flags
+    assert all(worker_flags(other))
+    w = tr.worker()
+    w.send(worker_flags, other)
+    flags = w.result()
+    assert sent[-1] is False
+    assert len(flags) == len(named) and not any(flags)
 
 
 def test_the_worker_is_reaped_at_exit(tmp_path):
@@ -988,6 +1005,17 @@ def test_fit_divergence_is_loud(tmp_path):
         tr.fit(params, c.utts[:6], c.utts[6:], cfg, tmp_path)
 
 
+@pytest.mark.parametrize("empty", ["train", "dev"])
+def test_fit_refuses_an_empty_set_before_it_writes(tmp_path, empty):
+    c = tiny_corpus()
+    sets = {"train": c.utts[:6], "dev": c.utts[6:], empty: []}
+    cfg = tr.TrainConfig(steps=4, batch_size=3, eval_every=2)
+    with pytest.raises(ConfigError, match=f"one {empty} utterance, got none"):
+        tr.fit(tiny_params(), sets["train"], sets["dev"], cfg,
+               tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
 # ---------------------------------------------------------------------------
 # fit on two processes: each eval step's work on the worker
 
@@ -1044,13 +1072,12 @@ def test_forked_fit_is_bitwise_the_serial_one(
     assert_reaped(pids)
 
 
-def test_fit_sends_the_dev_set_once_and_the_worker_forks_none(
-        tmp_path, monkeypatch):
+def test_fit_forks_one_worker_which_forks_none(tmp_path, monkeypatch):
     send, sent = tr.Worker.send, []
 
     def recording_send(self, fn, params, *args):
         if fn is tr._eval_step:
-            sent.append(args[0])
+            sent.append(args[3][0])  # the step of the row it logs
         return send(self, fn, params, *args)
 
     def recording_fork():
@@ -1065,8 +1092,33 @@ def test_fit_sends_the_dev_set_once_and_the_worker_forks_none(
     c = tiny_corpus(n_utts=12)
     cfg = tr.TrainConfig(steps=10, batch_size=3, eval_every=3)
     tr.fit(tiny_params(), c.utts[:6], c.utts[6:], cfg, tmp_path / "run")
-    assert [dev is None for dev in sent] == [False, True, True]
+    assert sent == [3, 6, 9]
     assert read_records(tmp_path / "forks.jsonl") == [(os.getpid(),)]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="lists open descriptors under /proc")
+def test_a_fork_that_fails_leaves_each_call_on_one_process(tmp_path,
+                                                           monkeypatch):
+    def refused_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    speaker = dp.synth_corpus(seed=3, n_speakers=1, n_classes=5, n_utts=6,
+                              feat_dim=8, t_range=(6, 12)).utts
+
+    def run(out):
+        params, fitted = fit_once(out, steps=4)
+        lin, report = adapt_speaker(params, speaker, iterations=1, epochs=2,
+                                    lr=1e-2)
+        return (fitted, tr.evaluate(params, tiny_corpus().utts),
+                lin.w.data.tobytes(), report)
+    monkeypatch.setattr(os, "fork", refused_fork)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    (refused, alone), pids = on_worker_and_alone(tmp_path, monkeypatch, run)
+    assert refused == alone
+    assert type(refused[0]) is bytes and "best.ckpt" in refused[1]
+    assert pids == [] and tr._worker is None
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 @pytest.mark.parametrize("name", ["best.ckpt", "last.ckpt"])

@@ -120,7 +120,7 @@ class TestConv2dEdgeGeometry:
         xt, wt = tc.parameter(x), tc.parameter(w)
         out = conv2d(xt, wt, stride_f=s)
         g = rng.standard_normal(out.shape).astype(dtype)
-        tc.backward(tc.sum_all(tc.mul_const(out, g)))
+        tc.backward(tc.sum_all(tc.mul(out, tc.tensor(g))))
         want = conv2d_padded_windows(x, w, g, s)
         for got, ref in zip((out.data, xt.grad, wt.grad), want):
             assert got.dtype == ref.dtype and got.shape == ref.shape
@@ -189,7 +189,7 @@ class TestConv2dGroups:
         wt = tc.tensor(w, requires_grad=need_w)
         out = conv2d(xt, wt, stride_f=stride)
         g = rng.standard_normal(out.shape).astype(dtype)
-        tc.backward(tc.sum_all(tc.mul_const(out, g)))
+        tc.backward(tc.sum_all(tc.mul(out, tc.tensor(g))))
         want = conv2d_padded_windows(x, w, g, stride)
         for got, ref, needed in zip((out.data, xt.grad, wt.grad), want,
                                     (True, need_x, need_w)):
@@ -309,7 +309,7 @@ class TestConv2d:
                          dtype=np.float32)
         out = conv2d(x, w, stride_f=stride)
         g = rng.standard_normal(out.shape).astype(np.float32)
-        tc.backward(tc.sum_all(tc.mul_const(out, g)))
+        tc.backward(tc.sum_all(tc.mul(out, tc.tensor(g))))
         want_dx, want_dw = conv2d_grads_loops(x.data, w.data, g, stride)
         assert x.grad.dtype == w.grad.dtype == np.float32
         # each entry sums at most a few hundred float32 products
@@ -327,7 +327,7 @@ class TestConv2d:
         for order in ([0, 1, 2, 3], [3, 1, 0, 2]):
             wt = tc.parameter(w)
             out = conv2d(tc.tensor(x[order]), wt, stride_f=2)
-            tc.backward(tc.sum_all(tc.mul_const(out, g[order])))
+            tc.backward(tc.sum_all(tc.mul(out, tc.tensor(g[order]))))
             grads.append(wt.grad)
         assert grads[0].tobytes() == grads[1].tobytes()
 

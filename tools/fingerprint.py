@@ -271,7 +271,7 @@ def main(src: str) -> None:
         xt, wt = tc.parameter(x), tc.parameter(w)
         out = wrcnn.conv2d(xt, wt)
         g = rng.standard_normal(out.shape).astype(np.float32)
-        tc.backward(tc.sum_all(tc.mul_const(out, g)))
+        tc.backward(tc.sum_all(tc.mul(out, tc.tensor(g))))
     emit("conv2d_groups/out", out.data.tobytes())
     emit("conv2d_groups/dx", xt.grad.tobytes())
     emit("conv2d_groups/dw", wt.grad.tobytes())
@@ -319,7 +319,7 @@ def main(src: str) -> None:
                 tc.parameter(0.1 * rng.standard_normal(6), dtype))
             out = op(x, p)
             g = rng.standard_normal(out.shape).astype(dtype)
-            tc.backward(tc.sum_all(tc.mul_const(out, g)))
+            tc.backward(tc.sum_all(tc.mul(out, tc.tensor(g))))
             emit(f"padding/{np.dtype(dtype).name}/{name}", b"".join(
                 [out.data.tobytes(), x.grad.tobytes()]
                 + [t.grad.tobytes() for t in (p.gamma, p.beta)
