@@ -13,15 +13,16 @@ so a training step, a pseudo-label and a held-out error see the same bits
 for the same LIN. The delta regression is linear, so this equals warping
 the statics before it, up to rounding.
 
-Every batch runs through ``training.halves``: of a batch of B >= 2
-utterances, the first ``ceil(B / 2)`` on the calling process and the
-last ``B // 2`` on the process's worker, where there is one, which holds
-a copy of the frozen model, so no weight travels after the first batch.
-Each half keeps the batch's padded T, and every op of the frozen model
-computes an utterance from its own rows alone, so no bit depends on the
-split: a score is an argmax per frame, and a step scales both halves'
-loss by the whole batch's valid frames and adds the LIN's gradient terms
-of both in the order one pass over the batch adds them.
+A step runs through ``training.halves`` and a score through
+``training.posteriors``, which runs its batches through ``halves`` too:
+of a batch of B >= 2 utterances, the first ``ceil(B / 2)`` on the calling
+process and the last ``B // 2`` on the process's worker, where there is
+one, which holds a copy of the frozen model, so no weight travels after
+the first batch. Each half keeps the batch's padded T, and every op of
+the frozen model computes an utterance from its own rows alone, so no bit
+depends on the split: a score is an argmax per frame, and a step scales
+both halves' loss by the whole batch's valid frames and adds the LIN's
+gradient terms of both in the order one pass over the batch adds them.
 """
 
 from __future__ import annotations
@@ -107,20 +108,15 @@ def _lin_terms(params: ModelParams, batch: Batch, w: np.ndarray,
     return _dw_terms(x.grad, batch.feats, batch.mask.lengths)
 
 
-def _decide(params: ModelParams, batch: Batch, w: np.ndarray) -> np.ndarray:
-    """Frame argmax [B, T] of a batch with its planes warped by the LIN w."""
-    x = tc.tensor(_warp(w, batch))
-    return model_forward(x, batch.mask, params).data.argmax(-1)
-
-
 def _decisions(params: ModelParams, utts, lin: LinTransform,
                batch_size: int):
     """(batch, frame argmax [B, T]) for each ``batch_pad`` batch of utts,
     its planes warped by the LIN as a step warps them."""
-    for batch in batch_pad(utts, batch_size=batch_size):
-        with tc.no_grad():
-            parts = training.halves(_decide, params, batch, lin.matrix())
-        yield batch, np.concatenate(parts)
+    w = lin.matrix()
+    warped = (Batch(_warp(w, b), b.labels, b.mask)
+              for b in batch_pad(utts, batch_size=batch_size))
+    for batch, out in training.posteriors(params, warped):
+        yield batch, out.data.argmax(-1)
 
 
 def pseudo_label(params: ModelParams, utts, lin: LinTransform,

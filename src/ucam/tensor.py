@@ -160,7 +160,7 @@ def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
     arr = np.asarray(data)
     if dtype is None:
         dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else DEFAULT_DTYPE
-    arr = np.ascontiguousarray(arr, dtype=dtype)
+    arr = np.asarray(arr, dtype=dtype, order="C")
     return Tensor(arr, requires_grad=requires_grad)
 
 
@@ -170,10 +170,9 @@ def parameter(data, dtype=None) -> Tensor:
 
 
 class _ModeBlock:
-    """Values of the modes to hold inside a ``with`` block, or inside each
-    call of a function it decorates, on the thread that runs it. It keeps
-    plain values only, so it pickles: a forked worker enters the modes that
-    a request carries."""
+    """Values of the modes to hold inside a ``with`` block, on the thread
+    that runs it. It keeps plain values only, so it pickles: a forked
+    worker enters the modes that a request carries."""
 
     def __init__(self, **values):
         self.values = values
@@ -186,12 +185,6 @@ class _ModeBlock:
     def __exit__(self, *exc):
         for name, value in self.prev.items():
             setattr(_MODES, name, value)
-
-    def __call__(self, fn):
-        def entered(*args, **kwargs):
-            with _ModeBlock(**self.values):
-                return fn(*args, **kwargs)
-        return entered
 
 
 def no_grad():
@@ -208,9 +201,8 @@ def finite_checks():
 
 def current_modes():
     """The calling thread's graph-recording and finite-check modes, as a
-    context manager, or function decorator, that enters them on whichever
-    thread or forked process runs it: a worker enters its caller's modes
-    so."""
+    context manager that enters them on whichever thread or forked process
+    runs it: a worker enters its caller's modes so."""
     return _ModeBlock(grad=_MODES.grad, check_finite=_MODES.check_finite)
 
 

@@ -292,7 +292,8 @@ def _serve(conn) -> None:
             model = sent
             model.set_requires_grad(False)
         try:
-            out = modes(fn)(model, *args)
+            with modes:
+                out = fn(model, *args)
         except Exception as e:  # raised by Worker.result in the caller
             out = e
         conn.send(out)
@@ -491,31 +492,25 @@ def resumed_log_bytes(path, last_step: int) -> int:
     return keep
 
 
-class _TrainLog:
-    """CSV trace: step, lr, train_loss and, on eval rows, dev columns.
+def _open_log(path, last_step: int | None):
+    """The train log at ``path``, open to append: a CSV of step, lr,
+    train_loss and, on eval rows, dev columns.
 
     Resuming at ``last_step`` keeps the header and the complete rows up to
     that step, so rows a crashed run wrote past its checkpoint go. Each row
-    is fsynced as it is written, so a checkpoint, which is written after its
-    step's row, is never durable ahead of the log. The log is opened to
-    append, a fresh one too: the worker appends eval rows to the same file,
-    and a row written at an offset of this process's own would overwrite
-    them.
+    is fsynced as ``_write_row`` writes it, so a checkpoint, which is
+    written after its step's row, is never durable ahead of the log. The
+    log is opened to append, a fresh one too: the worker appends eval rows
+    to the same file, and a row written at an offset of this process's own
+    would overwrite them.
     """
-
-    def __init__(self, path, last_step: int | None = None):
-        keep = 0 if last_step is None else resumed_log_bytes(path, last_step)
-        self.f = open(path, "a")
-        self.f.truncate(keep)
-        if not keep:
-            self.f.write("step,lr,train_loss,dev_loss,dev_frame_acc\n")
-            self.f.flush()  # or the worker's first row lands ahead of it
-
-    def row(self, step, lr, train_loss, dev=None):
-        _write_row(self.f, step, lr, train_loss, dev)
-
-    def close(self):
-        self.f.close()
+    keep = 0 if last_step is None else resumed_log_bytes(path, last_step)
+    f = open(path, "a")
+    f.truncate(keep)
+    if not keep:
+        f.write("step,lr,train_loss,dev_loss,dev_frame_acc\n")
+        f.flush()  # or the worker's first row lands ahead of it
+    return f
 
 
 def _write_row(f, step, lr, train_loss, dev=None) -> None:
@@ -609,39 +604,49 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
         best_dev = ck.header.get("best_dev", math.inf)
 
     log_path = os.path.join(out_dir, "train_log.csv")
-    log = _TrainLog(log_path,
-                    last_step=start - 1 if resume_from is not None else None)
     history = []
     running = None  # (the worker or dev, its history index, rows held)
 
-    def record(step, lr, value):
-        """Log a step that does not evaluate; its row waits while an eval
-        runs on the worker."""
-        if running:
-            running[2].append((step, lr, value))
-        else:
-            log.row(step, lr, value)
-        history.append((step, lr, value, None))
+    def phase(first, last, optimizer, lr_at, ema=None):
+        """Train steps ``first`` to ``last`` with ``optimizer`` at the rate
+        ``lr_at(step)``, updating ``ema`` after each step if given. A step
+        evaluates when it lies a multiple of ``eval_every`` steps into its
+        phase, and at ``last``. The row of a step that does not evaluate
+        waits while an eval runs on the worker."""
+        base = cfg.steps if ema is not None else 0
+        for step in range(first, last + 1):
+            batch = _batch_for_step(train_utts, step, cfg)
+            lr = lr_at(step)
+            value = _train_step(params, batch, optimizer, lr, cfg, step)
+            if ema is not None:
+                ema.update()
+            if (step - base) % cfg.eval_every == 0 or step == last:
+                eval_step(step, lr, value, step == last, ema)
+            elif running:
+                running[2].append((step, lr, value))
+            else:
+                _write_row(log, step, lr, value)
+            history.append((step, lr, value, None))
+        settle()
 
-    def eval_step(step, lr, value, weights=contextlib.nullcontext):
-        """Log an eval step, its work done on the weights that ``weights``
-        binds: on the worker while later steps train, unless the phase
-        ends here or there is no worker; else here and now."""
+    def eval_step(step, lr, value, last, ema):
+        """Log an eval step, its work done on the live weights or, given
+        ``ema``, on its shadow ones: on the worker while later steps train,
+        unless the phase ends here or there is no worker; else here and
+        now. Checkpoints are written in the main phase only."""
         nonlocal running
         settle()
         ckpt = ((out_dir, best_dev, dict(adam.state_tensors()))
-                if step <= cfg.steps else None)
+                if ema is None else None)
         args = (dev_utts, cfg.batch_size, log_path, (step, lr, value), ckpt)
-        last = step in (cfg.steps, cfg.steps + cfg.finetune_steps)
         w = None if last else worker()
-        with weights():
+        with ema.swapped() if ema is not None else contextlib.nullcontext():
             if w is None:
                 job = _eval_step(params, *args)
             else:
                 w.send(_eval_step, params, *args)
                 job = w
         running = (job, len(history), [])
-        history.append((step, lr, value, None))
 
     def settle():
         """Wait for the running eval, if any, then fill in its history
@@ -656,48 +661,29 @@ def fit(params: ModelParams, train_utts, dev_utts, cfg: TrainConfig,
         if step <= cfg.steps and dev[0] < best_dev:
             best_dev = dev[0]
         for row in held:
-            log.row(*row)
+            _write_row(log, *row)
 
-    try:
-        for step in range(start, cfg.steps + 1):
-            batch = _batch_for_step(train_utts, step, cfg)
-            lr = cfg.lr_at(step, params.cfg.d_attn)
-            value = _train_step(params, batch, adam, lr, cfg, step)
-            if step % cfg.eval_every == 0 or step == cfg.steps:
-                eval_step(step, lr, value)
-            else:
-                record(step, lr, value)
-        settle()
-
-        report = {"steps": cfg.steps, "best_dev": best_dev,
-                  "history": history}
-
-        if cfg.finetune_steps > 0:
-            best_path = os.path.join(out_dir, "best.ckpt")
-            if os.path.exists(best_path):
-                restore(best_path)
-            ft_adam = AdamState(named)
-            ema = EMAState(named, cfg.ema_decay)
-            for i in range(1, cfg.finetune_steps + 1):
-                step = cfg.steps + i
-                batch = _batch_for_step(train_utts, step, cfg)
-                value = _train_step(params, batch, ft_adam,
-                                    FINETUNE_LR, cfg, step)
-                ema.update()
-                if i % cfg.eval_every == 0 or i == cfg.finetune_steps:
-                    eval_step(step, FINETUNE_LR, value, ema.swapped)
-                else:
-                    record(step, FINETUNE_LR, value)
-            settle()
-            save_checkpoint(params, os.path.join(out_dir, "final.ckpt"),
-                            step=cfg.steps + cfg.finetune_steps)
-            with ema.swapped():
-                save_checkpoint(params, os.path.join(out_dir, "ema.ckpt"),
-                                step=cfg.steps + cfg.finetune_steps)
-            report["finetune_dev"] = history[-1][3]
-    finally:
+    last_step = start - 1 if resume_from is not None else None
+    with _open_log(log_path, last_step) as log:
         try:
-            settle()
+            phase(start, cfg.steps, adam,
+                  lambda step: cfg.lr_at(step, params.cfg.d_attn))
+            report = {"steps": cfg.steps, "best_dev": best_dev,
+                      "history": history}
+            if cfg.finetune_steps > 0:
+                best_path = os.path.join(out_dir, "best.ckpt")
+                if os.path.exists(best_path):
+                    restore(best_path)
+                ema = EMAState(named, cfg.ema_decay)
+                end = cfg.steps + cfg.finetune_steps
+                phase(cfg.steps + 1, end, AdamState(named),
+                      lambda step: FINETUNE_LR, ema)
+                save_checkpoint(params, os.path.join(out_dir, "final.ckpt"),
+                                step=end)
+                with ema.swapped():
+                    save_checkpoint(params, os.path.join(out_dir, "ema.ckpt"),
+                                    step=end)
+                report["finetune_dev"] = history[-1][3]
         finally:
-            log.close()
+            settle()
     return report

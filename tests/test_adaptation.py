@@ -90,20 +90,25 @@ def test_lin_batch_commutes_with_static_warp():
 
 def test_scoring_sees_the_step_planes_bitwise(monkeypatch):
     # pseudo-labels and held-out error score exactly what a step feeds the
-    # model: the LIN warps the planes of plain batch_pad batches. One
-    # process runs every forward, so this one sees them all
+    # model: the LIN warps the planes of plain batch_pad batches. Scores
+    # forward through training.posteriors, steps through adaptation's own
+    # model_forward. One process runs every forward, so this one sees them
+    # all
     set_usable_cpus(monkeypatch, 1)
     c = speaker_corpus(seed=13, n_utts=7)
     params = tiny_model()
     lin = noisy_lin(0.075, 4)
     seen = []
-    forward = ad.model_forward
 
-    def capture(x, mask, params):
-        out = forward(x, mask, params)
-        seen.append((x.data.tobytes(), out.data.tobytes()))
-        return out
-    monkeypatch.setattr(ad, "model_forward", capture)
+    def capture(forward):
+        def captured(x, mask, params):
+            out = forward(x, mask, params)
+            seen.append((x.data.tobytes(), out.data.tobytes()))
+            return out
+        return captured
+    for module in (tr, ad):
+        monkeypatch.setattr(module, "model_forward",
+                            capture(module.model_forward))
     ad.pseudo_label(params, c.utts, lin)
     ad.frame_error(params, c.utts, lin)
     scored, seen[:] = seen[:], []
@@ -275,18 +280,23 @@ def test_adapt_steps_take_batch_pad_batches(monkeypatch):
     # at call time, so wrappers see every step of this process: one
     # batch_pad each, then the forward of this process's part of the
     # batch, all of it in a serial session and its first ceil(B / 2)
-    # utterances in a split one, whose worker forwards the rest
+    # utterances in a split one, whose worker forwards the rest. Steps
+    # forward through adaptation's model_forward, scores through
+    # training's, by way of posteriors
     c = speaker_corpus(seed=7, n_utts=8)
     params = tiny_model()
     calls = []
 
     def record(name, fn, size):
         return lambda *a, **kw: calls.append((name, size(*a))) or fn(*a, **kw)
-    for name, size in (("batch_pad", len),
-                       ("model_forward", lambda x, mask, p: x.shape[0]),
-                       ("pseudo_label", lambda p, utts, lin, bs: len(utts)),
-                       ("frame_error", lambda p, utts, lin, bs: len(utts))):
-        monkeypatch.setattr(ad, name, record(name, getattr(ad, name), size))
+    for module, name, size in (
+            (ad, "batch_pad", len),
+            (ad, "model_forward", lambda x, mask, p: x.shape[0]),
+            (tr, "model_forward", lambda x, mask, p: x.shape[0]),
+            (ad, "pseudo_label", lambda p, utts, lin, bs: len(utts)),
+            (ad, "frame_error", lambda p, utts, lin, bs: len(utts))):
+        monkeypatch.setattr(module, name,
+                            record(name, getattr(module, name), size))
     runs = []
     for cpus in (1, 2):
         monkeypatch.setattr(tr, "_usable_cpus", lambda: cpus)
@@ -486,23 +496,29 @@ def test_the_worker_ignores_sigint_and_exits_at_the_end(monkeypatch):
 
 def test_the_worker_enters_the_callers_modes(monkeypatch, tmp_path):
     # a step's input is a leaf that records a graph; a score's is a
-    # constant, forwarded without recording. Finite checks are on while
-    # the file ``checked`` exists, which both processes see
-    forward, checked = ad.model_forward, tmp_path / "checked"
+    # constant, forwarded without recording, by training's model_forward.
+    # Finite checks are on while the file ``checked`` exists, which both
+    # processes see
+    checked = tmp_path / "checked"
 
-    def checking(x, mask, params):
-        recording = tc.needs_grad(tc.parameter(np.zeros(1)))
-        try:
-            tc.scale(tc.tensor(np.array([np.inf])), 1.0)
-            checking_finite = False
-        except NumericError:
-            checking_finite = True
-        if (recording, checking_finite) != (x.requires_grad,
-                                            checked.exists()):
-            raise AssertionError(f"pid {os.getpid()}: recording "
-                                 f"{recording}, checking {checking_finite}")
-        return forward(x, mask, params)
-    monkeypatch.setattr(ad, "model_forward", checking)
+    def checking(forward):
+        def checked_forward(x, mask, params):
+            recording = tc.needs_grad(tc.parameter(np.zeros(1)))
+            try:
+                tc.scale(tc.tensor(np.array([np.inf])), 1.0)
+                checking_finite = False
+            except NumericError:
+                checking_finite = True
+            if (recording, checking_finite) != (x.requires_grad,
+                                                checked.exists()):
+                raise AssertionError(f"pid {os.getpid()}: recording "
+                                     f"{recording}, checking "
+                                     f"{checking_finite}")
+            return forward(x, mask, params)
+        return checked_forward
+    for module in (tr, ad):
+        monkeypatch.setattr(module, "model_forward",
+                            checking(module.model_forward))
     set_usable_cpus(monkeypatch, 2)
     pids = record_forks(monkeypatch)
     c = speaker_corpus(seed=22, n_utts=9)

@@ -566,6 +566,15 @@ def test_linear_is_one_matmul_node():
     assert tc.linear(x, w)._parents == (x, w)
 
 
+def test_a_zero_d_array_wraps_as_zero_d():
+    assert tc.tensor(2.0).shape == ()
+    total = tc.sum_all(tc.tensor(np.arange(6.0).reshape(2, 3)))
+    assert tc.tensor(total.data).shape == total.shape
+    p = tc.parameter(np.float32(3))
+    tc.backward(tc.mul(p, p))
+    assert p.grad.shape == () and p.grad == 6.0
+
+
 def test_needs_grad():
     w = tc.parameter(np.ones(2))
     c = tc.tensor(np.ones(2))

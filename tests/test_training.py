@@ -995,6 +995,29 @@ def test_fit_finetune_phase_exports_ema(tmp_path):
     assert any(diff)  # shadow lags the raw weights
 
 
+@pytest.mark.parametrize("cpus", [2, 1], ids=["worker", "alone"])
+def test_each_phase_evaluates_every_eval_every_steps_of_its_own(
+        tmp_path, monkeypatch, cpus):
+    # eval_every 3 divides neither phase: the main phase evaluates at step
+    # 3 and at its last, 4; the fine-tune counts from its own start, so at
+    # step 7 (its third) and at its last, 9. With a worker, steps 3 and 7
+    # evaluate there
+    set_usable_cpus(monkeypatch, cpus)
+    pids = record_forks(monkeypatch)
+    _, report = fit_once(tmp_path, steps=4, finetune_steps=5)
+    assert [h[0] for h in report["history"]] == list(range(1, 10))
+    assert [h[0] for h in report["history"] if h[3] is not None] \
+        == [3, 4, 7, 9]
+    rows = [r.split(",") for r in
+            (tmp_path / "train_log.csv").read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, 10))
+    assert [int(r[0]) for r in rows if len(r) == 5] == [3, 4, 7, 9]
+    assert {len(r) for r in rows} == {3, 5}
+    assert len(pids) == cpus - 1
+    tr.close_worker()
+    assert_reaped(pids)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_divergence_is_loud(tmp_path):
     c = tiny_corpus()
